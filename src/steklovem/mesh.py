@@ -36,7 +36,7 @@ ZERO_EDGE_REL_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Cached geometric data of one polygonal cell."""
+    """Geometric data of one polygonal cell, or of a batch (leading cell axis)."""
 
     vertex_ids: np.ndarray          # global vertex indices, CCW
     coords: np.ndarray              # (n, 2) vertex coordinates, CCW
@@ -47,11 +47,11 @@ class ElementGeometry:
     boundary_centroid: np.ndarray   # edge-length weighted mean of vertices
     edge_lengths: np.ndarray        # (n,)
     edge_normals: np.ndarray        # (n, 2) outward unit normals
-    edge_nodes: np.ndarray          # (n, 2) local endpoint indices
+    edge_nodes: np.ndarray          # (n, 2) local endpoint indices, shared by a batch
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_ids)
+        return self.vertex_ids.shape[-1]
 
 
 @dataclass
@@ -75,9 +75,7 @@ class PolygonalMesh:
         return [(i, j) for i, j, m in self.boundary_edges if m == GAMMA0]
 
     def gamma0_vertices(self) -> np.ndarray:
-        ids = sorted({v for i, j, m in self.boundary_edges if m == GAMMA0
-                      for v in (i, j)})
-        return np.asarray(ids, dtype=int)
+        return np.unique(np.array(self.gamma0_edges(), dtype=int))
 
     def geometry(self, cell: int) -> ElementGeometry:
         geom = self._geom_cache.get(cell)
@@ -86,11 +84,18 @@ class PolygonalMesh:
             self._geom_cache[cell] = geom
         return geom
 
+    def grouped_geometry(self) -> list[tuple[np.ndarray, ElementGeometry]]:
+        """``(cell ids, batched geometry)`` per vertex count, ascending."""
+        sizes = np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells)
+        groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
+        cycles = [np.array([self.cells[c] for c in ids]) for ids in groups]
+        return [(ids, polygon_geometry(self.vertices, c)) for ids, c in zip(groups, cycles)]
+
     def max_diameter(self) -> float:
-        return max(self.geometry(c).diameter for c in range(self.n_cells))
+        return max(float(g.diameter.max()) for _, g in self.grouped_geometry())
 
     def total_area(self) -> float:
-        return sum(self.geometry(c).area for c in range(self.n_cells))
+        return float(sum(g.area.sum() for _, g in self.grouped_geometry()))
 
 
 @dataclass
@@ -111,6 +116,15 @@ class MeshQualityReport:
 def _signed_area(coords: np.ndarray) -> float:
     x, y = coords[:, 0], coords[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _diameter(coords: np.ndarray) -> np.ndarray:
+    """Largest vertex distance of ``(..., n, 2)`` cycles: a maximum over the
+    cyclic shifts k <= n/2 of the vertex axis (shift n - k pairs the same vertices)."""
+    n = coords.shape[-2]
+    shifted = coords[..., (np.arange(n) + np.arange(1, n // 2 + 1)[:, None]) % n, :]
+    d = shifted - coords[..., None, :, :]
+    return np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(-2, -1)))
 
 
 def _orient(p, q, r, eps):
@@ -203,7 +217,7 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
             cyc = cyc[::-1]
             coords = verts[cyc]
             area = -area
-        h_k = _max_pairwise_distance(coords)
+        h_k = _diameter(coords)
         if area <= (ZERO_EDGE_REL_TOL * h_k) ** 2:
             raise NonSimplePolygon(f"cell {ci}: vanishing area")
         lengths = np.linalg.norm(np.roll(coords, -1, axis=0) - coords, axis=1)
@@ -218,11 +232,6 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     if not any(m == GAMMA0 for _, _, m in marked):
         raise EmptyGamma0("no boundary edge is marked gamma0")
     return PolygonalMesh(verts, clean_cells, marked)
-
-
-def _max_pairwise_distance(coords: np.ndarray) -> float:
-    d = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
 
 
 def _check_conforming_and_boundary(verts, cells, boundary_spec) -> None:
@@ -283,37 +292,31 @@ def _edges_overlap(verts, e, f) -> bool:
     return min(hi, span) - max(lo, 0.0) > 1e-12 * span
 
 
-def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
-    """Compute cached geometric quantities for one cell.
+def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometry:
+    """Geometry of CCW ``(..., n)`` vertex cycles: one cell, or a batch of
+    same-size cells as one array computation.  The boundary centroid is the
+    edge-trapezoid mean of the coordinates, exact for linear traces."""
+    coords = vertices[cycles]
+    n = cycles.shape[-1]
+    edge_nodes = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+    nxt = coords[..., edge_nodes[:, 1], :]
 
-    Area by the shoelace formula, diameter as the maximal pairwise vertex
-    distance and the boundary centroid as the edge-trapezoid mean of the
-    coordinate functions, which is exact for piecewise-linear traces.
-    """
-    cyc = mesh.cells[cell]
-    coords = mesh.vertices[cyc]
-    n = len(cyc)
-
-    area = _signed_area(coords)
-    nxt = np.roll(coords, -1, axis=0)
+    cross = coords[..., 0] * nxt[..., 1] - nxt[..., 0] * coords[..., 1]
+    area = 0.5 * np.sum(cross, axis=-1)
     tangents = nxt - coords
-    lengths = np.linalg.norm(tangents, axis=1)
-    normals = np.column_stack((tangents[:, 1], -tangents[:, 0])) / lengths[:, None]
+    lengths = np.linalg.norm(tangents, axis=-1)
+    normals = np.stack((tangents[..., 1], -tangents[..., 0]), axis=-1) / lengths[..., None]
+    centroid = np.sum((coords + nxt) * cross[..., None], axis=-2) / (6.0 * area)[..., None]
 
-    cross = coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]
-    centroid = np.sum((coords + nxt) * cross[:, None], axis=0) / (6.0 * area)
-
-    boundary_length = float(np.sum(lengths))
-    midpoints = 0.5 * (coords + nxt)
-    boundary_centroid = np.sum(midpoints * lengths[:, None], axis=0) / boundary_length
-
-    edge_nodes = np.column_stack((np.arange(n), np.roll(np.arange(n), -1)))
+    boundary_length = np.sum(lengths, axis=-1)
+    weighted_midpoints = 0.5 * (coords + nxt) * lengths[..., None]
+    boundary_centroid = np.sum(weighted_midpoints, axis=-2) / boundary_length[..., None]
 
     return ElementGeometry(
-        vertex_ids=np.asarray(cyc, dtype=int),
+        vertex_ids=cycles,
         coords=coords,
-        area=float(area),
-        diameter=_max_pairwise_distance(coords),
+        area=area,
+        diameter=_diameter(coords),
         centroid=centroid,
         boundary_length=boundary_length,
         boundary_centroid=boundary_centroid,
@@ -321,6 +324,10 @@ def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
         edge_normals=normals,
         edge_nodes=edge_nodes,
     )
+
+
+def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
+    return polygon_geometry(mesh.vertices, np.asarray(mesh.cells[cell], dtype=int))
 
 
 def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:

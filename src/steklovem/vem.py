@@ -1,13 +1,20 @@
 """Local virtual element operators and global sparse assembly.
 
 The lowest-order harmonic virtual space on a polygon carries one dof per
-vertex.  Everything is computed from boundary data alone: the gradient of
-the energy projection onto affine functions comes from the divergence
-theorem (exact, since the trace is piecewise linear), the projection is
-anchored by the boundary mean, and the stabilization is the h_K^alpha
-weighted product of tangential edge derivatives.  No volume quadrature
-appears anywhere, which is what makes the operators insensitive to
-arbitrarily small edges.
+vertex.  Everything is computed from boundary data alone: the gradient G
+of the energy projection onto affine functions comes from the divergence
+theorem (trapezoid averages of the dofs against |e| n_e, over |K|); the
+projection P w = mean(w) + (G w) . (x - x_bnd) keeps the boundary mean;
+the stabilization S = h_K^alpha sum_e d_e d_e^T / |e| weights the exact
+tangential edge derivatives (d_e the signed incidence vector of edge e);
+A_K = |K| G^T G + (I - P)^T S (I - P).  No volume quadrature appears, which
+is what makes the operators insensitive to arbitrarily small edges.
+
+Every local matrix is thus a closed-form function of the vertex
+coordinates.  Assembly groups the cells by vertex count, computes each
+group's geometry and operators as one batch of ``(C, n, ...)`` arrays and
+converts all stiffness and all gamma0 edge-mass entries to CSR once each.
+The single-cell functions run the same kernel without the batch axis.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class StabilizationSpec:
 
 @dataclass(frozen=True)
 class LocalOperators:
-    """Projector, stabilization and stiffness of a single element."""
+    """Projector, stabilization and stiffness of one element (or a batch)."""
 
     G: np.ndarray          # (2, n): dofs -> constant gradient of the projection
     mean_row: np.ndarray   # (n,):   dofs -> boundary mean value
@@ -54,70 +61,66 @@ class GlobalSystem:
     gamma0_dofs: np.ndarray
 
 
-def local_projector(geom: ElementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy projection onto affine functions from boundary dofs.
-
-    Returns ``(G, mean_row, P)``.  For a dof vector w, ``G @ w`` is the
-    (constant) gradient of the projection; ``mean_row @ w`` the boundary
-    mean; ``P @ w`` the projection evaluated at the element vertices,
-
-        (P w)(x) = mean(w) + (G w) . (x - x_bnd),
-
-    with x_bnd the boundary centroid, so the projection keeps the
-    boundary mean of w.  Both maps are exact for piecewise-linear traces.
-    """
-    n = geom.n_vertices
-    if geom.area <= 1e-14 * geom.diameter ** 2:
-        raise DegenerateElement(f"element area {geom.area} vanishes")
-
-    # trapezoid averages of endpoint dofs against |e| n_e, divided by |K|
-    G = np.zeros((2, n))
-    mean_row = np.zeros(n)
-    for e in range(n):
-        i, j = geom.edge_nodes[e]
-        w_edge = 0.5 * geom.edge_lengths[e]
-        G[:, i] += w_edge * geom.edge_normals[e]
-        G[:, j] += w_edge * geom.edge_normals[e]
-        mean_row[i] += w_edge
-        mean_row[j] += w_edge
-    G /= geom.area
-    mean_row /= geom.boundary_length
-
-    rel = geom.coords - geom.boundary_centroid
-    P = np.ones((n, 1)) @ mean_row[None, :] + rel @ G
-    return G, mean_row, P
-
-
-def stability_matrix(geom: ElementGeometry, spec: StabilizationSpec) -> np.ndarray:
-    """Tangential-derivative stabilization, S = h_K^alpha sum_e d_e d_e^T / |e|.
-
-    d_e is the signed incidence vector of edge e; traces are linear per
-    edge so the tangential derivative is exactly (w_j - w_i)/|e|.  The
-    1/|e| factor grows without bound on small edges by design.
-    """
-    n = geom.n_vertices
-    if np.any(geom.edge_lengths <= 0.0):
+def _check_elements(area, diameter, shortest_edge) -> None:
+    """Raise for the first offending cell; a vanishing area goes first."""
+    area, diameter, shortest_edge = map(np.ravel, (area, diameter, shortest_edge))
+    degenerate = area <= 1e-14 * diameter ** 2
+    bad = np.flatnonzero(degenerate | (shortest_edge <= 0.0))
+    if bad.size and degenerate[bad[0]]:
+        raise DegenerateElement(f"element area {area[bad[0]]} vanishes")
+    if bad.size:
         raise ZeroLengthEdge("stabilization needs strictly positive edge lengths")
-    S = np.zeros((n, n))
-    for e in range(n):
-        i, j = geom.edge_nodes[e]
-        w = 1.0 / geom.edge_lengths[e]
-        S[i, i] += w
-        S[j, j] += w
-        S[i, j] -= w
-        S[j, i] -= w
-    return geom.diameter ** spec.alpha * S
+
+
+def _operators(geom: ElementGeometry, alpha: float) -> LocalOperators:
+    """Local operators of one cell, or of a batch of same-size cells (leading
+    axes).  Edge e joins vertices e and e + 1: a vertex sums an edge array and its shift."""
+    n = geom.n_vertices
+    half = 0.5 * geom.edge_lengths
+    flux = half[..., None] * geom.edge_normals
+    G = np.swapaxes(flux + np.roll(flux, 1, axis=-2), -1, -2) / geom.area[..., None, None]
+    mean_row = (half + np.roll(half, 1, axis=-1)) / geom.boundary_length[..., None]
+    P = mean_row[..., None, :] + (geom.coords - geom.boundary_centroid[..., None, :]) @ G
+
+    inv = 1.0 / geom.edge_lengths
+    i, j = np.arange(n), np.roll(np.arange(n), -1)
+    S = np.zeros(inv.shape + (n,))
+    S[..., i, i] = inv + np.roll(inv, 1, axis=-1)
+    S[..., i, j] = S[..., j, i] = -inv
+    S *= (geom.diameter ** alpha)[..., None, None]
+
+    Q = np.eye(n) - P
+    A_K = (geom.area[..., None, None] * (np.swapaxes(G, -1, -2) @ G)
+           + np.swapaxes(Q, -1, -2) @ S @ Q)
+    A_K = 0.5 * (A_K + np.swapaxes(A_K, -1, -2))
+    return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=A_K, S_K=S)
+
+
+def _grouped_operators(mesh: PolygonalMesh, spec: StabilizationSpec):
+    """``(geometry, operators)`` per vertex-count group; cells checked in cell order."""
+    groups = mesh.grouped_geometry()
+    stats = np.empty((3, mesh.n_cells))
+    for cells, geom in groups:
+        stats[:, cells] = geom.area, geom.diameter, geom.edge_lengths.min(axis=-1)
+    _check_elements(*stats)
+    return [(geom, _operators(geom, spec.alpha)) for _, geom in groups]
 
 
 def local_operators(geom: ElementGeometry,
                     spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
     """Full set of local matrices: consistency plus stabilized remainder."""
-    G, mean_row, P = local_projector(geom)
-    S = stability_matrix(geom, spec)
-    Q = np.eye(geom.n_vertices) - P
-    A_K = geom.area * (G.T @ G) + Q.T @ S @ Q
-    A_K = 0.5 * (A_K + A_K.T)
-    return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=A_K, S_K=S)
+    _check_elements(geom.area, geom.diameter, geom.edge_lengths.min(axis=-1))
+    return _operators(geom, spec.alpha)
+
+
+def local_projector(geom: ElementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy projection onto affine functions as ``(G, mean_row, P)``."""
+    ops = local_operators(geom)
+    return ops.G, ops.mean_row, ops.P
+
+
+def stability_matrix(geom: ElementGeometry, spec: StabilizationSpec) -> np.ndarray:
+    return local_operators(geom, spec).S_K
 
 
 def local_stiffness(geom: ElementGeometry,
@@ -125,11 +128,12 @@ def local_stiffness(geom: ElementGeometry,
     return local_operators(geom, spec).A_K
 
 
-def boundary_mass_edge(length: float) -> np.ndarray:
-    """Exact mass matrix of linear traces on one boundary edge."""
-    if length <= 0.0:
-        raise ZeroLengthEdge(f"edge length {length} must be positive")
-    return (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+def boundary_mass_edge(length) -> np.ndarray:
+    """Exact mass matrix of linear traces on a boundary edge (or a stack of them)."""
+    length = np.asarray(length, dtype=float)
+    if np.any(length <= 0.0):
+        raise ZeroLengthEdge(f"edge length {np.min(length)} must be positive")
+    return (length / 6.0)[..., None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def triple_norm(mesh: PolygonalMesh, dofs: np.ndarray,
@@ -140,43 +144,32 @@ def triple_norm(mesh: PolygonalMesh, dofs: np.ndarray,
     if dofs.shape != (mesh.n_vertices,):
         raise ValueError("dof vector length must equal the vertex count")
     total = 0.0
-    for c in range(mesh.n_cells):
-        geom = mesh.geometry(c)
-        ops = local_operators(geom, spec)
+    for geom, ops in _grouped_operators(mesh, spec):
         w = dofs[geom.vertex_ids]
-        grad = ops.G @ w
-        dev = w - (ops.mean_row @ w)
-        total += geom.area * float(grad @ grad) + float(dev @ ops.S_K @ dev)
+        grad = np.einsum("cdn,cn->cd", ops.G, w)
+        dev = w - np.einsum("cn,cn->c", ops.mean_row, w)[:, None]
+        total += float(geom.area @ np.sum(grad * grad, axis=1)
+                       + np.einsum("ci,cij,cj->", dev, ops.S_K, dev))
     return float(np.sqrt(total))
+
+
+def _scatter(ids: list[np.ndarray], blocks: list[np.ndarray], n: int) -> sps.csr_matrix:
+    """Sum (C, k, k) local blocks at their (C, k) dof ids into one n x n matrix."""
+    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel() for d in ids])
+    cols = np.concatenate([np.tile(d, d.shape[1]).ravel() for d in ids])
+    vals = np.concatenate([b.ravel() for b in blocks])
+    return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_global(mesh: PolygonalMesh,
                     spec: StabilizationSpec = StabilizationSpec()) -> GlobalSystem:
     """Scatter local stiffness over cells and edge mass over gamma0 edges."""
     n = mesh.n_vertices
-
-    rows, cols, vals = [], [], []
-    for c in range(mesh.n_cells):
-        geom = mesh.geometry(c)
-        a_k = local_operators(geom, spec).A_K
-        ids = geom.vertex_ids
-        grid = np.meshgrid(ids, ids, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(a_k.ravel())
-    A = sps.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-
-    b_rows, b_cols, b_vals = [], [], []
-    for i, j in mesh.gamma0_edges():
-        length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
-        m = boundary_mass_edge(length)
-        b_rows.extend((i, i, j, j))
-        b_cols.extend((i, j, i, j))
-        b_vals.extend((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
-    B = sps.coo_matrix((b_vals, (b_rows, b_cols)), shape=(n, n)).tocsr()
-
+    groups = _grouped_operators(mesh, spec)
+    A = _scatter([geom.vertex_ids for geom, _ in groups], [ops.A_K for _, ops in groups], n)
+    edges = np.array(mesh.gamma0_edges(), dtype=int).reshape(-1, 2)
+    lengths = np.linalg.norm(np.diff(mesh.vertices[edges], axis=1)[:, 0], axis=1)
+    B = _scatter([edges], [boundary_mass_edge(lengths)], n)
     return GlobalSystem(A=A, B=B, Ahat=(A + B).tocsr(), n_dofs=n,
                         gamma0_dofs=mesh.gamma0_vertices())
 

@@ -1,11 +1,14 @@
 """Local virtual element operators and global assembly."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklovem.mesh import GAMMA0, GAMMA1, build_mesh, element_geometry
+from steklovem.errors import DegenerateElement
+from steklovem.mesh import GAMMA0, GAMMA1, build_mesh, element_geometry, mesh_to_dict
 from steklovem.meshgen import FAMILIES
 from steklovem.vem import (
     StabilizationSpec,
@@ -220,15 +223,26 @@ def test_boundary_mass_closed_forms():
 
 
 def test_triple_norm_constants_and_homogeneity():
-    mesh = FAMILIES["t2"](2)
-    assert triple_norm(mesh, np.ones(mesh.n_vertices),
-                       StabilizationSpec()) == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(mesh.n_vertices)
-    base = triple_norm(mesh, v, StabilizationSpec())
-    assert triple_norm(mesh, -2.5 * v,
-                       StabilizationSpec()) == pytest.approx(2.5 * base,
-                                                             rel=1e-12)
+    # t2 has one vertex count, t5 several
+    for mesh in (FAMILIES["t2"](2), FAMILIES["t5"](4)):
+        assert triple_norm(mesh, np.ones(mesh.n_vertices),
+                           StabilizationSpec()) == pytest.approx(0.0, abs=1e-12)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(mesh.n_vertices)
+        base = triple_norm(mesh, v, StabilizationSpec())
+        assert triple_norm(mesh, -2.5 * v,
+                           StabilizationSpec()) == pytest.approx(2.5 * base,
+                                                                 rel=1e-12)
+        # per-cell loop over the single-cell operators as the reference
+        total = 0.0
+        for c in range(mesh.n_cells):
+            g = element_geometry(mesh, c)
+            ops = local_operators(g, StabilizationSpec())
+            w = v[g.vertex_ids]
+            grad = ops.G @ w
+            dev = w - ops.mean_row @ w
+            total += g.area * (grad @ grad) + dev @ ops.S_K @ dev
+        assert base == pytest.approx(math.sqrt(total), rel=1e-13, abs=0)
 
 
 def test_triple_norm_of_x_on_unit_square():
@@ -264,6 +278,26 @@ def test_assemble_single_square_cell():
     assert sorted(system.gamma0_dofs) == [2, 3]
 
 
+def per_cell_assembly(mesh, spec):
+    """Reference scatter: one local matrix per cell, one mass per gamma0 edge."""
+    n = mesh.n_vertices
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    for c in range(mesh.n_cells):
+        g = element_geometry(mesh, c)
+        A[np.ix_(g.vertex_ids, g.vertex_ids)] += local_stiffness(g, spec)
+    for i, j in mesh.gamma0_edges():
+        length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
+        B[np.ix_([i, j], [i, j])] += boundary_mass_edge(length)
+    return A, B
+
+
+def assert_matches_per_cell(mesh, system, spec):
+    """Batched scatter (cells grouped by vertex count) equals the per-cell one."""
+    A_ref, B_ref = per_cell_assembly(mesh, spec)
+    assert np.abs(system.A.toarray() - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+    np.testing.assert_array_equal(system.B.toarray(), B_ref)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_assembly_invariants(family):
     mesh = FAMILIES[family](8)
@@ -273,6 +307,10 @@ def test_assembly_invariants(family):
     gamma0_len = sum(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i])
                      for i, j, m in mesh.boundary_edges if m == GAMMA0)
     assert ones @ (system.B @ ones) == pytest.approx(gamma0_len, rel=1e-12)
+    assert_matches_per_cell(mesh, system, StabilizationSpec())
+    geoms = [element_geometry(mesh, c) for c in range(mesh.n_cells)]
+    assert mesh.max_diameter() == max(g.diameter for g in geoms)
+    assert mesh.total_area() == pytest.approx(sum(g.area for g in geoms), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -282,11 +320,62 @@ def test_ahat_positive_definite(family, N):
     np.linalg.cholesky(system.Ahat.toarray())
 
 
+def permuted_t5_mesh():
+    """The benchmark's renumbered, rotated and reordered t5 mesh (seed 1)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    data = mesh_to_dict(FAMILIES["t5"](8))
+    return build_mesh(*workloads.permuted_mesh_data(data, 1))
+
+
 def test_assembly_order_independent():
-    mesh = FAMILIES["t2"](4)
+    mesh = permuted_t5_mesh()
+    assert sorted({len(c) for c in mesh.cells}) == [4, 6, 7, 8, 9]
     reversed_mesh = build_mesh(mesh.vertices, mesh.cells[::-1],
                                mesh.boundary_edges)
-    a = assemble_global(mesh, StabilizationSpec())
-    b = assemble_global(reversed_mesh, StabilizationSpec())
-    assert np.abs((a.A - b.A).toarray()).max() < 1e-13
-    assert np.abs((a.B - b.B).toarray()).max() < 1e-13
+    spec = StabilizationSpec(alpha=0.75)
+    for m in (mesh, reversed_mesh):
+        assert_matches_per_cell(m, assemble_global(m, spec), spec)
+
+
+# ---------------------------------------------------------------------------
+# degenerate elements
+
+SLIVER = [[0, 0], [1, 0], [0.5, 1e-15]]
+
+
+def test_sliver_triangle_passes_validation_but_not_assembly():
+    # area 5e-16 is above build_mesh's (1e-14 h)^2 but below 1e-14 h^2
+    mesh = single_cell(SLIVER)
+    with pytest.raises(DegenerateElement):
+        assemble_global(mesh, StabilizationSpec())
+    with pytest.raises(DegenerateElement):
+        local_operators(element_geometry(mesh, 0), StabilizationSpec())
+
+
+def sliver_sandwich(order):
+    """A unit square between a sliver triangle below and a sliver
+    quadrilateral above, with the cells listed in the given order."""
+    eps = 2e-15
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, -1e-15],
+                      [0.7, 1 + eps], [0.3, 1 + eps]])
+    cells = {"square": [0, 1, 2, 3], "triangle": [0, 4, 1], "quad": [3, 2, 5, 6]}
+    bnd = [(0, 4, GAMMA1), (4, 1, GAMMA1), (1, 2, GAMMA1), (3, 0, GAMMA1),
+           (2, 5, GAMMA1), (5, 6, GAMMA0), (6, 3, GAMMA1)]
+    return build_mesh(verts, [cells[k] for k in order], bnd)
+
+
+@pytest.mark.parametrize("order", [("quad", "square", "triangle"),
+                                   ("triangle", "square", "quad"),
+                                   ("square", "quad", "triangle")])
+def test_degenerate_cell_among_regular_cells(order):
+    # vertex-count groups are computed separately, yet the error must name
+    # the first offending cell in cell order, as a per-cell loop would
+    mesh = sliver_sandwich(order)
+    first = next(c for c, name in enumerate(order) if name != "square")
+    with pytest.raises(DegenerateElement) as info:
+        assemble_global(mesh, StabilizationSpec())
+    reported = float(str(info.value).split()[2])
+    assert reported == pytest.approx(element_geometry(mesh, first).area, rel=1e-12, abs=0)
