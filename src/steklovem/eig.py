@@ -1,27 +1,33 @@
 """Generalized eigensolver for the discrete Steklov problem.
 
-The boundary mass B has rank m = (number of gamma0 vertices), so instead
-of a large generalized solve the nonzero spectrum of Ahat^{-1} B is
-obtained from an m x m symmetric matrix built from m sparse solves
-against a single factorization of Ahat.  The constant mode (lambda = 0)
-is filtered; everything else is returned ascending.
+A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + B
+symmetric positive definite, so mu = 1 / (1 + lambda) lies in (0, 1] and
+the first k positive lambdas are the k + 1 largest mu (the constant mode
+has mu = 1).  This is shift-invert at sigma = -1 for the pencil (A, B):
+implicitly restarted Lanczos (ARPACK in regular inverse mode, Ahat inner
+product) finds those mu with a few dozen solves against one symmetric LU
+of Ahat.  Iterating on the largest mu never touches the near-zero mu that
+tiny gamma0 edges produce at the other end of the spectrum.  The
+constant mode is dropped by its B-overlap with the constants; everything
+else is returned ascending in lambda.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import KTooLarge, NotSPD, RankDeficientGamma0Mass, TooLarge
+from .errors import KTooLarge, NotSPD, RankDeficientGamma0Mass, SolverError, TooLarge
 from .mesh import PolygonalMesh
 from .vem import GlobalSystem
 
-_ZERO_MODE_TOL = 1e-8
 _CONSTANT_OVERLAP = 0.99
 _DENSE_LIMIT = 2000
+_BACKWARD_ERROR_BOUND = 1e-10
 
 
 @dataclass
@@ -32,106 +38,96 @@ class EigenResult:
     mus: np.ndarray          # 1 / (1 + lambda), in (0, 1)
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
-    residuals: np.ndarray    # ||A u - lambda B u|| / ||u|| per pair
+    residuals: np.ndarray    # backward error per pair, see _filter_and_pack
 
 
-def _filter_and_pack(system: GlobalSystem, mus, vecs, k,
-                     zero_tol=_ZERO_MODE_TOL) -> EigenResult:
-    """Drop the constant mode, sort ascending in lambda, normalize."""
+def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
+    """Drop the constant mode, sort ascending in lambda, normalize.
+
+    The residual of a pair is its normwise backward error in the 1-norm,
+    ||A u - lambda B u|| / ((||A|| + |lambda| ||B||) ||u||), which does
+    not change when the mesh or the matrices are scaled.
+    """
     order = np.argsort(-mus)          # descending mu = ascending lambda
-    mus = mus[order]
-    vecs = vecs[:, order]
-    lambdas = 1.0 / mus - 1.0
+    mus, vecs = mus[order], vecs[:, order]
 
     ones = np.ones(system.n_dofs)
-    b_ones = system.B @ ones
-    norm_ones = np.sqrt(float(ones @ b_ones))
+    BV = system.B @ vecs
+    overlap = np.abs(ones @ BV) / np.sqrt(
+        float(ones @ (system.B @ ones))
+        * np.maximum(np.einsum("ij,ij->j", vecs, BV), 1e-300))
+    zero = np.flatnonzero(overlap > _CONSTANT_OVERLAP)[:1]
+    keep = np.delete(np.arange(len(mus)), zero)[:k]
 
-    keep = []
-    zero_found = False
-    for idx in range(len(lambdas)):
-        lam = lambdas[idx]
-        if not zero_found and lam <= zero_tol:
-            u = vecs[:, idx]
-            bu = system.B @ u
-            norm_u = np.sqrt(max(float(u @ bu), 1e-300))
-            overlap = abs(float(ones @ bu)) / (norm_ones * norm_u)
-            if overlap > _CONSTANT_OVERLAP:
-                zero_found = True
-                continue
-        keep.append(idx)
-
-    keep = keep[:k]
-    lambdas = lambdas[keep]
-    vecs = vecs[:, keep]
-
-    scale = np.empty(len(keep))
-    residuals = np.empty(len(keep))
-    for c in range(len(keep)):
-        u = vecs[:, c]
-        scale[c] = 1.0 / np.sqrt(float(u @ (system.Ahat @ u)))
-        u = u * scale[c]
-        vecs[:, c] = u
-        r = system.A @ u - lambdas[c] * (system.B @ u)
-        residuals[c] = float(np.linalg.norm(r) / np.linalg.norm(u))
+    lambdas = 1.0 / mus[keep] - 1.0
+    U = vecs[:, keep]
+    U = U / np.sqrt(np.einsum("ij,ij->j", U, system.Ahat @ U))
+    R = system.A @ U - (system.B @ U) * lambdas
+    scale = spla.norm(system.A, 1) + np.abs(lambdas) * spla.norm(system.B, 1)
+    residuals = np.abs(R).sum(axis=0) / (scale * np.abs(U).sum(axis=0))
 
     return EigenResult(
         lambdas=lambdas,
         mus=1.0 / (1.0 + lambdas),
-        vectors=vecs,
-        zero_mode_detected=zero_found,
+        vectors=U,
+        zero_mode_detected=bool(zero.size),
         residuals=residuals,
     )
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
-    """First k positive Steklov eigenvalues by rank reduction.
+    """First k positive Steklov eigenvalues by shift-invert Lanczos.
 
-    With M the gamma0 block of B factored M = R' R and
-    G = P Ahat^{-1} P' (P the gamma0 selection), the m x m matrix
-    C = R G R' carries exactly the nonzero eigenvalues mu of
-    Ahat^{-1} B; eigenvectors lift back through the stored solves.
+    ARPACK builds its Krylov space from Ahat^{-1} B with one solve per
+    step against a single LU of Ahat.  The LU uses a symmetric
+    minimum-degree ordering and diagonal pivots only, so Ahat = P' L U P
+    with U = D L', and by Sylvester's law of inertia Ahat is SPD exactly
+    when every pivot diag(U) is positive.  The start vector is fixed, so
+    repeated calls give bit-identical results.  With k + 1 >= n_dofs there
+    is no room for a Krylov space and the same call passes dense matrices,
+    which scipy solves with eigh.
+
+    Raises KTooLarge for k > m - 1 (m gamma0 dofs, the rank of B),
+    RankDeficientGamma0Mass when the gamma0 block of B is not positive
+    definite, NotSPD when Ahat is not, and SolverError when a backward
+    error exceeds 1e-10.
     """
     g = system.gamma0_dofs
     m = len(g)
     if k > m - 1:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
-
-    M = system.B[np.ix_(g, g)].toarray()
-    try:
-        R = sla.cholesky(M, lower=False)
+    try:                              # rank(B) = m needs a definite gamma0 mass
+        sla.cholesky(system.B[np.ix_(g, g)].toarray())
     except sla.LinAlgError as exc:
         raise RankDeficientGamma0Mass(str(exc)) from exc
 
     try:
-        factor = spla.splu(system.Ahat.tocsc())
+        factor = spla.splu(system.Ahat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
+    if not (np.array_equal(factor.perm_r, factor.perm_c)
+            and np.all(factor.U.diagonal() > 0.0)):
+        raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
+                     "it is not SPD")
 
-    rhs = np.zeros((system.n_dofs, m))
-    rhs[g, np.arange(m)] = 1.0
-    X = factor.solve(rhs)             # Ahat^{-1} P', one column per gamma0 dof
-
-    C = R @ X[g, :] @ R.T
-    C = 0.5 * (C + C.T)
-    mus, S = sla.eigh(C)
-    if mus[-1] <= 0.0 or mus[-1] > 1.0 + 1e-6:
-        raise NotSPD("reduced spectrum outside (0, 1]; Ahat is not SPD")
-    if mus[0] < -1e-10 * mus[-1]:
-        raise NotSPD("reduced matrix is indefinite; Ahat is not SPD")
-
-    # keep only the top modes: dofs carried by tiny boundary edges produce
-    # mu near rounding level, which the lift below must not divide by
-    top = slice(max(0, m - (k + 2)), m)
-    mus, S = mus[top], S[:, top]
-    if mus[0] <= 0.0:
-        raise RankDeficientGamma0Mass(
-            f"fewer than {k} numerically positive boundary-mass modes")
-
-    # lift: u = (1/mu) Ahat^{-1} P' R' s
-    U = X @ (R.T @ S) / mus[None, :]
-    return _filter_and_pack(system, mus, U, k)
+    n = system.n_dofs
+    B, Ahat = system.B, system.Ahat
+    if k + 1 >= n:
+        B, Ahat = B.toarray(), Ahat.toarray()
+    Minv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "k >= N", RuntimeWarning)
+        mus, vecs = spla.eigsh(B, k + 1, M=Ahat, Minv=Minv, which="LA",
+                               v0=np.random.default_rng(0).standard_normal(n))
+    result = _filter_and_pack(system, mus, vecs, k)
+    worst = result.residuals.max(initial=0.0)
+    if not worst <= _BACKWARD_ERROR_BOUND:
+        raise SolverError(f"backward error {worst:.2e} exceeds "
+                          f"{_BACKWARD_ERROR_BOUND:.0e}")
+    return result
 
 
 def dense_reference_solve(system: GlobalSystem) -> EigenResult:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from steklovem import eig
 from steklovem.cli import main
 from steklovem.mesh import load_mesh_json
 
@@ -83,6 +84,8 @@ def test_solve_prints_eigenvalues(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("lambda_")]
     assert len(lines) == 2
+    # the residual column is the scale-free backward error
+    assert all(float(l.split()[-1]) <= 1e-10 for l in lines)
 
 
 def test_solve_alpha_is_threaded(capsys):
@@ -98,6 +101,14 @@ def test_solve_k_too_large_exits_3(capsys):
                            "--k", "50")
     assert code == 3
     assert "50" in err
+
+
+def test_solve_backward_error_above_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(eig, "_BACKWARD_ERROR_BOUND", 0.0)
+    code, _, err = run_cli(capsys, "solve", "--family", "t1", "--N", "4",
+                           "--k", "1")
+    assert code == 3
+    assert "backward error" in err
 
 
 def test_solve_round_trip_bitwise(capsys, tmp_path):

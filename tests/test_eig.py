@@ -1,11 +1,14 @@
-"""Generalized eigensolver: rank reduction, filtering, oracles."""
+"""Generalized eigensolver: Lanczos solve, filtering, oracles."""
 
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklovem.errors import KTooLarge, TooLarge
+from steklovem.errors import KTooLarge, NotSPD, TooLarge
 from steklovem.eig import (
     dense_reference_solve,
     eigenfunction_field,
@@ -46,6 +49,23 @@ def test_single_cell_k_too_large():
     _, system = single_square_system()
     with pytest.raises(KTooLarge):
         solve_steklov(system, 5)
+
+
+@pytest.mark.parametrize("verts,bnd,k", [
+    # m = n = 4, k + 1 = n: no room for a Krylov space
+    (SQUARE, [(i, (i + 1) % 4, GAMMA0) for i in range(4)], 3),
+    # m = 4, n = 5, k + 1 = n - 1: the largest k the Lanczos path takes
+    (np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+     [(0, 1, GAMMA1), (1, 2, GAMMA1), (2, 3, GAMMA0), (3, 4, GAMMA0),
+      (4, 0, GAMMA0)], 3),
+])
+def test_single_cell_all_positive_modes(verts, bnd, k):
+    mesh = build_mesh(verts, [list(range(len(verts)))], bnd)
+    system = assemble_global(mesh, StabilizationSpec())
+    result = solve_steklov(system, k)
+    oracle = dense_reference_solve(system)
+    assert result.zero_mode_detected
+    np.testing.assert_allclose(result.lambdas, oracle.lambdas[:k], rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +113,34 @@ def test_b_orthogonality():
     assert np.abs(off).max() < 1e-8
 
 
+def test_repeated_solves_bitwise_identical():
+    system = system_for("t2", 8)
+    first, second = solve_steklov(system, 6), solve_steklov(system, 6)
+    assert np.array_equal(first.lambdas, second.lambdas)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_indefinite_ahat_rejected():
+    system = system_for("t2", 4)
+    indefinite = dataclasses.replace(system, Ahat=system.A - system.B)
+    with pytest.raises(NotSPD):
+        solve_steklov(indefinite, 3)
+
+
+def test_residuals_are_scale_invariant_backward_errors():
+    system = system_for("t5", 8)
+    result = solve_steklov(system, 6)
+    # a power-of-two scale is exact in floating point, so the scaled solve
+    # repeats the same arithmetic; ||A u - lambda B u|| / ||u|| would grow
+    # by the scale factor, the backward error must not move at all
+    c = 2.0 ** 20
+    scaled = solve_steklov(dataclasses.replace(
+        system, A=c * system.A, B=c * system.B, Ahat=c * system.Ahat), 6)
+    assert np.array_equal(scaled.lambdas, result.lambdas)
+    assert np.array_equal(scaled.residuals, result.residuals)
+    assert np.all(result.residuals <= 1e-14)
+
+
 def test_constant_mode_always_filtered():
     for family, N in [("t1", 4), ("t6", 8)]:
         system = system_for(family, N)
@@ -130,3 +178,28 @@ def test_first_sloshing_mode_trace_is_cosine():
     ref = np.cos(math.pi * xs)
     corr = abs(np.corrcoef(field[top], ref)[0, 1])
     assert corr >= 0.999
+
+
+# ---------------------------------------------------------------------------
+# edges at rounding level
+
+
+def uniform_square_mesh(n, eps=None):
+    """The criterion-8 mesh from tests/test_acceptance.py."""
+    path = Path(__file__).resolve().with_name("test_acceptance.py")
+    spec = importlib.util.spec_from_file_location("acceptance_meshes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.uniform_square_mesh(n, eps)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("eps", [1e-10, 1e-11])
+def test_tiny_edges_keep_spectrum_and_zero_mode(n, eps):
+    clean = solve_steklov(
+        assemble_global(uniform_square_mesh(n), StabilizationSpec()), 6)
+    split = solve_steklov(
+        assemble_global(uniform_square_mesh(n, eps), StabilizationSpec()), 6)
+    assert split.zero_mode_detected
+    np.testing.assert_allclose(split.lambdas, clean.lambdas, rtol=1e-4)
+    assert np.all(split.residuals <= 1e-10)
