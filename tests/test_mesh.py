@@ -1,9 +1,13 @@
 """Mesh data structure, validation, geometry, and quality diagnostics."""
 
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovem.errors import (
     EmptyGamma0,
@@ -92,6 +96,207 @@ def test_empty_gamma0_rejected():
 def test_unmarked_boundary_edge_rejected():
     with pytest.raises(UnmarkedBoundaryEdge):
         build_mesh(SQUARE_VERTS, [[0, 1, 2, 3]], SQUARE_BND[:3])
+
+
+# ---------------------------------------------------------------------------
+# rejection table: every validation path, asserting the exception class, the
+# cell named in the message (None for mesh-level faults) and a message fragment
+
+STRIP_VERTS = [[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1], [2, 1], [3, 1]]
+STRIP_CELLS = [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6]]
+STRIP_BND = [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 3, GAMMA0), (3, 7, GAMMA0),
+             (7, 6, GAMMA0), (6, 5, GAMMA0), (5, 4, GAMMA0), (4, 0, GAMMA0)]
+# extra points: one for a spike pentagon, a duplicate of vertex 1 for a
+# zero-length edge, and one above the strip for a bowtie with nonzero area
+EXTRA_VERTS = STRIP_VERTS + [[1.5, 0], [1, 0], [1, 2]]     # ids 8, 9, 10
+
+
+def strip_with(**replaced):
+    cells = [list(c) for c in STRIP_CELLS]
+    for key, cyc in replaced.items():
+        cells[int(key[1:])] = cyc
+    return EXTRA_VERTS, cells, STRIP_BND
+
+
+SPIKE = [1, 2, 8, 6, 5]           # 1 -> 2 -> 1.5 folds back at (2, 0)
+BOWTIE = [1, 6, 2, 10]            # edges (1,6) and (2,10) cross at (5/3, 2/3)
+ZERO_EDGE = [1, 9, 2, 6, 5]       # vertex 9 sits on vertex 1
+OUT_OF_RANGE = [2, 3, 7, 99]
+REPEATED = [2, 3, 7, 3]
+
+REJECTIONS = {
+    "fewer_than_3": (SQUARE_VERTS, [[0, 1]], SQUARE_BND,
+                     NonSimplePolygon, 0, "fewer than 3"),
+    "index_out_of_range": (SQUARE_VERTS, [[0, 1, 2, 4]], SQUARE_BND,
+                           MeshError, 0, "out of range"),
+    "negative_index": (SQUARE_VERTS, [[0, 1, 2, -1]], SQUARE_BND,
+                       MeshError, 0, "out of range"),
+    "repeated_vertex": (SQUARE_VERTS, [[0, 1, 2, 1]], SQUARE_BND,
+                        NonSimplePolygon, 0, "repeated vertex"),
+    "vanishing_area": ([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]],
+                       [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)],
+                       NonSimplePolygon, 0, "vanishing area"),
+    "symmetric_bowtie_has_no_area": ([[0, 0], [1, 1], [1, 0], [0, 1]], [[0, 1, 2, 3]],
+                                     SQUARE_BND, NonSimplePolygon, 0, "vanishing area"),
+    "zero_length_edge": ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3, 4]],
+                         [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 3, GAMMA0),
+                          (3, 4, GAMMA0), (4, 0, GAMMA0)],
+                         ZeroLengthEdge, 0, "edge shorter"),
+    "fold_back_spike": (*strip_with(c1=SPIKE), NonSimplePolygon, 1, "fold back at local vertex 1"),
+    "bowtie": (*strip_with(c1=BOWTIE), NonSimplePolygon, 1, "edges 0 and 2 intersect"),
+    "clockwise_bowtie": (*strip_with(c1=BOWTIE[::-1]), NonSimplePolygon, 1, "intersect"),
+    "edge_shared_by_three_cells": (
+        SQUARE_VERTS.tolist() + [[0.5, -1], [0.5, -2]], [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]],
+        [(1, 2, GAMMA0), (2, 3, GAMMA0), (3, 0, GAMMA0), (0, 4, GAMMA0), (4, 1, GAMMA0),
+         (0, 5, GAMMA0), (5, 1, GAMMA0)],
+        NonConforming, None, "more than two cells"),
+    "hanging_node_on_one_side": (
+        [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0.5]],
+        [[0, 1, 6, 2, 3], [1, 4, 5, 2]],
+        [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
+         (2, 3, GAMMA0), (3, 0, GAMMA0)],
+        NonConforming, None, "overlap"),
+    "boundary_edge_declared_twice": (SQUARE_VERTS, [[0, 1, 2, 3]],
+                                     SQUARE_BND + [(1, 0, GAMMA0)],
+                                     MeshError, None, "declared twice"),
+    "unknown_marker": (SQUARE_VERTS, [[0, 1, 2, 3]], SQUARE_BND[:3] + [(3, 0, "gamma2")],
+                       MeshError, None, "unknown boundary marker"),
+    "phantom_boundary_edge": (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]],
+                              SQUARE_BND + [(0, 2, GAMMA1)],
+                              MeshError, None, "not a boundary edge"),
+    "unmarked_boundary_edge": (SQUARE_VERTS, [[0, 1, 2, 3]], SQUARE_BND[:3],
+                               UnmarkedBoundaryEdge, None, "carries no marker"),
+    "empty_gamma0": (SQUARE_VERTS, [[0, 1, 2, 3]], [(a, b, GAMMA1) for a, b, _ in SQUARE_BND],
+                     EmptyGamma0, None, "gamma0"),
+    "empty_cell_list": (SQUARE_VERTS, [], SQUARE_BND, MeshError, None, "empty"),
+    "non_finite_vertex": ([[0, 0], [1, 0], [1, np.inf], [0, 1]], [[0, 1, 2, 3]], SQUARE_BND,
+                          MeshError, None, "finite"),
+    # several faulty cells: the lowest cell index wins, whatever the faults
+    "geometric_before_later_structural": (*strip_with(c1=SPIKE, c2=OUT_OF_RANGE),
+                                          NonSimplePolygon, 1, "fold back"),
+    "structural_before_later_geometric": (*strip_with(c1=REPEATED, c2=BOWTIE),
+                                          NonSimplePolygon, 1, "repeated vertex"),
+    "range_before_later_crossing": (*strip_with(c0=OUT_OF_RANGE, c2=BOWTIE),
+                                    MeshError, 0, "out of range"),
+    "quad_crossing_before_later_pentagon_spike": (*strip_with(c1=BOWTIE, c2=SPIKE),
+                                                  NonSimplePolygon, 1, "intersect"),
+    "pentagon_spike_before_later_quad_crossing": (*strip_with(c1=SPIKE, c2=BOWTIE),
+                                                  NonSimplePolygon, 1, "fold back"),
+    "zero_edge_before_later_crossing": (*strip_with(c1=ZERO_EDGE, c2=BOWTIE),
+                                        ZeroLengthEdge, 1, "edge shorter"),
+    "cell_fault_before_edge_fault": (*strip_with(c2=BOWTIE), NonSimplePolygon, 2, "intersect"),
+    # one faulty cell with several faults: the earlier check wins
+    "fewer_than_3_before_range": (SQUARE_VERTS, [[0, 9]], SQUARE_BND,
+                                  NonSimplePolygon, 0, "fewer than 3"),
+    "range_before_repeat": (SQUARE_VERTS, [[0, 1, 9, 1]], SQUARE_BND,
+                            MeshError, 0, "out of range"),
+    "vanishing_area_before_zero_edge": ([[0, 0], [1, 0], [1, 0], [2, 0]], [[0, 1, 2, 3]],
+                                        SQUARE_BND, NonSimplePolygon, 0, "vanishing area"),
+    "zero_edge_before_crossing": (*strip_with(c1=[1, 9, 6, 2, 10]),
+                                  ZeroLengthEdge, 1, "edge shorter"),
+    "spike_before_crossing": (*strip_with(c1=[1, 2, 8, 10, 6]),   # stored reversed
+                              NonSimplePolygon, 1, "fold back at local vertex 3"),
+}
+
+
+def cell_named(exc):
+    found = re.search(r"\bcell (\d+)", str(exc))
+    return int(found.group(1)) if found else None
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_table(case):
+    verts, cells, bnd, kind, cell, fragment = REJECTIONS[case]
+    with pytest.raises(MeshError) as info:
+        build_mesh(np.asarray(verts, dtype=float), cells, bnd)
+    assert type(info.value) is kind, info.value
+    assert cell_named(info.value) == cell, info.value
+    assert fragment in str(info.value)
+
+
+def test_rejection_table_strip_is_valid():
+    mesh = build_mesh(np.asarray(STRIP_VERTS, dtype=float), STRIP_CELLS, STRIP_BND)
+    assert mesh.total_area() == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# the verdict on a mutated mesh is invariant under renumbering and rotation
+
+
+@functools.lru_cache(maxsize=None)
+def small_mesh(family, N):
+    mesh = FAMILIES[family](N)
+    return mesh.vertices, tuple(map(tuple, mesh.cells)), tuple(mesh.boundary_edges)
+
+
+def mutate(family, N, kind, c, k):
+    verts, cells, bnd = small_mesh(family, N)
+    verts, cells, bnd = verts.copy(), [list(cyc) for cyc in cells], list(bnd)
+    c %= len(cells)
+    cyc = cells[c]
+    k %= len(cyc)
+    nxt = (k + 1) % len(cyc)
+    if kind == "swap":
+        cyc[k], cyc[nxt] = cyc[nxt], cyc[k]
+    elif kind == "drop":
+        del cyc[k]
+    elif kind == "repeat":
+        cyc[k] = cyc[nxt]
+    elif kind == "out_of_range":
+        cyc[k] = len(verts)
+    elif kind == "collapse":
+        verts[cyc[k]] = verts[cyc[nxt]]
+    elif kind == "triple":
+        cells.append(list(cyc))
+    elif kind == "unmark":
+        del bnd[k % len(bnd)]
+    elif kind == "redeclare":
+        i, j, m = bnd[k % len(bnd)]
+        bnd.append((j, i, m))
+    elif kind == "marker":
+        i, j, _ = bnd[k % len(bnd)]
+        bnd[k % len(bnd)] = (i, j, "gamma2")
+    elif kind == "phantom":
+        bnd.append((cyc[0], cyc[2], GAMMA1))
+    elif kind == "reverse":
+        cyc.reverse()
+    return verts, cells, bnd
+
+
+def renumbered(verts, cells, bnd, rng):
+    new_id = rng.permutation(len(verts))
+    new_verts = np.empty_like(verts)
+    new_verts[new_id] = verts
+    out_cells = []
+    for cyc in cells:
+        cyc = [int(new_id[v]) if 0 <= v < len(verts) else v for v in cyc]
+        shift = int(rng.integers(len(cyc)))
+        cyc = cyc[shift:] + cyc[:shift]
+        out_cells.append(cyc[::-1] if rng.random() < 0.5 else cyc)
+    out_bnd = [(int(new_id[i]), int(new_id[j]), m) for i, j, m in bnd]
+    return new_verts, out_cells, out_bnd
+
+
+def verdict(verts, cells, bnd):
+    try:
+        build_mesh(verts, cells, bnd)
+    except MeshError as exc:
+        return type(exc).__name__, cell_named(exc)
+    return "accepted", None
+
+
+MUTATIONS = ["swap", "drop", "repeat", "out_of_range", "collapse", "triple", "unmark",
+             "redeclare", "marker", "phantom", "reverse"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mesh=st.sampled_from([("t1", 2), ("t1", 3), ("t6", 2), ("t6", 4)]),
+       kind=st.sampled_from(MUTATIONS), c=st.integers(0, 10**6), k=st.integers(0, 10**6),
+       seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_renumbering_and_rotation(mesh, kind, c, k, seed):
+    data = mutate(*mesh, kind, c, k)
+    expected = verdict(*data)
+    assert verdict(*renumbered(*data, np.random.default_rng(seed))) == expected
 
 
 # ---------------------------------------------------------------------------
