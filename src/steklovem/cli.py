@@ -27,8 +27,12 @@ def _generate(args):
     if args.domain and FAMILY_DOMAIN[family] != args.domain:
         raise MeshError(f"family {family} belongs to domain "
                         f"{FAMILY_DOMAIN[family]}, not {args.domain}")
+    levels = getattr(args, "refine_level", 0)
+    if levels < 0 or (levels > 0 and family != "t6"):
+        raise MeshError(f"--refine-level {levels}: corner refinement takes a level "
+                        ">= 0 and applies to family t6 only")
     mesh = meshgen.FAMILIES[family](args.N)
-    for level in range(1, getattr(args, "refine_level", 0) + 1):
+    for level in range(1, levels + 1):
         mesh = meshgen.refine_lshape_corner(mesh, level, args.N)
     return mesh
 

@@ -6,15 +6,28 @@ always stored explicitly in both incident cells, so a valid mesh is
 conforming by construction: an edge shared by two cells is identical as a
 vertex pair, and a vertex sitting on a neighbour's edge shows up in that
 neighbour's cycle as a flat-angle vertex.
+
+Validation is batched like the geometry.  Each raw cycle gets structural
+checks (integer indices, at least three, in range, distinct); the cells are
+then grouped by vertex count and each group's orientation, area, edge
+lengths, fold-back spikes and edge crossings are ``(C, n, 2)`` array
+computations on the kernels of :func:`polygon_geometry`.  One edge table
+(:func:`edge_table`) gives every edge count: edges shared by more than two
+cells, unmarked or phantom boundary edges, vertices in no cell and parts of
+the mesh without a gamma0 edge.  A faulty mesh raises for its first faulty
+cell in cell order, and within that cell for the first failed check
+(:func:`raise_first_fault`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EmptyGamma0,
@@ -61,7 +74,6 @@ class PolygonalMesh:
     vertices: np.ndarray                     # (n, 2)
     cells: list[list[int]]                   # CCW cycles
     boundary_edges: list[tuple[int, int, str]]
-    _geom_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -77,19 +89,10 @@ class PolygonalMesh:
     def gamma0_vertices(self) -> np.ndarray:
         return np.unique(np.array(self.gamma0_edges(), dtype=int))
 
-    def geometry(self, cell: int) -> ElementGeometry:
-        geom = self._geom_cache.get(cell)
-        if geom is None:
-            geom = element_geometry(self, cell)
-            self._geom_cache[cell] = geom
-        return geom
-
     def grouped_geometry(self) -> list[tuple[np.ndarray, ElementGeometry]]:
         """``(cell ids, batched geometry)`` per vertex count, ascending."""
-        sizes = np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells)
-        groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
-        cycles = [np.array([self.cells[c] for c in ids]) for ids in groups]
-        return [(ids, polygon_geometry(self.vertices, c)) for ids, c in zip(groups, cycles)]
+        return [(ids, polygon_geometry(self.vertices, cycles))
+                for ids, cycles in _size_groups(self.cells)]
 
     def max_diameter(self) -> float:
         return max(float(g.diameter.max()) for _, g in self.grouped_geometry())
@@ -111,77 +114,114 @@ class MeshQualityReport:
 
 
 # ---------------------------------------------------------------------------
-# geometry helpers
-
-def _signed_area(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
+# geometry kernels and batched validation
 
 def _diameter(coords: np.ndarray) -> np.ndarray:
     """Largest vertex distance of ``(..., n, 2)`` cycles: a maximum over the
-    cyclic shifts k <= n/2 of the vertex axis (shift n - k pairs the same vertices)."""
-    n = coords.shape[-2]
-    shifted = coords[..., (np.arange(n) + np.arange(1, n // 2 + 1)[:, None]) % n, :]
-    d = shifted - coords[..., None, :, :]
-    return np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(-2, -1)))
+    cyclic shifts k <= n/2 of the vertex axis (shift n - k pairs the same
+    vertices), one shift at a time so temporaries stay the size of ``coords``."""
+    sq = 0.0
+    for k in range(1, coords.shape[-2] // 2 + 1):
+        d = np.roll(coords, -k, axis=-2) - coords
+        sq = np.maximum(sq, np.max(np.sum(d * d, axis=-1), axis=-1))
+    return np.sqrt(sq)
+
+
+def _edge_arrays(coords: np.ndarray):
+    """End points, shoelace cross terms, tangents and lengths of the edges of
+    ``(..., n, 2)`` cycles; edge k runs from vertex k to vertex k + 1."""
+    nxt = np.roll(coords, -1, axis=-2)
+    cross = coords[..., 0] * nxt[..., 1] - nxt[..., 0] * coords[..., 1]
+    tangents = nxt - coords
+    return nxt, cross, tangents, np.linalg.norm(tangents, axis=-1)
 
 
 def _orient(p, q, r, eps):
-    """Sign of the turn p->q->r with tolerance eps (area units)."""
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    if v > eps:
-        return 1
-    if v < -eps:
-        return -1
-    return 0
+    """Elementwise sign of the turn p->q->r of ``(..., 2)`` points, with
+    tolerance eps (area units)."""
+    v = ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+         - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+    return (v > eps).astype(int) - (v < -eps)
 
 
-def _on_segment(p, q, r, eps):
-    """Whether collinear point r lies on the closed segment pq."""
-    return (min(p[0], q[0]) - eps <= r[0] <= max(p[0], q[0]) + eps
-            and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps)
+def raise_first_fault(faults) -> None:
+    """Raise for the lowest flagged cell; within that cell the earliest fault wins.
+
+    ``faults`` lists ``(mask over cells, cell -> exception)`` in priority order.
+    """
+    masks = np.array([np.ravel(mask) for mask, _ in faults], dtype=bool)
+    flagged = np.flatnonzero(masks.any(axis=0))
+    if flagged.size:
+        cell = int(flagged[0])
+        raise faults[int(np.argmax(masks[:, cell]))][1](cell)
 
 
-def _segments_intersect(p1, p2, p3, p4, eps):
-    o1 = _orient(p1, p2, p3, eps)
-    o2 = _orient(p1, p2, p4, eps)
-    o3 = _orient(p3, p4, p1, eps)
-    o4 = _orient(p3, p4, p2, eps)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o3 != 0:
-        return True
-    coord_eps = np.sqrt(eps)
-    if o1 == 0 and _on_segment(p1, p2, p3, coord_eps):
-        return True
-    if o2 == 0 and _on_segment(p1, p2, p4, coord_eps):
-        return True
-    if o3 == 0 and _on_segment(p3, p4, p1, coord_eps):
-        return True
-    if o4 == 0 and _on_segment(p3, p4, p2, coord_eps):
-        return True
-    return False
+def _is_index(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_simple(coords: np.ndarray, cell: int) -> None:
-    n = len(coords)
-    diam = np.max(np.ptp(coords, axis=0))
-    area_eps = (ZERO_EDGE_REL_TOL * max(diam, 1.0)) ** 2
-    # spikes: consecutive edges folding back onto each other
-    for k in range(n):
-        a, b, c = coords[k - 1], coords[k], coords[(k + 1) % n]
-        u, v = b - a, c - b
-        if abs(u[0] * v[1] - u[1] * v[0]) <= area_eps and np.dot(u, v) < 0.0:
-            raise NonSimplePolygon(f"cell {cell}: edges fold back at local vertex {k}")
-    # crossings between non-adjacent edges
-    for i in range(n):
-        p1, p2 = coords[i], coords[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            p3, p4 = coords[j], coords[(j + 1) % n]
-            if _segments_intersect(p1, p2, p3, p4, area_eps):
-                raise NonSimplePolygon(
-                    f"cell {cell}: edges {i} and {j} intersect")
+# checks of one raw cycle against the vertex count nv, in order, and their errors
+_STRUCTURAL = [
+    (lambda cyc, nv: not all(map(_is_index, cyc)),
+     lambda c: MeshError(f"cell {c}: vertex index is not an integer")),
+    (lambda cyc, nv: len(cyc) < 3,
+     lambda c: NonSimplePolygon(f"cell {c}: fewer than 3 vertices")),
+    (lambda cyc, nv: min(cyc) < 0 or max(cyc) >= nv,
+     lambda c: MeshError(f"cell {c}: vertex index out of range")),
+    (lambda cyc, nv: len(set(cyc)) != len(cyc),
+     lambda c: NonSimplePolygon(f"cell {c}: repeated vertex in cycle")),
+]
+
+
+def _size_groups(cells) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(cell ids, (C, n) cycles)`` per vertex count n, ascending."""
+    sizes = np.fromiter(map(len, cells), dtype=int, count=len(cells))
+    groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
+    return [(ids, np.array([cells[c] for c in ids], dtype=int)) for ids in groups]
+
+
+def _check_group(verts: np.ndarray, cycles: np.ndarray):
+    """Orient a group of same-size cycles counter-clockwise and flag their
+    geometric faults.
+
+    Returns the CCW cycles, the masks ``(vanishing area, zero-length edge,
+    fold-back spike, crossing)`` over the group, the local vertex of the first
+    spike and the first crossing edge pair ``(i, j)`` in loop order.
+    """
+    coords = verts[cycles]
+    signed = 0.5 * np.sum(_edge_arrays(coords)[1], axis=-1)
+    cycles = np.where((signed < 0.0)[:, None], cycles[:, ::-1], cycles)
+    coords = verts[cycles]
+    tangents, lengths = _edge_arrays(coords)[2:]
+    h_k = _diameter(coords)
+    vanishing = np.abs(signed) <= (ZERO_EDGE_REL_TOL * h_k) ** 2
+    zero_edge = np.any(lengths < (ZERO_EDGE_REL_TOL * h_k)[:, None], axis=1)
+
+    ptp = np.max(np.ptp(coords, axis=1), axis=1)
+    area_eps = (ZERO_EDGE_REL_TOL * np.maximum(ptp, 1.0)) ** 2
+    # spikes: consecutive edges folding back onto each other at vertex k
+    u, v = np.roll(tangents, 1, axis=1), tangents
+    turn = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    folds = (np.abs(turn) <= area_eps[:, None]) & (np.sum(u * v, axis=-1) < 0.0)
+
+    # crossings between non-adjacent edges, pair by pair over the whole group
+    n = cycles.shape[1]
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
+    first_pair = np.full(len(cycles), -1)
+    coord_eps = np.sqrt(area_eps)[:, None]
+    for k, (i, j) in enumerate(pairs):
+        p1, p2, p3, p4 = (coords[:, m % n] for m in (i, i + 1, j, j + 1))
+        turns = ((p1, p2, p3), (p1, p2, p4), (p3, p4, p1), (p3, p4, p2))
+        o = [_orient(a, b, r, area_eps) for a, b, r in turns]
+        hit = (o[0] != o[1]) & (o[2] != o[3]) & (o[0] != 0) & (o[2] != 0)
+        for o_r, (a, b, r) in zip(o, turns):   # r collinear with and on the segment ab
+            hit |= (o_r == 0) & np.all((np.minimum(a, b) - coord_eps <= r)
+                                       & (r <= np.maximum(a, b) + coord_eps), axis=1)
+        first_pair[hit & (first_pair < 0)] = k
+    masks = (vanishing, zero_edge, folds.any(axis=1), first_pair >= 0)
+    # a cell without a crossing (first_pair -1) gets the (-1, -1) sentinel
+    crossing = np.array(pairs + [(-1, -1)], dtype=int)[first_pair]
+    return cycles, masks, np.argmax(folds, axis=1), crossing
 
 
 def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
@@ -191,62 +231,75 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     marker ``"gamma0"`` or ``"gamma1"``.  Cells with negative signed area
     are reversed so every stored cycle is counter-clockwise.
 
-    Raises the mesh error matching the first violated invariant.
+    Raises the mesh error matching the first violated invariant: the first
+    faulty cell in cell order, and within it the first failed check.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) == 0:
         raise MeshError("vertices must be a non-empty (n, 2) array")
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
-    if not cells:
+    if len(cells) == 0:
         raise MeshError("cell list is empty")
 
-    nv = len(verts)
-    clean_cells: list[list[int]] = []
-    for ci, cycle in enumerate(cells):
-        cyc = [int(v) for v in cycle]
-        if len(cyc) < 3:
-            raise NonSimplePolygon(f"cell {ci}: fewer than 3 vertices")
-        if any(v < 0 or v >= nv for v in cyc):
-            raise MeshError(f"cell {ci}: vertex index out of range")
-        if len(set(cyc)) != len(cyc):
-            raise NonSimplePolygon(f"cell {ci}: repeated vertex in cycle")
-        coords = verts[cyc]
-        area = _signed_area(coords)
-        if area < 0.0:
-            cyc = cyc[::-1]
-            coords = verts[cyc]
-            area = -area
-        h_k = _diameter(coords)
-        if area <= (ZERO_EDGE_REL_TOL * h_k) ** 2:
-            raise NonSimplePolygon(f"cell {ci}: vanishing area")
-        lengths = np.linalg.norm(np.roll(coords, -1, axis=0) - coords, axis=1)
-        if np.any(lengths < ZERO_EDGE_REL_TOL * h_k):
-            raise ZeroLengthEdge(f"cell {ci}: edge shorter than {ZERO_EDGE_REL_TOL} * h_K")
-        _check_simple(coords, ci)
-        clean_cells.append(cyc)
+    nc = len(cells)
+    # 1-based position in _STRUCTURAL of the first fault of each cell, 0 if none
+    structural = np.array([next((k for k, (bad, _) in enumerate(_STRUCTURAL, 1)
+                                 if bad(cyc, len(verts))), 0) for cyc in cells])
+    geometric = np.zeros((4, nc), dtype=bool)
+    spike_at = np.zeros(nc, dtype=int)
+    crossing = np.zeros((nc, 2), dtype=int)
+    clean_cells: list = [None] * nc
+    valid = np.flatnonzero(structural == 0)
+    for ids, raw in _size_groups([cells[c] for c in valid]):
+        ids = valid[ids]
+        ccw, geometric[:, ids], spike_at[ids], crossing[ids] = _check_group(verts, raw)
+        for c, cyc in zip(ids.tolist(), ccw.tolist()):
+            clean_cells[c] = cyc
+    raise_first_fault(
+        [(structural == k, fault) for k, (_, fault) in enumerate(_STRUCTURAL, 1)] + [
+            (geometric[0], lambda c: NonSimplePolygon(f"cell {c}: vanishing area")),
+            (geometric[1], lambda c: ZeroLengthEdge(
+                f"cell {c}: edge shorter than {ZERO_EDGE_REL_TOL} * h_K")),
+            (geometric[2], lambda c: NonSimplePolygon(
+                f"cell {c}: edges fold back at local vertex {spike_at[c]}")),
+            (geometric[3], lambda c: NonSimplePolygon(
+                "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
+        ])
 
-    _check_conforming_and_boundary(verts, clean_cells, boundary_spec)
-
-    marked = [(int(i), int(j), str(m)) for i, j, m in boundary_spec]
+    edges, counts = edge_table(clean_cells)
+    marked = _check_conforming_and_boundary(verts, edges, counts, boundary_spec)
     if not any(m == GAMMA0 for _, _, m in marked):
         raise EmptyGamma0("no boundary edge is marked gamma0")
+    _check_connected(len(verts), edges, marked)
     return PolygonalMesh(verts, clean_cells, marked)
 
 
-def _check_conforming_and_boundary(verts, cells, boundary_spec) -> None:
-    count: dict[tuple[int, int], int] = {}
-    for cyc in cells:
-        n = len(cyc)
-        for k in range(n):
-            key = tuple(sorted((cyc[k], cyc[(k + 1) % n])))
-            count[key] = count.get(key, 0) + 1
-    over = [e for e, c in count.items() if c > 2]
-    if over:
-        raise NonConforming(f"edge {over[0]} shared by more than two cells")
+def cycle_edges(cells) -> np.ndarray:
+    """``(E, 2)`` directed vertex pairs of every cell edge, grouped by vertex count."""
+    return np.concatenate([np.stack((cycles, np.roll(cycles, -1, axis=1)), axis=-1)
+                           .reshape(-1, 2) for _, cycles in _size_groups(cells)])
+
+
+def edge_table(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique undirected edges ``(E, 2)`` of the cell cycles, low vertex
+    first, and the number of cells each edge belongs to."""
+    pairs = np.sort(cycle_edges(cells), axis=1)
+    base = int(pairs.max()) + 1
+    keys, counts = np.unique(pairs[:, 0] * base + pairs[:, 1], return_counts=True)
+    return np.column_stack(np.divmod(keys, base)), counts
+
+
+def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):
+    """Check the edge counts against the declared boundary; return it marked."""
+    if np.any(counts > 2):
+        raise NonConforming(
+            f"edge {tuple(edges[counts > 2][0].tolist())} shared by more than two cells")
 
     declared = {}
     for i, j, m in boundary_spec:
+        if not (_is_index(i) and _is_index(j)):
+            raise MeshError(f"boundary edge ({i!r}, {j!r}): vertex index is not an integer")
         key = tuple(sorted((int(i), int(j))))
         if key in declared:
             raise MeshError(f"boundary edge {key} declared twice")
@@ -254,20 +307,19 @@ def _check_conforming_and_boundary(verts, cells, boundary_spec) -> None:
         if m not in (GAMMA0, GAMMA1):
             raise MeshError(f"unknown boundary marker {m!r}")
 
-    once = {e for e, c in count.items() if c == 1}
+    once_edges = edges[counts == 1]
+    once = set(map(tuple, once_edges.tolist()))
     undeclared = once - set(declared)
     if undeclared:
         # distinguish a genuinely unmarked boundary edge from a hanging
         # node missing on one side: the latter leaves collinear overlapping
         # once-edges behind
-        for e in undeclared:
-            for f in once:
-                if f == e:
-                    continue
-                if _edges_overlap(verts, e, f):
-                    raise NonConforming(
-                        f"edges {e} and {f} overlap; hanging node present "
-                        "in only one incident cell")
+        for e in sorted(undeclared):
+            overlap = _edges_overlap(verts, e, once_edges) & np.any(once_edges != e, axis=1)
+            if overlap.any():
+                f = tuple(once_edges[np.argmax(overlap)].tolist())
+                raise NonConforming(f"edges {e} and {f} overlap; hanging node present "
+                                    "in only one incident cell")
         raise UnmarkedBoundaryEdge(
             f"boundary edge {sorted(undeclared)[0]} carries no marker")
     phantom = set(declared) - once
@@ -275,21 +327,36 @@ def _check_conforming_and_boundary(verts, cells, boundary_spec) -> None:
         raise MeshError(
             f"declared boundary edge {sorted(phantom)[0]} is not a boundary "
             "edge of the cell complex")
+    return [(int(i), int(j), str(m)) for i, j, m in boundary_spec]
 
 
-def _edges_overlap(verts, e, f) -> bool:
-    """Whether two distinct undirected edges overlap on a 1D set."""
+def _edges_overlap(verts, e, f: np.ndarray) -> np.ndarray:
+    """Whether edge ``e`` overlaps each of the edges ``f`` (k, 2) on a 1D set."""
     a, b = verts[e[0]], verts[e[1]]
-    c, d = verts[f[0]], verts[f[1]]
-    scale = max(np.linalg.norm(b - a), np.linalg.norm(d - c), 1e-300)
-    eps = 1e-12 * scale * scale
-    if _orient(a, b, c, eps) != 0 or _orient(a, b, d, eps) != 0:
-        return False
+    c, d = verts[f[:, 0]], verts[f[:, 1]]
     t = b - a
-    s = [float(np.dot(p - a, t)) for p in (c, d)]
-    lo, hi = min(s), max(s)
-    span = float(np.dot(t, t))
-    return min(hi, span) - max(lo, 0.0) > 1e-12 * span
+    scale = np.maximum(np.maximum(np.linalg.norm(t), np.linalg.norm(d - c, axis=1)), 1e-300)
+    eps = 1e-12 * scale * scale
+    collinear = (_orient(a, b, c, eps) == 0) & (_orient(a, b, d, eps) == 0)
+    s = np.stack(((c - a) @ t, (d - a) @ t))
+    span = float(t @ t)
+    return collinear & (np.minimum(s.max(axis=0), span) - np.maximum(s.min(axis=0), 0.0)
+                        > 1e-12 * span)
+
+
+def _check_connected(nv: int, edges: np.ndarray, marked) -> None:
+    """Every vertex lies on a cell, and every connected piece touches gamma0:
+    otherwise A + B is singular."""
+    orphans = np.flatnonzero(np.bincount(edges.ravel(), minlength=nv) == 0)
+    if orphans.size:
+        raise MeshError(f"vertex {orphans[0]} belongs to no cell")
+    graph = sps.coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(nv, nv))
+    _, labels = connected_components(graph, directed=False)
+    wet = np.zeros(labels.max() + 1, dtype=bool)
+    wet[labels[[i for i, _, m in marked if m == GAMMA0]]] = True
+    dry = np.flatnonzero(~wet[labels])
+    if dry.size:
+        raise MeshError(f"vertex {dry[0]} lies in a part of the mesh with no gamma0 edge")
 
 
 def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometry:
@@ -298,13 +365,8 @@ def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometr
     edge-trapezoid mean of the coordinates, exact for linear traces."""
     coords = vertices[cycles]
     n = cycles.shape[-1]
-    edge_nodes = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
-    nxt = coords[..., edge_nodes[:, 1], :]
-
-    cross = coords[..., 0] * nxt[..., 1] - nxt[..., 0] * coords[..., 1]
+    nxt, cross, tangents, lengths = _edge_arrays(coords)
     area = 0.5 * np.sum(cross, axis=-1)
-    tangents = nxt - coords
-    lengths = np.linalg.norm(tangents, axis=-1)
     normals = np.stack((tangents[..., 1], -tangents[..., 0]), axis=-1) / lengths[..., None]
     centroid = np.sum((coords + nxt) * cross[..., None], axis=-2) / (6.0 * area)[..., None]
 
@@ -322,7 +384,7 @@ def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometr
         boundary_centroid=boundary_centroid,
         edge_lengths=lengths,
         edge_normals=normals,
-        edge_nodes=edge_nodes,
+        edge_nodes=np.column_stack((np.arange(n), (np.arange(n) + 1) % n)),
     )
 
 
@@ -341,7 +403,7 @@ def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:
 
     Raises :class:`EmptyKernel` when the cell is not star-shaped.
     """
-    geom = mesh.geometry(cell)
+    geom = element_geometry(mesh, cell)
     normals = geom.edge_normals
     offsets = np.sum(normals * geom.coords, axis=1)   # n . v on each edge line
     a_ub = np.column_stack((normals, np.ones(len(normals))))
@@ -371,11 +433,11 @@ def quality_report(mesh: PolygonalMesh, gamma_threshold: float = 0.0) -> MeshQua
     nc = mesh.n_cells
     star = np.full(nc, np.nan)
     edge_ratio = np.empty(nc)
+    for cells, geom in mesh.grouped_geometry():
+        edge_ratio[cells] = geom.edge_lengths.min(axis=-1) / geom.diameter
     empty = []
     flagged = []
     for c in range(nc):
-        geom = mesh.geometry(c)
-        edge_ratio[c] = float(np.min(geom.edge_lengths)) / geom.diameter
         try:
             star[c] = star_shaped_ratio(mesh, c)
         except EmptyKernel:

@@ -22,7 +22,15 @@ import warnings
 import numpy as np
 
 from .errors import InvalidN
-from .mesh import GAMMA0, GAMMA1, PolygonalMesh, build_mesh
+from .mesh import (
+    GAMMA0,
+    GAMMA1,
+    PolygonalMesh,
+    build_mesh,
+    cycle_edges,
+    edge_table,
+    element_geometry,
+)
 
 _MERGE_DECIMALS = 10
 
@@ -112,11 +120,8 @@ def _conformalize(verts: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
     vertex of every cell whose edge it sits on.  Uses a uniform grid hash
     over the vertices so the sweep stays near-linear.
     """
-    edge_lens = []
-    for cyc in cells:
-        for k in range(len(cyc)):
-            a, b = verts[cyc[k]], verts[cyc[(k + 1) % len(cyc)]]
-            edge_lens.append(math.hypot(b[0] - a[0], b[1] - a[1]))
+    ends = verts[cycle_edges(cells)]
+    edge_lens = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
     # 90th percentile, not median: families with h^2 edges would otherwise
     # shrink the buckets and make the sweep quadratic
     bucket = max(float(np.percentile(edge_lens, 90)), 1e-12)
@@ -162,16 +167,6 @@ def _conformalize(verts: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
     return new_cells
 
 
-def _once_edges(cells: list[list[int]]) -> list[tuple[int, int]]:
-    count: dict[tuple[int, int], int] = {}
-    for cyc in cells:
-        n = len(cyc)
-        for k in range(n):
-            key = tuple(sorted((cyc[k], cyc[(k + 1) % n])))
-            count[key] = count.get(key, 0) + 1
-    return sorted(e for e, c in count.items() if c == 1)
-
-
 def _mark_boundary(verts, cells, gamma0_rule: str,
                    top_y: float = 1.0) -> list[tuple[int, int, str]]:
     """Assign markers to the boundary edges of the cell complex.
@@ -179,18 +174,16 @@ def _mark_boundary(verts, cells, gamma0_rule: str,
     ``gamma0_rule``: ``"all"`` marks everything gamma0; ``"top"`` marks
     the edges with both endpoints on y = top_y and the rest gamma1.
     """
-    out = []
-    for i, j in _once_edges(cells):
-        if gamma0_rule == "all":
-            marker = GAMMA0
-        elif gamma0_rule == "top":
-            on_top = (abs(verts[i][1] - top_y) < 1e-12
-                      and abs(verts[j][1] - top_y) < 1e-12)
-            marker = GAMMA0 if on_top else GAMMA1
-        else:
-            raise ValueError(f"unknown gamma0 rule {gamma0_rule!r}")
-        out.append((i, j, marker))
-    return out
+    edges, counts = edge_table(cells)
+    once = edges[counts == 1]
+    if gamma0_rule == "all":
+        on_top = np.ones(len(once), dtype=bool)
+    elif gamma0_rule == "top":
+        on_top = np.all(np.abs(verts[once, 1] - top_y) < 1e-12, axis=1)
+    else:
+        raise ValueError(f"unknown gamma0 rule {gamma0_rule!r}")
+    return [(i, j, GAMMA0 if top else GAMMA1)
+            for (i, j), top in zip(once.tolist(), on_top.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +310,15 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     for x, y in mesh.vertices:
         mb.add_point(x, y)
 
+    bary = np.empty((mesh.n_cells, 2))
+    for cells, geom in mesh.grouped_geometry():
+        bary[cells] = geom.centroid
+    inside = np.all(np.abs(bary - 0.5) <= w + 1e-12, axis=1)
     for c in range(mesh.n_cells):
-        geom = mesh.geometry(c)
-        bary = geom.centroid
-        inside = (abs(bary[0] - 0.5) <= w + 1e-12
-                  and abs(bary[1] - 0.5) <= w + 1e-12)
-        if not inside:
+        if inside[c]:
+            _split_cell(mb, element_geometry(mesh, c))
+        else:
             mb.cells.append(list(mesh.cells[c]))
-            continue
-        _split_cell(mb, geom)
 
     verts = np.asarray(mb.points, dtype=float)
     cells = _conformalize(verts, mb.cells)
@@ -381,8 +374,9 @@ def _inherit_markers(parent: PolygonalMesh, verts, cells) -> list[tuple[int, int
     """Mark the boundary of a refined mesh from the parent's markers."""
     parent_edges = [(parent.vertices[i], parent.vertices[j], m)
                     for i, j, m in parent.boundary_edges]
+    edges, counts = edge_table(cells)
     out = []
-    for i, j in _once_edges(cells):
+    for i, j in edges[counts == 1].tolist():
         mid = 0.5 * (verts[i] + verts[j])
         marker = None
         for a, b, m in parent_edges:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import DegenerateElement, ZeroLengthEdge
-from .mesh import ElementGeometry, PolygonalMesh
+from .mesh import ElementGeometry, PolygonalMesh, raise_first_fault
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,14 @@ class GlobalSystem:
     gamma0_dofs: np.ndarray
 
 
-def _check_elements(area, diameter, shortest_edge) -> None:
-    """Raise for the first offending cell; a vanishing area goes first."""
-    area, diameter, shortest_edge = map(np.ravel, (area, diameter, shortest_edge))
-    degenerate = area <= 1e-14 * diameter ** 2
-    bad = np.flatnonzero(degenerate | (shortest_edge <= 0.0))
-    if bad.size and degenerate[bad[0]]:
-        raise DegenerateElement(f"element area {area[bad[0]]} vanishes")
-    if bad.size:
-        raise ZeroLengthEdge("stabilization needs strictly positive edge lengths")
+def _element_faults(area, diameter, shortest_edge) -> list:
+    """Cells the operators cannot handle, for :func:`raise_first_fault`;
+    a vanishing area goes first."""
+    area = np.ravel(area)
+    return [(area <= 1e-14 * np.ravel(diameter) ** 2,
+             lambda c: DegenerateElement(f"element area {area[c]} vanishes")),
+            (np.ravel(shortest_edge) <= 0.0, lambda c: ZeroLengthEdge(
+                "stabilization needs strictly positive edge lengths"))]
 
 
 def _operators(geom: ElementGeometry, alpha: float) -> LocalOperators:
@@ -102,14 +101,15 @@ def _grouped_operators(mesh: PolygonalMesh, spec: StabilizationSpec):
     stats = np.empty((3, mesh.n_cells))
     for cells, geom in groups:
         stats[:, cells] = geom.area, geom.diameter, geom.edge_lengths.min(axis=-1)
-    _check_elements(*stats)
+    raise_first_fault(_element_faults(*stats))
     return [(geom, _operators(geom, spec.alpha)) for _, geom in groups]
 
 
 def local_operators(geom: ElementGeometry,
                     spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
     """Full set of local matrices: consistency plus stabilized remainder."""
-    _check_elements(geom.area, geom.diameter, geom.edge_lengths.min(axis=-1))
+    shortest_edge = geom.edge_lengths.min(axis=-1)
+    raise_first_fault(_element_faults(geom.area, geom.diameter, shortest_edge))
     return _operators(geom, spec.alpha)
 
 

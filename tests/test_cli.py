@@ -74,6 +74,58 @@ def test_check_mesh_valid_and_invalid(capsys, tmp_path):
     assert code == 1
 
 
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+SQUARE_BOUNDARY = [[0, 1, "gamma1"], [1, 2, "gamma1"], [2, 3, "gamma0"], [3, 0, "gamma1"]]
+INVALID_INPUTS = {
+    "fractional_index": {"vertices": SQUARE, "cells": [[0, 1, 2, 3.7]],
+                         "boundary": SQUARE_BOUNDARY},
+    "string_cycle": {"vertices": SQUARE, "cells": ["0123"], "boundary": SQUARE_BOUNDARY},
+    "fractional_boundary_index": {"vertices": SQUARE, "cells": [[0, 1, 2, 3]],
+                                  "boundary": [[0, 1.9, "gamma1"]] + SQUARE_BOUNDARY[1:]},
+    "orphan_vertex": {"vertices": SQUARE + [[5, 5]], "cells": [[0, 1, 2, 3]],
+                      "boundary": SQUARE_BOUNDARY},
+    "part_without_gamma0": {
+        "vertices": SQUARE + [[2, 0], [3, 0], [3, 1], [2, 1]],
+        "cells": [[0, 1, 2, 3], [4, 5, 6, 7]],
+        "boundary": SQUARE_BOUNDARY + [[4, 5, "gamma1"], [5, 6, "gamma1"],
+                                       [6, 7, "gamma1"], [7, 4, "gamma1"]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_mesh_file_exits_2(capsys, tmp_path, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(INVALID_INPUTS[case]))
+    code, out, err = run_cli(capsys, "check-mesh", str(path))
+    assert code == 2
+    assert "valid mesh" not in out
+    assert err.startswith("error: ")
+    code, out, _ = run_cli(capsys, "solve", "--mesh-file", str(path), "--k", "1")
+    assert code == 2
+    assert "lambda" not in out
+
+
+@pytest.mark.parametrize("argv", [["--family", "t2", "--N", "8", "--refine-level", "1"],
+                                  ["--family", "t6", "--N", "8", "--refine-level", "-2"],
+                                  ["--family", "t1", "--N", "4", "--refine-level", "-1"]])
+def test_refine_level_outside_t6_or_negative_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "mesh", *argv, "-o", str(path))
+    assert code == 2
+    assert "--refine-level" in err
+    assert not path.exists()
+    code, _, _ = run_cli(capsys, "solve", *argv)
+    assert code == 2
+
+
+def test_refine_level_on_t6_still_refines(capsys):
+    code, out, _ = run_cli(capsys, "mesh", "--family", "t6", "--N", "8",
+                           "--refine-level", "1")
+    assert code == 0
+    _, plain, _ = run_cli(capsys, "mesh", "--family", "t6", "--N", "8")
+    assert out != plain
+
+
 # ---------------------------------------------------------------------------
 # solve
 

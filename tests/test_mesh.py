@@ -1,5 +1,6 @@
 """Mesh data structure, validation, geometry, and quality diagnostics."""
 
+import collections
 import functools
 import math
 import re
@@ -21,6 +22,7 @@ from steklovem.mesh import (
     GAMMA0,
     GAMMA1,
     build_mesh,
+    edge_table,
     element_geometry,
     load_mesh_json,
     quality_report,
@@ -142,11 +144,13 @@ REJECTIONS = {
                          [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 3, GAMMA0),
                           (3, 4, GAMMA0), (4, 0, GAMMA0)],
                          ZeroLengthEdge, 0, "edge shorter"),
-    "fold_back_spike": (*strip_with(c1=SPIKE), NonSimplePolygon, 1, "fold back at local vertex 1"),
+    "fold_back_spike": (*strip_with(c1=SPIKE),
+                        NonSimplePolygon, 1, "fold back at local vertex 1"),
     "bowtie": (*strip_with(c1=BOWTIE), NonSimplePolygon, 1, "edges 0 and 2 intersect"),
     "clockwise_bowtie": (*strip_with(c1=BOWTIE[::-1]), NonSimplePolygon, 1, "intersect"),
     "edge_shared_by_three_cells": (
-        SQUARE_VERTS.tolist() + [[0.5, -1], [0.5, -2]], [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]],
+        SQUARE_VERTS.tolist() + [[0.5, -1], [0.5, -2]],
+        [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]],
         [(1, 2, GAMMA0), (2, 3, GAMMA0), (3, 0, GAMMA0), (0, 4, GAMMA0), (4, 1, GAMMA0),
          (0, 5, GAMMA0), (5, 1, GAMMA0)],
         NonConforming, None, "more than two cells"),
@@ -166,11 +170,27 @@ REJECTIONS = {
                               MeshError, None, "not a boundary edge"),
     "unmarked_boundary_edge": (SQUARE_VERTS, [[0, 1, 2, 3]], SQUARE_BND[:3],
                                UnmarkedBoundaryEdge, None, "carries no marker"),
-    "empty_gamma0": (SQUARE_VERTS, [[0, 1, 2, 3]], [(a, b, GAMMA1) for a, b, _ in SQUARE_BND],
+    "empty_gamma0": (SQUARE_VERTS, [[0, 1, 2, 3]],
+                     [(a, b, GAMMA1) for a, b, _ in SQUARE_BND],
                      EmptyGamma0, None, "gamma0"),
     "empty_cell_list": (SQUARE_VERTS, [], SQUARE_BND, MeshError, None, "empty"),
     "non_finite_vertex": ([[0, 0], [1, 0], [1, np.inf], [0, 1]], [[0, 1, 2, 3]], SQUARE_BND,
                           MeshError, None, "finite"),
+    "fractional_index": (SQUARE_VERTS, [[0, 1, 2, 3.7]], SQUARE_BND,
+                         MeshError, 0, "not an integer"),
+    "string_cycle": (SQUARE_VERTS, ["0123"], SQUARE_BND, MeshError, 0, "not an integer"),
+    "bool_index": (SQUARE_VERTS, [[False, 1, 2, 3]], SQUARE_BND,
+                   MeshError, 0, "not an integer"),
+    "fractional_boundary_index": (SQUARE_VERTS, [[0, 1, 2, 3]],
+                                  [(0, 1.9, GAMMA1)] + SQUARE_BND[1:],
+                                  MeshError, None, "not an integer"),
+    "orphan_vertex": (SQUARE_VERTS.tolist() + [[5, 5]], [[0, 1, 2, 3]], SQUARE_BND,
+                      MeshError, None, "vertex 4 belongs to no cell"),
+    "component_without_gamma0": (
+        SQUARE_VERTS.tolist() + [[2, 0], [3, 0], [3, 1], [2, 1]],
+        [[0, 1, 2, 3], [4, 5, 6, 7]],
+        SQUARE_BND + [(4, 5, GAMMA1), (5, 6, GAMMA1), (6, 7, GAMMA1), (7, 4, GAMMA1)],
+        MeshError, None, "vertex 4 lies in a part of the mesh with no gamma0 edge"),
     # several faulty cells: the lowest cell index wins, whatever the faults
     "geometric_before_later_structural": (*strip_with(c1=SPIKE, c2=OUT_OF_RANGE),
                                           NonSimplePolygon, 1, "fold back"),
@@ -184,7 +204,8 @@ REJECTIONS = {
                                                   NonSimplePolygon, 1, "fold back"),
     "zero_edge_before_later_crossing": (*strip_with(c1=ZERO_EDGE, c2=BOWTIE),
                                         ZeroLengthEdge, 1, "edge shorter"),
-    "cell_fault_before_edge_fault": (*strip_with(c2=BOWTIE), NonSimplePolygon, 2, "intersect"),
+    "cell_fault_before_edge_fault": (*strip_with(c2=BOWTIE),
+                                     NonSimplePolygon, 2, "intersect"),
     # one faulty cell with several faults: the earlier check wins
     "fewer_than_3_before_range": (SQUARE_VERTS, [[0, 9]], SQUARE_BND,
                                   NonSimplePolygon, 0, "fewer than 3"),
@@ -217,6 +238,34 @@ def test_rejection_table(case):
 def test_rejection_table_strip_is_valid():
     mesh = build_mesh(np.asarray(STRIP_VERTS, dtype=float), STRIP_CELLS, STRIP_BND)
     assert mesh.total_area() == pytest.approx(3.0)
+
+
+def test_numpy_integer_indices_accepted():
+    bnd = [(np.int32(i), np.int64(j), m) for i, j, m in SQUARE_BND]
+    mesh = build_mesh(SQUARE_VERTS, np.array([[0, 1, 2, 3]], dtype=np.uint16), bnd)
+    assert mesh.cells == [[0, 1, 2, 3]]
+    assert all(type(v) is int for e in mesh.boundary_edges for v in e[:2])
+
+
+def test_corner_touching_parts_are_one_piece():
+    # two squares sharing only vertex 2: A couples them through that dof,
+    # so gamma0 on the first square suffices
+    verts = SQUARE_VERTS.tolist() + [[2, 1], [2, 2], [1, 2]]
+    bnd = SQUARE_BND + [(2, 4, GAMMA1), (4, 5, GAMMA1), (5, 6, GAMMA1), (6, 2, GAMMA1)]
+    mesh = build_mesh(verts, [[0, 1, 2, 3], [2, 4, 5, 6]], bnd)
+    assert mesh.n_cells == 2
+
+
+@pytest.mark.parametrize("family, N", [("t1", 5), ("t2", 4), ("t5", 4)])
+def test_edge_table_matches_per_cell_count(family, N):
+    mesh = FAMILIES[family](N)
+    count = collections.Counter(tuple(sorted((cyc[k - 1], cyc[k])))
+                                for cyc in mesh.cells for k in range(len(cyc)))
+    edges, counts = edge_table(mesh.cells)
+    assert list(map(tuple, edges.tolist())) == sorted(count)
+    assert counts.tolist() == [count[e] for e in sorted(count)]
+    assert sorted(map(tuple, np.sort(edges[counts == 1], axis=1).tolist())) == sorted(
+        tuple(sorted(e[:2])) for e in mesh.boundary_edges)
 
 
 # ---------------------------------------------------------------------------
