@@ -22,6 +22,7 @@ cell in cell order, and within that cell for the first failed check
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,9 @@ def _is_index(v) -> bool:
 
 # checks of one raw cycle against the vertex count nv, in order, and their errors
 _STRUCTURAL = [
-    (lambda cyc, nv: not all(map(_is_index, cyc)),
-     lambda c: MeshError(f"cell {c}: vertex index is not an integer")),
+    (lambda cyc, nv: not isinstance(cyc, (Sequence, np.ndarray))
+     or not all(map(_is_index, cyc)),
+     lambda c: MeshError(f"cell {c}: not a sequence of integer vertex indices")),
     (lambda cyc, nv: len(cyc) < 3,
      lambda c: NonSimplePolygon(f"cell {c}: fewer than 3 vertices")),
     (lambda cyc, nv: min(cyc) < 0 or max(cyc) >= nv,

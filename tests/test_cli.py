@@ -80,6 +80,8 @@ INVALID_INPUTS = {
     "fractional_index": {"vertices": SQUARE, "cells": [[0, 1, 2, 3.7]],
                          "boundary": SQUARE_BOUNDARY},
     "string_cycle": {"vertices": SQUARE, "cells": ["0123"], "boundary": SQUARE_BOUNDARY},
+    "number_for_a_cycle": {"vertices": SQUARE, "cells": [[0, 1, 2, 3], 7],
+                           "boundary": SQUARE_BOUNDARY},
     "fractional_boundary_index": {"vertices": SQUARE, "cells": [[0, 1, 2, 3]],
                                   "boundary": [[0, 1.9, "gamma1"]] + SQUARE_BOUNDARY[1:]},
     "orphan_vertex": {"vertices": SQUARE + [[5, 5]], "cells": [[0, 1, 2, 3]],

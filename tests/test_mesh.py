@@ -177,10 +177,12 @@ REJECTIONS = {
     "non_finite_vertex": ([[0, 0], [1, 0], [1, np.inf], [0, 1]], [[0, 1, 2, 3]], SQUARE_BND,
                           MeshError, None, "finite"),
     "fractional_index": (SQUARE_VERTS, [[0, 1, 2, 3.7]], SQUARE_BND,
-                         MeshError, 0, "not an integer"),
-    "string_cycle": (SQUARE_VERTS, ["0123"], SQUARE_BND, MeshError, 0, "not an integer"),
+                         MeshError, 0, "integer vertex indices"),
+    "string_cycle": (SQUARE_VERTS, ["0123"], SQUARE_BND, MeshError, 0, "integer vertex"),
+    "number_for_a_cycle": (SQUARE_VERTS, [[0, 1, 2, 3], 7], SQUARE_BND,
+                           MeshError, 1, "integer vertex"),
     "bool_index": (SQUARE_VERTS, [[False, 1, 2, 3]], SQUARE_BND,
-                   MeshError, 0, "not an integer"),
+                   MeshError, 0, "integer vertex"),
     "fractional_boundary_index": (SQUARE_VERTS, [[0, 1, 2, 3]],
                                   [(0, 1.9, GAMMA1)] + SQUARE_BND[1:],
                                   MeshError, None, "not an integer"),
