@@ -1,12 +1,14 @@
 """Mesh family generators: structure, areas, small edges, refinement."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from steklovem.errors import InvalidN
-from steklovem.mesh import GAMMA0, element_geometry, quality_report
+from steklovem.mesh import GAMMA0, element_geometry, mesh_to_dict, quality_report
 from steklovem.meshgen import (
     FAMILIES,
     gen_lshape_uniform,
@@ -207,3 +209,36 @@ def test_all_families_pass_quality_report(family):
     report = quality_report(FAMILIES[family](8))
     assert report.min_star_ratio > 0.0
     assert not report.empty_kernel_cells
+
+
+# SHA-256 of json.dumps(mesh_to_dict(mesh)): generator output is pinned to the
+# byte, so a rewrite of the generators cannot move a vertex, renumber one or
+# reorder a cycle unnoticed
+PINNED = {
+    "t1": "51650ab984fe43a18ef0fabf08d6ae6a5714384de28670bdc073e8a15473e76c",
+    "t2": "21131903bc705514a0084ad65d2fb2c50cd73262a33dc6f1554105ca58877829",
+    "t3": "e5a9bcea66b9bbbca77bdea440b0cbea2b52dd56289d8903ba243f6e26b45de4",
+    "t4": "38801b3529208b45c94d975242e900c002122d9803b3dcd82b066c9ab530ac20",
+    "t5": "598d585994e7246efdf03ccaa3158e78e04fa62905548a89c5e60a85682e00c3",
+    "t6": "215ee2fcf9c2bdc5af0d67f6b6af6a9d4bea7434e9f8c7d5fc74a1b746510492",
+}
+PINNED_T6_16_REFINED = [
+    "322cb4dde808bf0ba074861d4c4267361bebeaff93f05ca646f99c3ede364b45",
+    "c08b2b64e8c5aa410d110cc36d54d081d9bbd29f27e9a3c0de2517631c0b3bf6",
+]
+
+
+def json_sha256(mesh):
+    return hashlib.sha256(json.dumps(mesh_to_dict(mesh)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(PINNED))
+def test_generator_output_pinned(family):
+    assert json_sha256(FAMILIES[family](8)) == PINNED[family]
+
+
+def test_corner_refinement_output_pinned():
+    mesh = gen_lshape_uniform(16)
+    for level, want in enumerate(PINNED_T6_16_REFINED, start=1):
+        mesh = refine_lshape_corner(mesh, level, 16)
+        assert json_sha256(mesh) == want
