@@ -1,22 +1,31 @@
 """Polygonal mesh representation, validation and per-element geometry.
 
-A mesh is a list of vertices, a list of counter-clockwise vertex cycles
-(one per cell) and a list of marked boundary edges.  Hanging nodes are
-always stored explicitly in both incident cells, so a valid mesh is
-conforming by construction: an edge shared by two cells is identical as a
-vertex pair, and a vertex sitting on a neighbour's edge shows up in that
-neighbour's cycle as a flat-angle vertex.
+A mesh is an array of vertices, its cells as counter-clockwise vertex
+cycles in compressed sparse row form and a list of marked boundary edges:
+``cell_vertices`` holds the cycles one after another and cell c is
+``cell_vertices[cell_ptr[c]:cell_ptr[c + 1]]``.  Everything reads the flat
+arrays: the cells of one vertex count are one ``(C, n)`` gather
+(:func:`_size_groups`), the edges pair each cycle entry with its successor
+(:func:`cycle_edges`), one edge table counts them (:func:`edge_table`), and
+one cell's geometry is a slice.  The list-of-lists ``cells`` is derived on
+demand for the JSON and VTK writers.  Hanging nodes are always stored
+explicitly in both incident cells, so a valid mesh is conforming by
+construction: an edge shared by two cells is identical as a vertex pair,
+and a vertex sitting on a neighbour's edge shows up in that neighbour's
+cycle as a flat-angle vertex.
 
 Validation is batched like the geometry.  Each raw cycle gets structural
-checks (integer indices, at least three, in range, distinct); the cells are
-then grouped by vertex count and each group's orientation, area, edge
-lengths, fold-back spikes and edge crossings are ``(C, n, 2)`` array
-computations on the kernels of :func:`polygon_geometry`.  One edge table
-(:func:`edge_table`) gives every edge count: edges shared by more than two
-cells, unmarked or phantom boundary edges, vertices in no cell and parts of
-the mesh without a gamma0 edge.  A faulty mesh raises for its first faulty
-cell in cell order, and within that cell for the first failed check
-(:func:`raise_first_fault`).
+checks (integer indices, at least three, in range, distinct); the valid
+cycles are then packed into CSR form, grouped by vertex count, and each
+group's orientation, area, edge lengths, fold-back spikes and edge
+crossings are ``(C, n, 2)`` array computations on the kernels of
+:func:`polygon_geometry`.  A cell whose area is at most
+``VANISHING_AREA_REL_TOL * h_K**2`` is rejected here, with the cutoff
+assembly applies.  The edge table gives every edge count: edges shared by
+more than two cells, unmarked or phantom boundary edges, vertices in no cell
+and parts of the mesh without a gamma0 edge.  A faulty mesh raises for its
+first faulty cell in cell order, and within that cell for the first failed
+check (:func:`raise_first_fault`).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sps
@@ -46,6 +56,9 @@ GAMMA1 = "gamma1"
 # duplicates-vs-small-edges cutoff: edges shorter than this fraction of the
 # cell diameter are treated as input errors, anything longer is legitimate
 ZERO_EDGE_REL_TOL = 1e-14
+# a cell with |K| <= VANISHING_AREA_REL_TOL * h_K^2 is degenerate, for
+# validation and assembly alike
+VANISHING_AREA_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,8 @@ class PolygonalMesh:
     """Validated conforming polygonal mesh with marked boundary."""
 
     vertices: np.ndarray                     # (n, 2)
-    cells: list[list[int]]                   # CCW cycles
+    cell_ptr: np.ndarray                     # (C + 1,) cycle offsets in cell_vertices
+    cell_vertices: np.ndarray                # CCW cycles, one after another
     boundary_edges: list[tuple[int, int, str]]
 
     @property
@@ -82,7 +96,12 @@ class PolygonalMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
+
+    @property
+    def cells(self) -> list[list[int]]:
+        """The CCW cycles as lists, derived from the CSR arrays."""
+        return cycle_lists(self.cell_ptr, self.cell_vertices)
 
     def gamma0_edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, m in self.boundary_edges if m == GAMMA0]
@@ -92,8 +111,8 @@ class PolygonalMesh:
 
     def grouped_geometry(self) -> list[tuple[np.ndarray, ElementGeometry]]:
         """``(cell ids, batched geometry)`` per vertex count, ascending."""
-        return [(ids, polygon_geometry(self.vertices, cycles))
-                for ids, cycles in _size_groups(self.cells)]
+        return [(ids, polygon_geometry(self.vertices, self.cell_vertices[slots]))
+                for ids, slots in _size_groups(self.cell_ptr)]
 
     def max_diameter(self) -> float:
         return max(float(g.diameter.max()) for _, g in self.grouped_geometry())
@@ -175,11 +194,21 @@ _STRUCTURAL = [
 ]
 
 
-def _size_groups(cells) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(cell ids, (C, n) cycles)`` per vertex count n, ascending."""
-    sizes = np.fromiter(map(len, cells), dtype=int, count=len(cells))
-    groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
-    return [(ids, np.array([cells[c] for c in ids], dtype=int)) for ids in groups]
+def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(cell ids, (C, n) positions of their cycles in the flat array)`` per
+    vertex count n, ascending."""
+    sizes = np.diff(cell_ptr)
+    groups = []
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        groups.append((ids, cell_ptr[ids, None] + np.arange(n)))
+    return groups
+
+
+def cycle_lists(cell_ptr, cell_vertices) -> list[list[int]]:
+    """The cycles of CSR cells as lists of ints."""
+    flat, ptr = cell_vertices.tolist(), cell_ptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def _check_group(verts: np.ndarray, cycles: np.ndarray):
@@ -196,7 +225,7 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
     coords = verts[cycles]
     tangents, lengths = _edge_arrays(coords)[2:]
     h_k = _diameter(coords)
-    vanishing = np.abs(signed) <= (ZERO_EDGE_REL_TOL * h_k) ** 2
+    vanishing = np.abs(signed) <= VANISHING_AREA_REL_TOL * h_k ** 2
     zero_edge = np.any(lengths < (ZERO_EDGE_REL_TOL * h_k)[:, None], axis=1)
 
     ptp = np.max(np.ptp(coords, axis=1), axis=1)
@@ -251,13 +280,15 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     geometric = np.zeros((4, nc), dtype=bool)
     spike_at = np.zeros(nc, dtype=int)
     crossing = np.zeros((nc, 2), dtype=int)
-    clean_cells: list = [None] * nc
     valid = np.flatnonzero(structural == 0)
-    for ids, raw in _size_groups([cells[c] for c in valid]):
+    sizes = np.fromiter((len(cells[c]) for c in valid), dtype=np.intp, count=len(valid))
+    ptr = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.fromiter(chain.from_iterable(cells[c] for c in valid), dtype=np.intp,
+                       count=ptr[-1])
+    for ids, slots in _size_groups(ptr):
         ids = valid[ids]
-        ccw, geometric[:, ids], spike_at[ids], crossing[ids] = _check_group(verts, raw)
-        for c, cyc in zip(ids.tolist(), ccw.tolist()):
-            clean_cells[c] = cyc
+        flat[slots], geometric[:, ids], spike_at[ids], crossing[ids] = _check_group(
+            verts, flat[slots])
     raise_first_fault(
         [(structural == k, fault) for k, (_, fault) in enumerate(_STRUCTURAL, 1)] + [
             (geometric[0], lambda c: NonSimplePolygon(f"cell {c}: vanishing area")),
@@ -269,24 +300,26 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
                 "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
         ])
 
-    edges, counts = edge_table(clean_cells)
+    edges, counts = edge_table(ptr, flat)
     marked = _check_conforming_and_boundary(verts, edges, counts, boundary_spec)
     if not any(m == GAMMA0 for _, _, m in marked):
         raise EmptyGamma0("no boundary edge is marked gamma0")
     _check_connected(len(verts), edges, marked)
-    return PolygonalMesh(verts, clean_cells, marked)
+    return PolygonalMesh(verts, ptr, flat, marked)
 
 
-def cycle_edges(cells) -> np.ndarray:
-    """``(E, 2)`` directed vertex pairs of every cell edge, grouped by vertex count."""
-    return np.concatenate([np.stack((cycles, np.roll(cycles, -1, axis=1)), axis=-1)
-                           .reshape(-1, 2) for _, cycles in _size_groups(cells)])
+def cycle_edges(cell_ptr, cell_vertices) -> np.ndarray:
+    """``(E, 2)`` directed vertex pairs of every cell edge in cell order; edge k
+    of a cell runs from its vertex k to its vertex k + 1."""
+    succ = np.arange(1, len(cell_vertices) + 1)
+    succ[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    return np.column_stack((cell_vertices, cell_vertices[succ]))
 
 
-def edge_table(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique undirected edges ``(E, 2)`` of the cell cycles, low vertex
-    first, and the number of cells each edge belongs to."""
-    pairs = np.sort(cycle_edges(cells), axis=1)
+def edge_table(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique undirected edges ``(E, 2)`` of the CSR cell cycles, low
+    vertex first, and the number of cells each edge belongs to."""
+    pairs = np.sort(cycle_edges(cell_ptr, cell_vertices), axis=1)
     base = int(pairs.max()) + 1
     keys, counts = np.unique(pairs[:, 0] * base + pairs[:, 1], return_counts=True)
     return np.column_stack(np.divmod(keys, base)), counts
@@ -391,7 +424,8 @@ def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometr
 
 
 def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
-    return polygon_geometry(mesh.vertices, np.asarray(mesh.cells[cell], dtype=int))
+    ptr = mesh.cell_ptr
+    return polygon_geometry(mesh.vertices, mesh.cell_vertices[ptr[cell]:ptr[cell + 1]])
 
 
 def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:
@@ -463,8 +497,8 @@ def quality_report(mesh: PolygonalMesh, gamma_threshold: float = 0.0) -> MeshQua
 
 def mesh_to_dict(mesh: PolygonalMesh) -> dict:
     return {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "cells": [list(map(int, cyc)) for cyc in mesh.cells],
+        "vertices": mesh.vertices.tolist(),
+        "cells": mesh.cells,
         "boundary": [[int(i), int(j), m] for i, j, m in mesh.boundary_edges],
     }
 

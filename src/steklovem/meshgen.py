@@ -1,9 +1,18 @@
 """Deterministic generators for the benchmark domains and mesh families.
 
-All generators follow the same pipeline: build structured patches, merge
-duplicate vertices, make the composite conforming by inserting hanging
-nodes into every incident cell as flat-angle vertices, then mark the
-boundary and validate through :func:`steklovem.mesh.build_mesh`.
+Every generator runs the same array pipeline, with the cells in CSR form
+(``cell_ptr``, ``cell_vertices``, as in :mod:`steklovem.mesh`) throughout:
+
+1. each structured patch emits its cells as one ``(C, n, 2)`` array of
+   vertex coordinates, in cycle order;
+2. one merge numbers the points of all patches (:func:`_merge_points`):
+   points within 1e-10 of each other are one vertex, which keeps the number
+   and coordinates of its first occurrence;
+3. one join makes the composite conforming (:func:`_conformalize`): a
+   kd-tree ball query per edge finds the vertices lying inside it, and one
+   sort inserts them into every incident cell as flat-angle vertices;
+4. the boundary edges of the edge table are marked, and
+   :func:`steklovem.mesh.build_mesh` validates the result.
 
 Families
 --------
@@ -18,8 +27,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sps
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import InvalidN
 from .mesh import (
@@ -28,153 +41,132 @@ from .mesh import (
     PolygonalMesh,
     build_mesh,
     cycle_edges,
+    cycle_lists,
     edge_table,
     element_geometry,
 )
 
-_MERGE_DECIMALS = 10
+
+def _grid_corners(xs, ys):
+    """Lower-left, lower-right, upper-right and upper-left corners of the
+    cells of the tensor grid of ``xs`` and ``ys``, each ``(ny, nx, 2)``."""
+    p = np.stack(np.meshgrid(xs, ys), axis=-1)
+    return p[:-1, :-1], p[:-1, 1:], p[1:, 1:], p[1:, :-1]
 
 
-class _MeshBuilder:
-    """Accumulates patches of (points, cells) with vertex deduplication."""
-
-    def __init__(self):
-        self.points: list[tuple[float, float]] = []
-        self.cells: list[list[int]] = []
-        self._index: dict[tuple[float, float], int] = {}
-
-    def add_point(self, x: float, y: float) -> int:
-        key = (round(x, _MERGE_DECIMALS), round(y, _MERGE_DECIMALS))
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.points)
-            self._index[key] = idx
-            self.points.append((float(x), float(y)))
-        return idx
-
-    def add_cell(self, point_coords) -> None:
-        self.cells.append([self.add_point(x, y) for x, y in point_coords])
-
-    def add_quad_grid(self, x0, x1, y0, y1, nx, ny) -> None:
-        xs = np.linspace(x0, x1, nx + 1)
-        ys = np.linspace(y0, y1, ny + 1)
-        for j in range(ny):
-            for i in range(nx):
-                self.add_cell([
-                    (xs[i], ys[j]), (xs[i + 1], ys[j]),
-                    (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
-                ])
-
-    def add_perturbed_triangle_grid(self, x0, x1, y0, y1, nx, ny,
-                                    split_fraction=None) -> None:
-        """Criss-cross triangulated quad grid with one extra point per edge.
-
-        Each square is split into four triangles by both diagonals and
-        every edge gains an additional point, turning each triangle into
-        a hexagon.  With ``split_fraction=None`` the point sits at arc
-        distance h_e^2 from the lexicographically smaller endpoint; a
-        numeric fraction (e.g. 0.5 for midpoints) places it at that
-        fraction instead.
-        """
-        xs = np.linspace(x0, x1, nx + 1)
-        ys = np.linspace(y0, y1, ny + 1)
-
-        def edge_point(a, b):
-            u, v = (a, b) if a <= b else (b, a)   # lexicographic on (x, y)
-            h = math.hypot(v[0] - u[0], v[1] - u[1])
-            if split_fraction is not None:
-                t = split_fraction
-            else:
-                # arc distance h_e^2 from u, i.e. fraction h_e of the edge;
-                # fall back to the midpoint when h_e >= 1 (degenerate at N=1)
-                t = h if h < 1.0 else 0.5
-            return (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
-
-        def hexagon(a, b, c):
-            return [a, edge_point(a, b), b, edge_point(b, c), c,
-                    edge_point(c, a)]
-
-        for j in range(ny):
-            for i in range(nx):
-                a = (xs[i], ys[j])
-                b = (xs[i + 1], ys[j])
-                c = (xs[i + 1], ys[j + 1])
-                d = (xs[i], ys[j + 1])
-                o = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-                self.add_cell(hexagon(a, b, o))
-                self.add_cell(hexagon(b, c, o))
-                self.add_cell(hexagon(c, d, o))
-                self.add_cell(hexagon(d, a, o))
-
-    def finish(self, gamma0_rule: str) -> PolygonalMesh:
-        verts = np.asarray(self.points, dtype=float)
-        cells = _conformalize(verts, self.cells)
-        boundary = _mark_boundary(verts, cells, gamma0_rule)
-        return build_mesh(verts, cells, boundary)
+def _quads(xs, ys) -> np.ndarray:
+    """``(C, 4, 2)`` CCW quads of the tensor grid of ``xs`` and ``ys``, row by row."""
+    return np.stack(_grid_corners(xs, ys), axis=2).reshape(-1, 4, 2)
 
 
-def _conformalize(verts: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
-    """Insert vertices lying in the interior of a cell edge into that cell.
+def _quad_grid(x0, x1, y0, y1, nx, ny) -> np.ndarray:
+    return _quads(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+
+
+def _perturbed_triangle_grid(x0, x1, y0, y1, nx, ny, split_fraction=None) -> np.ndarray:
+    """Criss-cross triangulated quad grid with one extra point per edge.
+
+    Each square is split into four triangles by both diagonals and every
+    edge gains an additional point, turning each triangle into a hexagon;
+    the result is ``(C, 6, 2)``.  With ``split_fraction=None`` the point sits
+    at arc distance h_e^2 from the lexicographically smaller endpoint; a
+    numeric fraction (e.g. 0.5 for midpoints) places it at that fraction
+    instead.
+    """
+    a, b, c, d = _grid_corners(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    o = 0.5 * (a + c)
+    fans = ((a, b, o), (b, c, o), (c, d, o), (d, a, o))
+    tri = np.stack([np.stack(t, axis=2) for t in fans], axis=2).reshape(-1, 3, 2)
+    start, end = tri, np.roll(tri, -1, axis=1)
+    swap = ((start[..., 0] > end[..., 0])
+            | ((start[..., 0] == end[..., 0]) & (start[..., 1] > end[..., 1])))[..., None]
+    u = np.where(swap, end, start)                  # lexicographic on (x, y)
+    uv = np.where(swap, start, end) - u
+    if split_fraction is None:
+        # arc distance h_e^2 from u, i.e. fraction h_e of the edge; math.hypot,
+        # not np.hypot: the two differ in the last bit on some edges.  Fall
+        # back to the midpoint when h_e >= 1 (degenerate at N=1)
+        h = np.reshape(list(map(math.hypot, *uv.reshape(-1, 2).T.tolist())), uv.shape[:-1])
+        t = np.where(h < 1.0, h, 0.5)
+    else:
+        t = np.full(uv.shape[:-1], split_fraction)
+    return np.stack((start, u + t[..., None] * uv), axis=2).reshape(-1, 6, 2)
+
+
+def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and the vertex id of each of the ``(P, 2)`` points.
+
+    Points within 1e-10 of each other (transitively) are one vertex;
+    vertices are numbered in order of first occurrence and sit at their
+    first point.
+    """
+    pairs = cKDTree(pts).query_pairs(1e-10, output_type="ndarray")
+    graph = sps.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(pts),) * 2)
+    _, first, inverse = np.unique(connected_components(graph, directed=False)[1],
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return pts[np.sort(first)], rank[inverse]
+
+
+def _finish(patches, gamma0_rule: str) -> PolygonalMesh:
+    """Merge the points of ``(C, n, 2)`` patch arrays into one conforming,
+    marked and validated mesh."""
+    verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
+    sizes = np.concatenate([np.full(len(p), p.shape[1]) for p in patches])
+    ptr, flat = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
+    boundary = _mark_boundary(verts, ptr, flat, gamma0_rule)
+    return build_mesh(verts, cycle_lists(ptr, flat), boundary)
+
+
+def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
+    """Insert vertices lying in the interior of a cell edge into that cell;
+    returns the new ``(cell_ptr, cell_vertices)``.
 
     Makes glued patches conforming: a hanging node becomes a flat-angle
-    vertex of every cell whose edge it sits on.  Uses a uniform grid hash
-    over the vertices so the sweep stays near-linear.
+    vertex of every cell whose edge it sits on.  Vertex p lies on edge ab
+    when its parameter t along ab is in (1e-12, 1 - 1e-12) and its distance
+    from the line is below 1e-9 |ab|; every such p lies in the ball of radius
+    |ab| (1 + 1e-9) / 2 + 1e-12 around the midpoint, so one kd-tree query per
+    edge gives all candidates.  One lexsort on (edge slot, t, vertex) puts
+    the hits after the start vertex of their edge.
     """
-    ends = verts[cycle_edges(cells)]
-    edge_lens = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
-    # 90th percentile, not median: families with h^2 edges would otherwise
-    # shrink the buckets and make the sweep quadratic
-    bucket = max(float(np.percentile(edge_lens, 90)), 1e-12)
-
-    grid: dict[tuple[int, int], list[int]] = {}
-    for idx, (x, y) in enumerate(verts):
-        grid.setdefault((int(math.floor(x / bucket)),
-                         int(math.floor(y / bucket))), []).append(idx)
-
-    def candidates(a, b):
-        ix0 = int(math.floor((min(a[0], b[0]) - 1e-12) / bucket))
-        ix1 = int(math.floor((max(a[0], b[0]) + 1e-12) / bucket))
-        iy0 = int(math.floor((min(a[1], b[1]) - 1e-12) / bucket))
-        iy1 = int(math.floor((max(a[1], b[1]) + 1e-12) / bucket))
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                yield from grid.get((ix, iy), ())
-
-    new_cells = []
-    for cyc in cells:
-        out: list[int] = []
-        n = len(cyc)
-        for k in range(n):
-            ia, ib = cyc[k], cyc[(k + 1) % n]
-            a, b = verts[ia], verts[ib]
-            ab = b - a
-            L2 = float(ab @ ab)
-            hits = []
-            for iv in candidates(a, b):
-                if iv == ia or iv == ib:
-                    continue
-                ap = verts[iv] - a
-                t = float(ap @ ab) / L2
-                if t <= 1e-12 or t >= 1.0 - 1e-12:
-                    continue
-                off = abs(ap[0] * ab[1] - ap[1] * ab[0]) / L2
-                if off < 1e-9:
-                    hits.append((t, iv))
-            out.append(ia)
-            for _, iv in sorted(hits):
-                out.append(iv)
-        new_cells.append(out)
-    return new_cells
+    ia, ib = cycle_edges(cell_ptr, cell_vertices).T
+    a, ab = verts[ia], verts[ib] - verts[ia]
+    radius = 0.5 * np.hypot(ab[:, 0], ab[:, 1]) * (1.0 + 1e-9) + 1e-12
+    tree = cKDTree(verts)
+    slot, vertex, param = [np.arange(len(ia))], [ia], [np.full(len(ia), -1.0)]
+    step = 8192     # edges per query: bounds the Python lists the query returns
+    for lo in range(0, len(ia), step):
+        found = tree.query_ball_point(a[lo:lo + step] + 0.5 * ab[lo:lo + step],
+                                      radius[lo:lo + step])
+        edge = lo + np.repeat(np.arange(len(found)), list(map(len, found)))
+        cand = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=len(edge))
+        ap, ab_e = verts[cand] - a[edge], ab[edge]
+        l2 = np.sum(ab_e * ab_e, axis=1)
+        t = np.sum(ap * ab_e, axis=1) / l2
+        off = np.abs(ap[:, 0] * ab_e[:, 1] - ap[:, 1] * ab_e[:, 0]) / l2
+        hit = ((cand != ia[edge]) & (cand != ib[edge])
+               & (t > 1e-12) & (t < 1.0 - 1e-12) & (off < 1e-9))
+        slot.append(edge[hit])
+        vertex.append(cand[hit])
+        param.append(t[hit])
+    slot, vertex = np.concatenate(slot), np.concatenate(vertex)
+    order = np.lexsort((vertex, np.concatenate(param), slot))
+    n_cells = len(cell_ptr) - 1
+    cell = np.repeat(np.arange(n_cells), np.diff(cell_ptr))[slot]
+    sizes = np.bincount(cell, minlength=n_cells)
+    return np.concatenate(([0], np.cumsum(sizes))), vertex[order]
 
 
-def _mark_boundary(verts, cells, gamma0_rule: str,
+def _mark_boundary(verts, cell_ptr, cell_vertices, gamma0_rule: str,
                    top_y: float = 1.0) -> list[tuple[int, int, str]]:
     """Assign markers to the boundary edges of the cell complex.
 
     ``gamma0_rule``: ``"all"`` marks everything gamma0; ``"top"`` marks
     the edges with both endpoints on y = top_y and the rest gamma1.
     """
-    edges, counts = edge_table(cells)
+    edges, counts = edge_table(cell_ptr, cell_vertices)
     once = edges[counts == 1]
     if gamma0_rule == "all":
         on_top = np.ones(len(once), dtype=bool)
@@ -200,10 +192,8 @@ def gen_square_glued(N: int) -> PolygonalMesh:
     """
     if N < 2:
         raise InvalidN("square_glued requires N >= 2")
-    mb = _MeshBuilder()
-    mb.add_quad_grid(0.0, 1.0, 0.6, 1.0, N, max(1, math.ceil(0.4 * N)))
-    mb.add_quad_grid(0.0, 1.0, 0.0, 0.6, N + 1, math.ceil(0.6 * N))
-    return mb.finish("top")
+    return _finish([_quad_grid(0.0, 1.0, 0.6, 1.0, N, max(1, math.ceil(0.4 * N))),
+                    _quad_grid(0.0, 1.0, 0.0, 0.6, N + 1, math.ceil(0.6 * N))], "top")
 
 
 def gen_square_perturbed_triangles(N: int) -> PolygonalMesh:
@@ -217,9 +207,7 @@ def gen_square_perturbed_triangles(N: int) -> PolygonalMesh:
     """
     if N < 1:
         raise InvalidN("square_perturbed_tri requires N >= 1")
-    mb = _MeshBuilder()
-    mb.add_perturbed_triangle_grid(0.0, 1.0, 0.0, 1.0, N, N)
-    return mb.finish("top")
+    return _finish([_perturbed_triangle_grid(0.0, 1.0, 0.0, 1.0, N, N)], "top")
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +229,7 @@ def gen_rotated_t(N: int, variant: int = 3) -> PolygonalMesh:
     if variant not in (3, 4, 5):
         raise InvalidN(f"unknown rotated-T variant {variant}")
 
-    mb = _MeshBuilder()
-
-    def add_half(x_in, x_bar, x_stem, n):
+    def half(x_in, x_bar, x_stem, n):
         # bar: (x_bar, x_in) x (-0.5, 0); stem: (x_stem, x_in) x (0, 1)
         nx_bar = math.ceil(0.5 * n)
         ny_bar = math.ceil(0.5 * n)
@@ -251,18 +237,15 @@ def gen_rotated_t(N: int, variant: int = 3) -> PolygonalMesh:
         lo_bar, hi_bar = sorted((x_in, x_bar))
         lo_st, hi_st = sorted((x_in, x_stem))
         if x_in > x_bar or variant == 3:
-            mb.add_quad_grid(lo_bar, hi_bar, -0.5, 0.0, nx_bar, ny_bar)
-            mb.add_quad_grid(lo_st, hi_st, 0.0, 1.0, nx_stem, n)
-        else:
-            frac = 0.5 if variant == 4 else None
-            mb.add_perturbed_triangle_grid(lo_bar, hi_bar, -0.5, 0.0,
-                                           nx_bar, ny_bar, split_fraction=frac)
-            mb.add_perturbed_triangle_grid(lo_st, hi_st, 0.0, 1.0,
-                                           nx_stem, n, split_fraction=frac)
+            return [_quad_grid(lo_bar, hi_bar, -0.5, 0.0, nx_bar, ny_bar),
+                    _quad_grid(lo_st, hi_st, 0.0, 1.0, nx_stem, n)]
+        frac = 0.5 if variant == 4 else None
+        return [_perturbed_triangle_grid(lo_bar, hi_bar, -0.5, 0.0, nx_bar, ny_bar, frac),
+                _perturbed_triangle_grid(lo_st, hi_st, 0.0, 1.0, nx_stem, n, frac)]
 
-    add_half(0.0, -0.5, -0.25, N)        # left half, step ~ 1/N
-    add_half(0.0, 0.5, 0.25, N + 1)      # right half, step ~ 1/(N+1)
-    return mb.finish("all")
+    return _finish(half(0.0, -0.5, -0.25, N)          # left half, step ~ 1/N
+                   + half(0.0, 0.5, 0.25, N + 1),     # right half, step ~ 1/(N+1)
+                   "all")
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +259,9 @@ def gen_lshape_uniform(N: int) -> PolygonalMesh:
     """
     if N < 2 or N % 2 != 0:
         raise InvalidN("lshape_uniform requires even N >= 2")
-    mb = _MeshBuilder()
-    h = 1.0 / N
-    for j in range(N):
-        for i in range(N):
-            cx, cy = (i + 0.5) * h, (j + 0.5) * h
-            if cx > 0.5 and cy > 0.5:
-                continue
-            mb.add_cell([(i * h, j * h), ((i + 1) * h, j * h),
-                         ((i + 1) * h, (j + 1) * h), (i * h, (j + 1) * h)])
-    return mb.finish("all")
+    grid = np.arange(N + 1) * (1.0 / N)
+    i, j = np.meshgrid(np.arange(N), np.arange(N))
+    return _finish([_quads(grid, grid)[((i < N // 2) | (j < N // 2)).ravel()]], "all")
 
 
 def _refinement_halfwidth(level: int, N: int) -> float:
@@ -305,94 +281,97 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     if level < 1:
         raise InvalidN("refinement level must be >= 1")
     w = _refinement_halfwidth(level, N)
-
-    mb = _MeshBuilder()
-    for x, y in mesh.vertices:
-        mb.add_point(x, y)
-
     bary = np.empty((mesh.n_cells, 2))
     for cells, geom in mesh.grouped_geometry():
         bary[cells] = geom.centroid
     inside = np.all(np.abs(bary - 0.5) <= w + 1e-12, axis=1)
-    for c in range(mesh.n_cells):
-        if inside[c]:
-            _split_cell(mb, element_geometry(mesh, c))
-        else:
-            mb.cells.append(list(mesh.cells[c]))
 
-    verts = np.asarray(mb.points, dtype=float)
-    cells = _conformalize(verts, mb.cells)
-    boundary = _inherit_markers(mesh, verts, cells)
-    return build_mesh(verts, cells, boundary)
+    seeds, pieces, parent = [], [], []
+    for c in np.flatnonzero(inside).tolist():
+        new_points, cycles = _split_cell(element_geometry(mesh, c))
+        seeds.append(new_points)
+        pieces += cycles
+        parent += [c] * len(cycles)
+    # parent vertices, then the new points in numbering order, then the
+    # corners of the pieces, each of which meets a point already numbered
+    n_head = len(mesh.vertices) + sum(map(len, seeds))
+    verts, ids = _merge_points(np.concatenate([mesh.vertices, *seeds, *pieces]))
+
+    # the kept cycles and the pieces, put back in parent cell order
+    kept, old_sizes = ~inside, np.diff(mesh.cell_ptr)
+    parent = np.concatenate((np.flatnonzero(kept), np.array(parent, dtype=int)))
+    sizes = np.concatenate((old_sizes[kept], [len(p) for p in pieces])).astype(int)
+    kept_vertices = mesh.cell_vertices[np.repeat(kept, old_sizes)]
+    flat = np.concatenate((ids[kept_vertices], ids[n_head:]))
+    flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
+    ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
+    ptr, flat = _conformalize(verts, ptr, flat)
+    boundary = _inherit_markers(mesh, verts, ptr, flat)
+    return build_mesh(verts, cycle_lists(ptr, flat), boundary)
 
 
-def _split_cell(mb: _MeshBuilder, geom) -> None:
-    """Fan a cell into quadrilaterals: barycenter to primary-edge midpoints."""
+def _split_cell(geom) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Fan a cell into quadrilaterals: barycenter to primary-edge midpoints.
+
+    Returns the new points (barycenter, then the midpoints) and the
+    sub-cells as coordinate cycles.  A midpoint within 1e-10 of a vertex of
+    its chain is that vertex, as the point merge would make it.
+    """
     coords = geom.coords
     n = len(coords)
     # corners = vertices where the boundary actually turns
-    corner_pos = []
-    for k in range(n):
-        u = coords[k] - coords[k - 1]
-        v = coords[(k + 1) % n] - coords[k]
-        cross = u[0] * v[1] - u[1] * v[0]
-        if abs(cross) > 1e-12 * geom.diameter ** 2:
-            corner_pos.append(k)
-    if len(corner_pos) != 4:
+    u = coords - np.roll(coords, 1, axis=0)
+    v = np.roll(coords, -1, axis=0) - coords
+    corners = np.flatnonzero(np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+                             > 1e-12 * geom.diameter ** 2).tolist()
+    if len(corners) != 4:
         warnings.warn(
-            f"refined cell has {len(corner_pos)} corners, not a quad patch; "
+            f"refined cell has {len(corners)} corners, not a quad patch; "
             "fanning barycenter to all primary-edge midpoints")
 
-    bary = mb.add_point(*geom.centroid)
-    m = len(corner_pos)
-    # chain of cycle positions from corner r to corner r+1, midpoint inserted
-    chains = []
-    for r in range(m):
-        k0, k1 = corner_pos[r], corner_pos[(r + 1) % m]
-        pos = [k0]
-        k = k0
-        while k != k1:
-            k = (k + 1) % n
-            pos.append(k)
+    # chain of coordinates from corner r to corner r+1, midpoint inserted
+    chains, mids = [], []
+    for k0, k1 in zip(corners, corners[1:] + corners[:1]):
+        chain = coords[(k0 + np.arange((k1 - k0) % n + 1)) % n]
         mid = 0.5 * (coords[k0] + coords[k1])
-        ids = [mb.add_point(*coords[k]) for k in pos]
-        params = [float(np.linalg.norm(coords[k] - coords[k0])) for k in pos]
-        half = float(np.linalg.norm(mid - coords[k0]))
-        mid_id = mb.add_point(*mid)
-        if mid_id not in ids:
-            slot = next(i for i, t in enumerate(params) if t > half)
-            ids.insert(slot, mid_id)
-        chains.append((ids, ids.index(mid_id)))
-    for r in range(m):
-        prev_ids, prev_mid = chains[r - 1]
-        ids, mid_slot = chains[r]
-        cell = prev_ids[prev_mid:-1] + ids[:mid_slot + 1] + [bary]
-        mb.cells.append(cell)
+        near = np.linalg.norm(chain - mid, axis=1) <= 1e-10
+        if near.any():
+            slot = int(np.argmax(near))
+        else:
+            beyond = (np.linalg.norm(chain - coords[k0], axis=1)
+                      > np.linalg.norm(mid - coords[k0]))
+            slot = int(np.argmax(beyond))
+            chain = np.insert(chain, slot, mid, axis=0)
+        chains.append((chain, slot))
+        mids.append(mid)
+    bary = geom.centroid
+    cells = [np.concatenate((prev[prev_slot:-1], chain[:slot + 1], [bary]))
+             for (prev, prev_slot), (chain, slot) in zip(chains[-1:] + chains[:-1], chains)]
+    return np.vstack([bary] + mids), cells
 
 
-def _inherit_markers(parent: PolygonalMesh, verts, cells) -> list[tuple[int, int, str]]:
-    """Mark the boundary of a refined mesh from the parent's markers."""
-    parent_edges = [(parent.vertices[i], parent.vertices[j], m)
-                    for i, j, m in parent.boundary_edges]
-    edges, counts = edge_table(cells)
-    out = []
-    for i, j in edges[counts == 1].tolist():
-        mid = 0.5 * (verts[i] + verts[j])
-        marker = None
-        for a, b, m in parent_edges:
-            ab = b - a
-            L2 = float(ab @ ab)
-            ap = mid - a
-            t = float(ap @ ab) / L2
-            off = abs(ap[0] * ab[1] - ap[1] * ab[0]) / math.sqrt(L2)
-            if -1e-12 <= t <= 1.0 + 1e-12 and off < 1e-9:
-                marker = m
-                break
-        if marker is None:
-            raise RuntimeError(f"refined boundary edge ({i}, {j}) does not "
-                               "lie on the parent boundary")
-        out.append((i, j, marker))
-    return out
+def _inherit_markers(parent: PolygonalMesh, verts, cell_ptr,
+                     cell_vertices) -> list[tuple[int, int, str]]:
+    """Mark the boundary of a refined mesh from the parent's markers: each
+    boundary edge takes the marker of the first parent boundary edge that
+    holds its midpoint."""
+    ends = np.array([(i, j) for i, j, _ in parent.boundary_edges])
+    a = parent.vertices[ends[:, 0]]
+    ab = parent.vertices[ends[:, 1]] - a
+    edges, counts = edge_table(cell_ptr, cell_vertices)
+    once = edges[counts == 1]
+    ap = (0.5 * (verts[once[:, 0]] + verts[once[:, 1]]))[:, None] - a   # (E, F, 2)
+    l2 = np.sum(ab * ab, axis=1)
+    t = np.sum(ap * ab, axis=-1) / l2
+    off = np.abs(ap[..., 0] * ab[:, 1] - ap[..., 1] * ab[:, 0]) / np.sqrt(l2)
+    on = (-1e-12 <= t) & (t <= 1.0 + 1e-12) & (off < 1e-9)
+    stray = np.flatnonzero(~on.any(axis=1))
+    if stray.size:
+        raise RuntimeError("refined boundary edge ({}, {}) does not lie on the parent "
+                           "boundary".format(*once[stray[0]]))
+    markers = [m for _, _, m in parent.boundary_edges]
+    return [(i, j, markers[f])
+            for (i, j), f in zip(once.tolist(), np.argmax(on, axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import DegenerateElement, ZeroLengthEdge
-from .mesh import ElementGeometry, PolygonalMesh, raise_first_fault
+from .mesh import VANISHING_AREA_REL_TOL, ElementGeometry, PolygonalMesh, raise_first_fault
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _element_faults(area, diameter, shortest_edge) -> list:
     """Cells the operators cannot handle, for :func:`raise_first_fault`;
     a vanishing area goes first."""
     area = np.ravel(area)
-    return [(area <= 1e-14 * np.ravel(diameter) ** 2,
+    return [(area <= VANISHING_AREA_REL_TOL * np.ravel(diameter) ** 2,
              lambda c: DegenerateElement(f"element area {area[c]} vanishes")),
             (np.ravel(shortest_edge) <= 0.0, lambda c: ZeroLengthEdge(
                 "stabilization needs strictly positive edge lengths"))]

@@ -21,8 +21,7 @@ def write_vtk(mesh: PolygonalMesh, path, point_data: dict | None = None,
     for x, y in mesh.vertices:
         lines.append(f"{x:.17g} {y:.17g} 0")
 
-    size = sum(len(c) + 1 for c in mesh.cells)
-    lines.append(f"CELLS {mesh.n_cells} {size}")
+    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells + len(mesh.cell_vertices)}")
     for cyc in mesh.cells:
         lines.append(str(len(cyc)) + " " + " ".join(map(str, cyc)))
     lines.append(f"CELL_TYPES {mesh.n_cells}")

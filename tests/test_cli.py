@@ -84,6 +84,10 @@ INVALID_INPUTS = {
                            "boundary": SQUARE_BOUNDARY},
     "fractional_boundary_index": {"vertices": SQUARE, "cells": [[0, 1, 2, 3]],
                                   "boundary": [[0, 1.9, "gamma1"]] + SQUARE_BOUNDARY[1:]},
+    "collinear_triangle": {"vertices": [[0, 0], [0.03, 0.27], [0.07, 0.63]],
+                           "cells": [[0, 1, 2]],
+                           "boundary": [[0, 1, "gamma0"], [1, 2, "gamma0"],
+                                        [2, 0, "gamma0"]]},
     "orphan_vertex": {"vertices": SQUARE + [[5, 5]], "cells": [[0, 1, 2, 3]],
                       "boundary": SQUARE_BOUNDARY},
     "part_without_gamma0": {

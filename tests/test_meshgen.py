@@ -11,6 +11,7 @@ from steklovem.errors import InvalidN
 from steklovem.mesh import GAMMA0, element_geometry, mesh_to_dict, quality_report
 from steklovem.meshgen import (
     FAMILIES,
+    _merge_points,
     gen_lshape_uniform,
     gen_rotated_t,
     gen_square_glued,
@@ -183,6 +184,20 @@ def test_corner_refinement_localized():
         if np.max(np.abs(bary - 0.5)) > half + 0.1:
             # far away from the corner region the original cell sizes survive
             assert g.area == pytest.approx((1.0 / 32.0) ** 2, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# vertex merge
+
+
+def test_points_straddling_a_rounding_boundary_merge():
+    # 5.6e-17 apart, yet rounding to 10 decimals sends them to different keys;
+    # the vertex keeps the number and coordinates of its first occurrence
+    x = 0.30000000005
+    pts = np.array([[x, 0.0], [np.nextafter(x, 1.0), 0.0], [1.0, 0.0], [x, 0.0]])
+    verts, ids = _merge_points(pts)
+    assert ids.tolist() == [0, 0, 1, 0]
+    np.testing.assert_array_equal(verts, pts[[0, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklovem.errors import DegenerateElement
-from steklovem.mesh import GAMMA0, GAMMA1, build_mesh, element_geometry, mesh_to_dict
+from steklovem.errors import DegenerateElement, NonSimplePolygon
+from steklovem.mesh import (
+    GAMMA0,
+    GAMMA1,
+    PolygonalMesh,
+    build_mesh,
+    element_geometry,
+    mesh_to_dict,
+    polygon_geometry,
+)
 from steklovem.meshgen import FAMILIES
 from steklovem.vem import (
     StabilizationSpec,
@@ -346,25 +354,30 @@ def test_assembly_order_independent():
 SLIVER = [[0, 0], [1, 0], [0.5, 1e-15]]
 
 
-def test_sliver_triangle_passes_validation_but_not_assembly():
-    # area 5e-16 is above build_mesh's (1e-14 h)^2 but below 1e-14 h^2
-    mesh = single_cell(SLIVER)
+def test_sliver_triangle_rejected_by_validation_and_assembly():
+    # area 5e-16 is below 1e-14 h^2, the one cutoff of build_mesh and assembly
+    with pytest.raises(NonSimplePolygon, match="vanishing area"):
+        single_cell(SLIVER)
+    geom = polygon_geometry(np.asarray(SLIVER, dtype=float), np.arange(3))
     with pytest.raises(DegenerateElement):
-        assemble_global(mesh, StabilizationSpec())
-    with pytest.raises(DegenerateElement):
-        local_operators(element_geometry(mesh, 0), StabilizationSpec())
+        local_operators(geom, StabilizationSpec())
 
 
 def sliver_sandwich(order):
     """A unit square between a sliver triangle below and a sliver
-    quadrilateral above, with the cells listed in the given order."""
+    quadrilateral above, with the cells listed in the given order.
+
+    build_mesh rejects both slivers, so the mesh is put together from CSR
+    arrays directly to reach assembly's own check."""
     eps = 2e-15
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, -1e-15],
                       [0.7, 1 + eps], [0.3, 1 + eps]])
     cells = {"square": [0, 1, 2, 3], "triangle": [0, 4, 1], "quad": [3, 2, 5, 6]}
     bnd = [(0, 4, GAMMA1), (4, 1, GAMMA1), (1, 2, GAMMA1), (3, 0, GAMMA1),
            (2, 5, GAMMA1), (5, 6, GAMMA0), (6, 3, GAMMA1)]
-    return build_mesh(verts, [cells[k] for k in order], bnd)
+    cycles = [cells[k] for k in order]
+    ptr = np.cumsum([0] + [len(c) for c in cycles])
+    return PolygonalMesh(verts, ptr, np.concatenate(cycles), bnd)
 
 
 @pytest.mark.parametrize("order", [("quad", "square", "triangle"),
