@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitDiverged, InsufficientLevels, InvalidN, NonPositiveError
 from .eig import solve_steklov
@@ -17,6 +16,9 @@ from .vem import StabilizationSpec, assemble_global
 # regression anchor for the L-shape first eigenvalue (extrapolated from
 # fine uniform meshes)
 LSHAPE_LAMBDA1_REF = 0.77445049080
+# extrapolate: relative step size that ends the fit, and the step budget
+_FIT_XTOL = 1e-14
+_FIT_MAX_STEPS = 200
 
 
 def exact_square_eigenvalue(n: int) -> float:
@@ -49,10 +51,14 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
     """Fit values ~ limit + C h^alpha and return (limit, C, alpha).
 
     Initialized from the three finest levels (closed-form alpha plus a
-    Richardson limit) and polished by damped Gauss-Newton iteration.
-    Falls back to the three-point closed form (raising
-    :class:`FitDiverged`) when the model cannot represent the data, e.g.
-    a constant sequence.
+    Richardson limit) and polished by damped Gauss-Newton iteration
+    (Levenberg-Marquardt).  Each step solves (J^T J + mu D) dp = -J^T r,
+    with D the largest diagonal of J^T J met so far, as in MINPACK.  A step
+    that lowers the residual is taken and divides the damping mu by 10; any
+    other step multiplies it by 10.  The fit ends once a step is below
+    ``_FIT_XTOL`` relative to the parameters.  Raises :class:`FitDiverged`
+    when the model cannot represent the data, e.g. a constant sequence, or
+    when the iteration does not converge within ``_FIT_MAX_STEPS`` steps.
     """
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -76,15 +82,29 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
     c0 = d2 / (hs[-2] ** alpha0 - hs[-1] ** alpha0)
 
     def residual(p):
-        lam, c, a = p
-        return lam + c * hs ** a - values
+        return p[0] + p[1] * hs ** p[2] - values
 
-    fit = least_squares(residual, x0=(limit0, c0, alpha0), xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14, method="lm")
-    if not fit.success or not np.all(np.isfinite(fit.x)):
-        raise FitDiverged("nonlinear fit did not converge")
-    lam, c, a = (float(v) for v in fit.x)
-    return lam, c, a
+    p = np.array([limit0, c0, alpha0])
+    res = residual(p)
+    damping, scale = 1e-3, np.zeros(3)
+    for _ in range(_FIT_MAX_STEPS):
+        power = hs ** p[2]
+        jac = np.column_stack((np.ones_like(hs), power, p[1] * power * np.log(hs)))
+        normal = jac.T @ jac
+        scale = np.maximum(scale, np.diag(normal))
+        try:
+            step = np.linalg.solve(normal + damping * np.diag(scale), -jac.T @ res)
+        except np.linalg.LinAlgError:
+            raise FitDiverged("nonlinear fit hit a singular Jacobian") from None
+        trial = residual(p + step)
+        if trial @ trial < res @ res:
+            p, res, damping = p + step, trial, damping / 10.0
+        else:
+            damping *= 10.0
+        if np.linalg.norm(step) <= _FIT_XTOL * np.linalg.norm(p):
+            lam, c, a = (float(v) for v in p)
+            return lam, c, a
+    raise FitDiverged("nonlinear fit did not converge")
 
 
 @dataclass

@@ -26,6 +26,14 @@ more than two cells, unmarked or phantom boundary edges, vertices in no cell
 and parts of the mesh without a gamma0 edge.  A faulty mesh raises for its
 first faulty cell in cell order, and within that cell for the first failed
 check (:func:`raise_first_fault`).
+
+Star-shapedness is reported, not enforced.  The radius of the largest disk in
+a cell's kernel is the clearance of the kernel's Chebyshev center, a linear
+program in (x, y, r) whose optimum has three active edge constraints (Boyd &
+Vandenberghe, *Convex Optimization*, 2004, section 8.5.1).  It is found by
+vertex enumeration: per vertex-count group, the 3x3 systems of all C(n, 3)
+edge triples are solved in one batch and every candidate center is scored by
+its clearance from all edge lines (:func:`_chebyshev_radius`).
 """
 
 from __future__ import annotations
@@ -33,11 +41,10 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -59,6 +66,14 @@ ZERO_EDGE_REL_TOL = 1e-14
 # a cell with |K| <= VANISHING_AREA_REL_TOL * h_K^2 is degenerate, for
 # validation and assembly alike
 VANISHING_AREA_REL_TOL = 1e-14
+# a kernel whose largest inscribed disk has radius <= this times h_K has
+# empty interior
+EMPTY_KERNEL_REL_TOL = 1e-13
+# edge triples whose normals span a triangle of doubled area at most this
+# are singular (the normals are unit vectors, so the test is scale-free)
+_SINGULAR_TRIPLE_TOL = 1e-13
+# (cells x edge triples x edges) entries per chunk of the kernel computation
+_KERNEL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -428,32 +443,56 @@ def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
     return polygon_geometry(mesh.vertices, mesh.cell_vertices[ptr[cell]:ptr[cell + 1]])
 
 
+def _chebyshev_radius(coords: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Radius of the largest disk in the kernel of each of the CCW ``(C, n, 2)``
+    cycles with outward unit edge normals ``(C, n, 2)``; negative where the
+    kernel is empty.
+
+    The disk's center x maximises r subject to n_e . x + r <= n_e . v_e on
+    every edge e, and three of these constraints are active at the optimum.
+    Each edge triple gives a candidate center (singular triples are skipped),
+    scored by its clearance from all n edge lines.  No candidate scores above
+    the optimum and the optimal triple attains it, so the best score is the
+    radius with no feasibility tolerance.  Cells go in chunks of at most
+    ``_KERNEL_CHUNK`` (cell, triple, edge) entries.
+    """
+    n = coords.shape[-2]
+    triples = np.array(list(combinations(range(n), 3)))
+    offsets = np.sum(normals * coords, axis=-1)            # n_e . v_e
+    radius = np.empty(len(coords))
+    step = max(1, _KERNEL_CHUNK // (len(triples) * n))
+    for lo in range(0, len(coords), step):
+        nrm, off = normals[lo:lo + step], offsets[lo:lo + step]
+        rows = nrm[:, triples]                             # (c, T, 3, 2)
+        d, e = rows[:, :, 1] - rows[:, :, 0], rows[:, :, 2] - rows[:, :, 0]
+        singular = np.abs(d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]) \
+            <= _SINGULAR_TRIPLE_TOL
+        system = np.concatenate((rows, np.ones(rows.shape[:-1] + (1,))), axis=-1)
+        system[singular] = np.eye(3)
+        center = np.linalg.solve(system, off[:, triples, None])[..., :2, 0]
+        clearance = np.min(off[:, None, :] - center @ nrm.transpose(0, 2, 1), axis=-1)
+        clearance[singular] = -np.inf
+        radius[lo:lo + step] = clearance.max(axis=1)
+    return radius
+
+
 def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:
     """Radius of the largest disk in the kernel of the cell, over h_K.
 
-    The kernel of a polygon is the intersection of the inner half-planes
-    of all edges; its Chebyshev center solves a small linear program
-    (maximise the clearance r of a center from every edge line).  For a
-    convex cell the kernel is the cell itself and the ratio is the
-    inradius over the diameter.
+    The disk is centred at the Chebyshev center of the kernel, found by vertex
+    enumeration (:func:`_chebyshev_radius`, the kernel :func:`quality_report`
+    runs on every cell).  For a convex cell the kernel is the cell itself and
+    the ratio is the inradius over the diameter.
 
-    Raises :class:`EmptyKernel` when the cell is not star-shaped.
+    Raises :class:`EmptyKernel` when the cell is not star-shaped: the kernel
+    is empty, or the largest disk has radius at most
+    ``EMPTY_KERNEL_REL_TOL * h_K``.
     """
     geom = element_geometry(mesh, cell)
-    normals = geom.edge_normals
-    offsets = np.sum(normals * geom.coords, axis=1)   # n . v on each edge line
-    a_ub = np.column_stack((normals, np.ones(len(normals))))
-    res = linprog(
-        c=(0.0, 0.0, -1.0),
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
+    rho = float(_chebyshev_radius(geom.coords[None], geom.edge_normals[None])[0])
+    if rho < 0.0:
         raise EmptyKernel(f"cell {cell}: kernel of the polygon is empty")
-    rho = float(res.x[2])
-    if rho <= 1e-13 * geom.diameter:
+    if rho <= EMPTY_KERNEL_REL_TOL * geom.diameter:
         raise EmptyKernel(f"cell {cell}: kernel has empty interior")
     return rho / geom.diameter
 
@@ -461,32 +500,23 @@ def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:
 def quality_report(mesh: PolygonalMesh, gamma_threshold: float = 0.0) -> MeshQualityReport:
     """Star-shapedness and smallest-edge ratios for every cell.
 
-    Cells whose kernel is empty get a NaN star ratio and are listed in
-    ``empty_kernel_cells``; cells with star ratio below ``gamma_threshold``
-    are flagged.  Neither condition is fatal: star-shapedness is reported,
-    never enforced.
+    Cells whose kernel is empty or has empty interior get a NaN star ratio
+    and are listed in ``empty_kernel_cells``; cells with star ratio below
+    ``gamma_threshold`` are flagged.  Neither condition is fatal:
+    star-shapedness is reported, never enforced.
     """
-    nc = mesh.n_cells
-    star = np.full(nc, np.nan)
-    edge_ratio = np.empty(nc)
+    star, edge_ratio = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     for cells, geom in mesh.grouped_geometry():
         edge_ratio[cells] = geom.edge_lengths.min(axis=-1) / geom.diameter
-    empty = []
-    flagged = []
-    for c in range(nc):
-        try:
-            star[c] = star_shaped_ratio(mesh, c)
-        except EmptyKernel:
-            empty.append(c)
-            continue
-        if star[c] < gamma_threshold:
-            flagged.append(c)
+        rho = _chebyshev_radius(geom.coords, geom.edge_normals)
+        star[cells] = np.where(rho > EMPTY_KERNEL_REL_TOL * geom.diameter,
+                               rho / geom.diameter, np.nan)
     finite = star[np.isfinite(star)]
     return MeshQualityReport(
         star_ratio=star,
         min_edge_ratio=edge_ratio,
-        empty_kernel_cells=empty,
-        flagged_cells=flagged,
+        empty_kernel_cells=np.flatnonzero(np.isnan(star)).tolist(),
+        flagged_cells=np.flatnonzero(star < gamma_threshold).tolist(),
         min_star_ratio=float(np.min(finite)) if len(finite) else float("nan"),
         global_min_edge_ratio=float(np.min(edge_ratio)),
     )

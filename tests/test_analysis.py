@@ -125,6 +125,10 @@ def test_extrapolate_round_trip_recovery():
 def test_extrapolate_degenerate_input():
     with pytest.raises(FitDiverged):
         extrapolate([0.2, 0.1, 0.05], [1.0, 1.0, 1.0])
+    # -log h has no best fit: the iteration runs off to alpha -> 0, C -> -inf
+    hs = 0.25 * 2.0 ** -np.arange(4)
+    with pytest.raises(FitDiverged, match="did not converge"):
+        extrapolate(hs, -np.log(hs))
     with pytest.raises(InsufficientLevels):
         extrapolate([0.2, 0.1], [1.0, 0.9])
 

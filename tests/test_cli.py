@@ -1,10 +1,16 @@
 """Command-line interface: plumbing, round trips, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklovem
 from steklovem import eig
 from steklovem.cli import main
 from steklovem.mesh import load_mesh_json
@@ -237,3 +243,20 @@ def test_study_bad_levels_exit_2(capsys):
     code, _, _ = run_cli(capsys, "study", "--family", "t1",
                          "--Ns", "8", "4", "--k", "1")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_package_never_imports_scipy_optimize():
+    # every CLI process pays for what the package imports
+    package = Path(steklovem.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(package.parent), os.environ.get("PYTHONPATH")))))
+    probe = "import sys, steklovem, steklovem.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
+    for path in package.rglob("*.py"):
+        assert not re.search(r"\b(linprog|least_squares)\b", path.read_text()), path

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steklovem import mesh as mesh_module
 from steklovem.errors import (
     EmptyGamma0,
+    EmptyKernel,
     MeshError,
     NonConforming,
     NonSimplePolygon,
@@ -429,30 +431,126 @@ def test_star_ratio_equilateral_triangle():
         1.0 / (2.0 * math.sqrt(3.0)), abs=1e-9)
 
 
+def single_cell_mesh(verts):
+    verts = np.asarray(verts, dtype=float)
+    n = len(verts)
+    return build_mesh(verts, [list(range(n))], [(i, (i + 1) % n, GAMMA0) for i in range(n)])
+
+
+def grid_search_clearance(mesh, xs, ys):
+    """Brute force: the largest clearance from all edge lines of the single
+    cell over the grid points ``xs x ys``."""
+    g = element_geometry(mesh, 0)
+    cx, cy = np.meshgrid(xs, ys, indexing="ij")
+    offsets = np.sum(g.edge_normals * g.coords, axis=1)
+    clearance = np.min(offsets - cx[..., None] * g.edge_normals[:, 0]
+                       - cy[..., None] * g.edge_normals[:, 1], axis=-1)
+    return float(clearance.max())
+
+
+L_HEXAGON = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+
+
 def test_star_ratio_lshaped_hexagon_vs_grid_search():
-    verts = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
-                     dtype=float)
-    bnd = [(i, (i + 1) % 6, GAMMA0) for i in range(6)]
-    mesh = build_mesh(verts, [[0, 1, 2, 3, 4, 5]], bnd)
+    mesh = single_cell_mesh(L_HEXAGON)
 
     # brute force: largest disk centered in the kernel (intersection of the
     # inner half-planes of all six edges)
-    g = element_geometry(mesh, 0)
     xs = np.linspace(0.0, 2.0, 401)
-    best = 0.0
-    for cx in xs:
-        for cy in xs:
-            c = np.array([cx, cy])
-            r = min(np.dot(g.edge_normals[e],
-                           g.coords[g.edge_nodes[e][0]] - c)
-                    for e in range(6))
-            best = max(best, r)
+    best = grid_search_clearance(mesh, xs, xs)
+    g = element_geometry(mesh, 0)
     assert star_shaped_ratio(mesh, 0) == pytest.approx(best / g.diameter,
                                                        abs=1e-3)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_star_ratio_regular_polygon_closed_form(n):
+    radius, phase = 1.7, 0.3
+    theta = phase + 2.0 * math.pi * np.arange(n) / n
+    mesh = single_cell_mesh(radius * np.column_stack((np.cos(theta), np.sin(theta))))
+    inradius = radius * math.cos(math.pi / n)
+    diameter = 2.0 * radius * (1.0 if n % 2 == 0 else math.cos(math.pi / (2 * n)))
+    assert star_shaped_ratio(mesh, 0) == pytest.approx(inradius / diameter, rel=1e-13)
+
+
+# the edges on y = 0, y = x and y = -x confine the kernel to the origin
+POINT_KERNEL = [[1, 0], [3, 0], [3, 3], [2, 2], [-2, 2], [-3, 3], [-3, -3]]
+# staircase octagon: one wall demands x >= 2, another x <= 1
+STAIRCASE = [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 2], [0, 2]]
+
+
+def test_star_ratio_point_and_empty_kernels():
+    with pytest.raises(EmptyKernel, match="cell 0: kernel has empty interior"):
+        star_shaped_ratio(single_cell_mesh(POINT_KERNEL), 0)
+    with pytest.raises(EmptyKernel, match="cell 0: kernel of the polygon is empty"):
+        star_shaped_ratio(single_cell_mesh(STAIRCASE), 0)
+
+
+def test_star_ratio_invariant_under_rigid_motion_and_scale():
+    rng = np.random.default_rng(7)
+    polygons = [
+        L_HEXAGON,
+        # a square with a hanging node on every edge: flat-angle vertices
+        [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1]],
+        element_geometry(FAMILIES["t5"](4), 5).coords,
+    ]
+    for verts in map(np.asarray, polygons):
+        base = star_shaped_ratio(single_cell_mesh(verts), 0)
+        for s in (1.0, 1e-6, 1e6):
+            for _ in range(5):
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                moved = s * (verts @ rot.T + rng.uniform(-3.0, 3.0, 2))
+                assert star_shaped_ratio(single_cell_mesh(moved), 0) == pytest.approx(
+                    base, rel=1e-12)
+
+
+def test_star_ratio_random_polygons_vs_grid_search():
+    rng = np.random.default_rng(2012)
+    for _ in range(12):
+        # radial perturbation of a circle: star-shaped about the origin
+        n = int(rng.integers(5, 11))
+        theta = 2.0 * math.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+        radii = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, n)
+        mesh = single_cell_mesh(radii[:, None] * np.column_stack((np.cos(theta),
+                                                                  np.sin(theta))))
+        rho = star_shaped_ratio(mesh, 0) * element_geometry(mesh, 0).diameter
+        xs = np.linspace(-1.5, 1.5, 301)
+        best = grid_search_clearance(mesh, xs, xs)
+        # clearance is 1-Lipschitz: the optimum lies within half a grid
+        # diagonal of some grid point
+        assert best - 1e-12 <= rho <= best + (xs[1] - xs[0]) / math.sqrt(2.0)
+    for _ in range(12):
+        # thick C-shaped arc spanning more than half a turn: two inner edges
+        # face opposite ways, so no point sees the whole cell
+        m = int(rng.integers(4, 8))
+        theta = rng.uniform(0.0, 2.0 * math.pi) + np.linspace(
+            0.0, rng.uniform(1.3, 1.8) * math.pi, m)
+        arc = np.column_stack((np.cos(theta), np.sin(theta)))
+        outer = rng.uniform(0.9, 1.1, m)[:, None] * arc
+        inner = rng.uniform(0.4, 0.6, m)[:, None] * arc
+        mesh = single_cell_mesh(np.concatenate((outer, inner[::-1])))
+        xs = np.linspace(-1.2, 1.2, 241)
+        assert grid_search_clearance(mesh, xs, xs) < 0.0
+        with pytest.raises(EmptyKernel, match="kernel of the polygon is empty"):
+            star_shaped_ratio(mesh, 0)
+
+
 # ---------------------------------------------------------------------------
 # quality report
+
+
+def test_quality_report_matches_per_cell_ratio(monkeypatch):
+    # a small chunk splits every vertex-count group of the batched kernel
+    monkeypatch.setattr(mesh_module, "_KERNEL_CHUNK", 100)
+    mesh = FAMILIES["t5"](4)
+    per_cell = [star_shaped_ratio(mesh, c) for c in range(mesh.n_cells)]
+    threshold = float(np.median(per_cell))
+    report = quality_report(mesh, gamma_threshold=threshold)
+    np.testing.assert_allclose(report.star_ratio, per_cell, rtol=1e-14)
+    assert report.flagged_cells == [c for c, r in enumerate(report.star_ratio)
+                                    if r < threshold]
+    assert 0 < len(report.flagged_cells) < mesh.n_cells
 
 
 def test_quality_axis_aligned_squares():
@@ -477,13 +575,10 @@ def test_quality_smallest_edge_matches_he_squared():
 
 
 def test_quality_flags_non_star_cell():
-    # staircase octagon: one wall demands x >= 2, another x <= 1
-    verts = np.array([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1],
-                      [1, 2], [0, 2]], dtype=float)
-    bnd = [(i, (i + 1) % 8, GAMMA0) for i in range(8)]
-    mesh = build_mesh(verts, [list(range(8))], bnd)
-    report = quality_report(mesh)
-    assert 0 in report.empty_kernel_cells
+    for verts in (STAIRCASE, POINT_KERNEL):
+        report = quality_report(single_cell_mesh(verts))
+        assert report.empty_kernel_cells == [0]
+        assert np.isnan(report.star_ratio[0])
 
 
 # ---------------------------------------------------------------------------
