@@ -226,16 +226,22 @@ def test_all_families_pass_quality_report(family):
     assert not report.empty_kernel_cells
 
 
-# SHA-256 of json.dumps(mesh_to_dict(mesh)): generator output is pinned to the
-# byte, so a rewrite of the generators cannot move a vertex, renumber one or
-# reorder a cycle unnoticed
+# SHA-256 of json.dumps(mesh_to_dict(mesh)) per family and N: generator output
+# is pinned to the byte, so a rewrite of the generators cannot move a vertex,
+# renumber one or reorder a cycle unnoticed.  The larger level of each family
+# has more hanging nodes and edge points for the conforming join to place
 PINNED = {
-    "t1": "51650ab984fe43a18ef0fabf08d6ae6a5714384de28670bdc073e8a15473e76c",
-    "t2": "21131903bc705514a0084ad65d2fb2c50cd73262a33dc6f1554105ca58877829",
-    "t3": "e5a9bcea66b9bbbca77bdea440b0cbea2b52dd56289d8903ba243f6e26b45de4",
-    "t4": "38801b3529208b45c94d975242e900c002122d9803b3dcd82b066c9ab530ac20",
-    "t5": "598d585994e7246efdf03ccaa3158e78e04fa62905548a89c5e60a85682e00c3",
-    "t6": "215ee2fcf9c2bdc5af0d67f6b6af6a9d4bea7434e9f8c7d5fc74a1b746510492",
+    "t1": {8: "51650ab984fe43a18ef0fabf08d6ae6a5714384de28670bdc073e8a15473e76c",
+           17: "7a68b17d2db9c1807544f211d8b5705529d2b9d66e8d5d1a005727677f53cbf2"},
+    "t2": {8: "21131903bc705514a0084ad65d2fb2c50cd73262a33dc6f1554105ca58877829",
+           16: "36403310a777c098793a9b521084a2b5691e46ee6daf306ef0cd16ed41ece9a1"},
+    "t3": {8: "e5a9bcea66b9bbbca77bdea440b0cbea2b52dd56289d8903ba243f6e26b45de4",
+           16: "25297a7d8f3352fd16e8a0c1f9565f30cede813caa25b0ebfb2057ebafb17f29"},
+    "t4": {8: "38801b3529208b45c94d975242e900c002122d9803b3dcd82b066c9ab530ac20",
+           16: "50bfe92c42369e2b122277fca7b570696d9264c860fdbcab5613c1df0de08641"},
+    "t5": {8: "598d585994e7246efdf03ccaa3158e78e04fa62905548a89c5e60a85682e00c3",
+           16: "04c955d464a8eb03518533ba0aeb06ac97b48945699a9be1f76b12be0e724a1d"},
+    "t6": {8: "215ee2fcf9c2bdc5af0d67f6b6af6a9d4bea7434e9f8c7d5fc74a1b746510492"},
 }
 PINNED_T6_16_REFINED = [
     "322cb4dde808bf0ba074861d4c4267361bebeaff93f05ca646f99c3ede364b45",
@@ -249,7 +255,8 @@ def json_sha256(mesh):
 
 @pytest.mark.parametrize("family", sorted(PINNED))
 def test_generator_output_pinned(family):
-    assert json_sha256(FAMILIES[family](8)) == PINNED[family]
+    for N, want in PINNED[family].items():
+        assert json_sha256(FAMILIES[family](N)) == want, N
 
 
 def test_corner_refinement_output_pinned():
