@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import KTooLarge, NotSPD, RankDeficientGamma0Mass, SolverError, TooLarge
+from .errors import InvalidN, KTooLarge, NotSPD, RankDeficientGamma0Mass, SolverError, TooLarge
 from .mesh import PolygonalMesh
 from .vem import GlobalSystem
 
@@ -87,11 +87,13 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     is no room for a Krylov space and the same call passes dense matrices,
     which scipy solves with eigh.
 
-    Raises KTooLarge for k > m - 1 (m gamma0 dofs, the rank of B),
-    RankDeficientGamma0Mass when the gamma0 block of B is not positive
-    definite, NotSPD when Ahat is not, and SolverError when a backward
-    error exceeds 1e-10.
+    Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
+    rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
+    positive definite, NotSPD when Ahat is not, and SolverError when a
+    backward error exceeds 1e-10.
     """
+    if k < 1:
+        raise InvalidN("need at least one eigenvalue")
     g = system.gamma0_dofs
     m = len(g)
     if k > m - 1:

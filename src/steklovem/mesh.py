@@ -14,12 +14,14 @@ construction: an edge shared by two cells is identical as a vertex pair,
 and a vertex sitting on a neighbour's edge shows up in that neighbour's
 cycle as a flat-angle vertex.
 
-Validation is batched like the geometry.  Each raw cycle gets structural
-checks (integer indices, at least three, in range, distinct); the valid
-cycles are then packed into CSR form, grouped by vertex count, and each
-group's orientation, area, edge lengths, fold-back spikes and edge
-crossings are ``(C, n, 2)`` array computations on the kernels of
-:func:`polygon_geometry`.  A cell whose area is at most
+Validation is batched like the geometry and runs on the CSR arrays
+(:func:`_validate_csr`, which the generators call directly).  Raw input to
+:func:`build_mesh` gets one check per cell in Python, that it is a sequence
+of integer indices, and is packed into CSR form.  Grouped by vertex count,
+the cycles are then checked for at least three vertices, indices in range
+and distinct vertices, and each group's orientation, area, edge lengths,
+fold-back spikes and edge crossings are ``(C, n, 2)`` array computations on
+the kernels of :func:`polygon_geometry`.  A cell whose area is at most
 ``VANISHING_AREA_REL_TOL * h_K**2`` is rejected here, with the cutoff
 assembly applies.  The edge table gives every edge count: edges shared by
 more than two cells, unmarked or phantom boundary edges, vertices in no cell
@@ -195,20 +197,6 @@ def _is_index(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-# checks of one raw cycle against the vertex count nv, in order, and their errors
-_STRUCTURAL = [
-    (lambda cyc, nv: not isinstance(cyc, (Sequence, np.ndarray))
-     or not all(map(_is_index, cyc)),
-     lambda c: MeshError(f"cell {c}: not a sequence of integer vertex indices")),
-    (lambda cyc, nv: len(cyc) < 3,
-     lambda c: NonSimplePolygon(f"cell {c}: fewer than 3 vertices")),
-    (lambda cyc, nv: min(cyc) < 0 or max(cyc) >= nv,
-     lambda c: MeshError(f"cell {c}: vertex index out of range")),
-    (lambda cyc, nv: len(set(cyc)) != len(cyc),
-     lambda c: NonSimplePolygon(f"cell {c}: repeated vertex in cycle")),
-]
-
-
 def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(cell ids, (C, n) positions of their cycles in the flat array)`` per
     vertex count n, ascending."""
@@ -277,50 +265,83 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     marker ``"gamma0"`` or ``"gamma1"``.  Cells with negative signed area
     are reversed so every stored cycle is counter-clockwise.
 
-    Raises the mesh error matching the first violated invariant: the first
-    faulty cell in cell order, and within it the first failed check.
+    The raw cells get the one check that needs Python objects: each is a
+    sequence of integer vertex indices.  They are then packed into CSR arrays,
+    a cell that fails the check as an empty cycle, and :func:`_validate_csr`
+    runs every other check on the arrays and raises the type faults with its
+    own.  Raises the mesh error matching the first violated invariant: the
+    first faulty cell in cell order, and within it the first failed check.
     """
     verts = np.asarray(vertices, dtype=float)
+    untyped = np.array([not isinstance(cyc, (Sequence, np.ndarray))
+                        or not all(map(_is_index, cyc)) for cyc in cells], dtype=bool)
+    cycles = [() if bad else cyc for cyc, bad in zip(cells, untyped.tolist())]
+    ptr = np.concatenate(([0], np.cumsum([len(cyc) for cyc in cycles], dtype=np.intp)))
+    try:
+        flat = np.fromiter(chain.from_iterable(cycles), dtype=np.intp, count=ptr[-1])
+    except OverflowError:   # an index beyond intp is out of range; -1 is too
+        flat = np.array(list(chain.from_iterable(cycles)), dtype=object).clip(
+            -1, 2**62).astype(np.intp)
+    return _validate_csr(verts, ptr, flat, boundary_spec, [
+        (untyped, lambda c: MeshError(f"cell {c}: not a sequence of integer vertex indices"))])
+
+
+def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
+                  faults=()) -> PolygonalMesh:
+    """Validate a mesh given as a float ``(n, 2)`` vertex array and CSR cells.
+
+    Each vertex-count group is checked with array masks: fewer than 3
+    vertices, an index out of range, a repeated vertex (equal neighbours in
+    the sorted rows), then the geometric faults of :func:`_check_group` on the
+    rows that pass.  ``faults`` holds the caller's ``(mask, cell ->
+    exception)`` pairs, which rank before these within a cell; one
+    :func:`raise_first_fault` raises for all of them.  The edge table then
+    gives conformity, the boundary markers and connectivity.  The returned
+    mesh holds a counter-clockwise copy of the cycles.
+    """
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) == 0:
         raise MeshError("vertices must be a non-empty (n, 2) array")
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
-    if len(cells) == 0:
+    nc = len(cell_ptr) - 1
+    if nc == 0:
         raise MeshError("cell list is empty")
 
-    nc = len(cells)
-    # 1-based position in _STRUCTURAL of the first fault of each cell, 0 if none
-    structural = np.array([next((k for k, (bad, _) in enumerate(_STRUCTURAL, 1)
-                                 if bad(cyc, len(verts))), 0) for cyc in cells])
-    geometric = np.zeros((4, nc), dtype=bool)
+    flat = np.array(cell_vertices, dtype=np.intp)
+    # out of range, repeated vertex, then the four masks of _check_group
+    flags = np.zeros((6, nc), dtype=bool)
     spike_at = np.zeros(nc, dtype=int)
     crossing = np.zeros((nc, 2), dtype=int)
-    valid = np.flatnonzero(structural == 0)
-    sizes = np.fromiter((len(cells[c]) for c in valid), dtype=np.intp, count=len(valid))
-    ptr = np.concatenate(([0], np.cumsum(sizes)))
-    flat = np.fromiter(chain.from_iterable(cells[c] for c in valid), dtype=np.intp,
-                       count=ptr[-1])
-    for ids, slots in _size_groups(ptr):
-        ids = valid[ids]
-        flat[slots], geometric[:, ids], spike_at[ids], crossing[ids] = _check_group(
+    for ids, slots in _size_groups(cell_ptr):
+        if slots.shape[1] < 3:
+            continue
+        rows = np.sort(flat[slots], axis=1)
+        flags[0, ids] = (rows[:, 0] < 0) | (rows[:, -1] >= len(verts))
+        flags[1, ids] = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+        ok = ~flags[:2, ids].any(axis=0)
+        ids, slots = ids[ok], slots[ok]
+        flat[slots], flags[2:, ids], spike_at[ids], crossing[ids] = _check_group(
             verts, flat[slots])
-    raise_first_fault(
-        [(structural == k, fault) for k, (_, fault) in enumerate(_STRUCTURAL, 1)] + [
-            (geometric[0], lambda c: NonSimplePolygon(f"cell {c}: vanishing area")),
-            (geometric[1], lambda c: ZeroLengthEdge(
-                f"cell {c}: edge shorter than {ZERO_EDGE_REL_TOL} * h_K")),
-            (geometric[2], lambda c: NonSimplePolygon(
-                f"cell {c}: edges fold back at local vertex {spike_at[c]}")),
-            (geometric[3], lambda c: NonSimplePolygon(
-                "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
-        ])
+    raise_first_fault(list(faults) + [
+        (np.diff(cell_ptr) < 3, lambda c: NonSimplePolygon(
+            f"cell {c}: fewer than 3 vertices")),
+        (flags[0], lambda c: MeshError(f"cell {c}: vertex index out of range")),
+        (flags[1], lambda c: NonSimplePolygon(f"cell {c}: repeated vertex in cycle")),
+        (flags[2], lambda c: NonSimplePolygon(f"cell {c}: vanishing area")),
+        (flags[3], lambda c: ZeroLengthEdge(
+            f"cell {c}: edge shorter than {ZERO_EDGE_REL_TOL} * h_K")),
+        (flags[4], lambda c: NonSimplePolygon(
+            f"cell {c}: edges fold back at local vertex {spike_at[c]}")),
+        (flags[5], lambda c: NonSimplePolygon(
+            "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
+    ])
 
-    edges, counts = edge_table(ptr, flat)
+    edges, counts, _ = edge_table(cell_ptr, flat)
     marked = _check_conforming_and_boundary(verts, edges, counts, boundary_spec)
     if not any(m == GAMMA0 for _, _, m in marked):
         raise EmptyGamma0("no boundary edge is marked gamma0")
     _check_connected(len(verts), edges, marked)
-    return PolygonalMesh(verts, ptr, flat, marked)
+    return PolygonalMesh(verts, cell_ptr, flat, marked)
 
 
 def cycle_edges(cell_ptr, cell_vertices) -> np.ndarray:
@@ -331,13 +352,15 @@ def cycle_edges(cell_ptr, cell_vertices) -> np.ndarray:
     return np.column_stack((cell_vertices, cell_vertices[succ]))
 
 
-def edge_table(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray]:
+def edge_table(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted unique undirected edges ``(E, 2)`` of the CSR cell cycles, low
-    vertex first, and the number of cells each edge belongs to."""
+    vertex first, the number of cells each edge belongs to, and the row of
+    that table for each entry of :func:`cycle_edges`."""
     pairs = np.sort(cycle_edges(cell_ptr, cell_vertices), axis=1)
     base = int(pairs.max()) + 1
-    keys, counts = np.unique(pairs[:, 0] * base + pairs[:, 1], return_counts=True)
-    return np.column_stack(np.divmod(keys, base)), counts
+    keys, row, counts = np.unique(pairs[:, 0] * base + pairs[:, 1], return_inverse=True,
+                                  return_counts=True)
+    return np.column_stack(np.divmod(keys, base)), counts, row
 
 
 def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):

@@ -9,10 +9,12 @@ Every generator runs the same array pipeline, with the cells in CSR form
    points within 1e-10 of each other are one vertex, which keeps the number
    and coordinates of its first occurrence;
 3. one join makes the composite conforming (:func:`_conformalize`): a
-   kd-tree ball query per edge finds the vertices lying inside it, and one
-   sort inserts them into every incident cell as flat-angle vertices;
-4. the boundary edges of the edge table are marked, and
-   :func:`steklovem.mesh.build_mesh` validates the result.
+   kd-tree ball query per once-edge (an edge of a single cell, the only
+   kind that can hold a hanging node) finds the vertices lying inside it,
+   and one sort inserts them into their cells as flat-angle vertices;
+4. the boundary edges of the edge table are marked, and the CSR validator
+   of :mod:`steklovem.mesh` checks the arrays as they are, with no
+   round trip through Python lists.
 
 Families
 --------
@@ -39,12 +41,14 @@ from .mesh import (
     GAMMA0,
     GAMMA1,
     PolygonalMesh,
-    build_mesh,
+    _validate_csr,
     cycle_edges,
-    cycle_lists,
     edge_table,
     element_geometry,
 )
+
+# the gamma0 side of the square families
+_TOP_Y = 1.0
 
 
 def _grid_corners(xs, ys):
@@ -115,8 +119,7 @@ def _finish(patches, gamma0_rule: str) -> PolygonalMesh:
     verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
     sizes = np.concatenate([np.full(len(p), p.shape[1]) for p in patches])
     ptr, flat = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
-    boundary = _mark_boundary(verts, ptr, flat, gamma0_rule)
-    return build_mesh(verts, cycle_lists(ptr, flat), boundary)
+    return _validate_csr(verts, ptr, flat, _mark_boundary(verts, ptr, flat, gamma0_rule))
 
 
 def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
@@ -124,54 +127,54 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     returns the new ``(cell_ptr, cell_vertices)``.
 
     Makes glued patches conforming: a hanging node becomes a flat-angle
-    vertex of every cell whose edge it sits on.  Vertex p lies on edge ab
-    when its parameter t along ab is in (1e-12, 1 - 1e-12) and its distance
-    from the line is below 1e-9 |ab|; every such p lies in the ball of radius
+    vertex of every cell whose edge it sits on.  Only an edge that occurs in
+    one cell (a once-edge of :func:`steklovem.mesh.edge_table`) can hold one:
+    the two cells sharing an edge cover both of its sides, so a third cell
+    with a vertex inside that edge would overlap one of them, and the patches
+    do not overlap.  A vertex missed that way would still fail validation as
+    non-conforming.  Vertex p lies on edge ab when its
+    parameter t along ab is in (1e-12, 1 - 1e-12) and its distance from the
+    line is below 1e-9 |ab|; every such p lies in the ball of radius
     |ab| (1 + 1e-9) / 2 + 1e-12 around the midpoint, so one kd-tree query per
-    edge gives all candidates.  One lexsort on (edge slot, t, vertex) puts
-    the hits after the start vertex of their edge.
+    once-edge gives all candidates.  One lexsort on (edge slot, t, vertex)
+    puts the hits after the start vertex of their edge.
     """
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
+    _, counts, row = edge_table(cell_ptr, cell_vertices)
+    once = np.flatnonzero(counts[row] == 1)
     a, ab = verts[ia], verts[ib] - verts[ia]
     radius = 0.5 * np.hypot(ab[:, 0], ab[:, 1]) * (1.0 + 1e-9) + 1e-12
-    tree = cKDTree(verts)
-    slot, vertex, param = [np.arange(len(ia))], [ia], [np.full(len(ia), -1.0)]
-    step = 8192     # edges per query: bounds the Python lists the query returns
-    for lo in range(0, len(ia), step):
-        found = tree.query_ball_point(a[lo:lo + step] + 0.5 * ab[lo:lo + step],
-                                      radius[lo:lo + step])
-        edge = lo + np.repeat(np.arange(len(found)), list(map(len, found)))
-        cand = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=len(edge))
-        ap, ab_e = verts[cand] - a[edge], ab[edge]
-        l2 = np.sum(ab_e * ab_e, axis=1)
-        t = np.sum(ap * ab_e, axis=1) / l2
-        off = np.abs(ap[:, 0] * ab_e[:, 1] - ap[:, 1] * ab_e[:, 0]) / l2
-        hit = ((cand != ia[edge]) & (cand != ib[edge])
-               & (t > 1e-12) & (t < 1.0 - 1e-12) & (off < 1e-9))
-        slot.append(edge[hit])
-        vertex.append(cand[hit])
-        param.append(t[hit])
-    slot, vertex = np.concatenate(slot), np.concatenate(vertex)
-    order = np.lexsort((vertex, np.concatenate(param), slot))
+    found = cKDTree(verts).query_ball_point(a[once] + 0.5 * ab[once], radius[once])
+    edge = np.repeat(once, list(map(len, found)))
+    cand = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=len(edge))
+    ap, ab_e = verts[cand] - a[edge], ab[edge]
+    l2 = np.sum(ab_e * ab_e, axis=1)
+    t = np.sum(ap * ab_e, axis=1) / l2
+    off = np.abs(ap[:, 0] * ab_e[:, 1] - ap[:, 1] * ab_e[:, 0]) / l2
+    hit = ((cand != ia[edge]) & (cand != ib[edge])
+           & (t > 1e-12) & (t < 1.0 - 1e-12) & (off < 1e-9))
+    slot = np.concatenate((np.arange(len(ia)), edge[hit]))
+    vertex = np.concatenate((ia, cand[hit]))
+    order = np.lexsort((vertex, np.concatenate((np.full(len(ia), -1.0), t[hit])), slot))
     n_cells = len(cell_ptr) - 1
     cell = np.repeat(np.arange(n_cells), np.diff(cell_ptr))[slot]
     sizes = np.bincount(cell, minlength=n_cells)
     return np.concatenate(([0], np.cumsum(sizes))), vertex[order]
 
 
-def _mark_boundary(verts, cell_ptr, cell_vertices, gamma0_rule: str,
-                   top_y: float = 1.0) -> list[tuple[int, int, str]]:
+def _mark_boundary(verts, cell_ptr, cell_vertices,
+                   gamma0_rule: str) -> list[tuple[int, int, str]]:
     """Assign markers to the boundary edges of the cell complex.
 
     ``gamma0_rule``: ``"all"`` marks everything gamma0; ``"top"`` marks
-    the edges with both endpoints on y = top_y and the rest gamma1.
+    the edges with both endpoints on y = 1 and the rest gamma1.
     """
-    edges, counts = edge_table(cell_ptr, cell_vertices)
+    edges, counts, _ = edge_table(cell_ptr, cell_vertices)
     once = edges[counts == 1]
     if gamma0_rule == "all":
         on_top = np.ones(len(once), dtype=bool)
     elif gamma0_rule == "top":
-        on_top = np.all(np.abs(verts[once, 1] - top_y) < 1e-12, axis=1)
+        on_top = np.all(np.abs(verts[once, 1] - _TOP_Y) < 1e-12, axis=1)
     else:
         raise ValueError(f"unknown gamma0 rule {gamma0_rule!r}")
     return [(i, j, GAMMA0 if top else GAMMA1)
@@ -306,8 +309,7 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
     ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
     ptr, flat = _conformalize(verts, ptr, flat)
-    boundary = _inherit_markers(mesh, verts, ptr, flat)
-    return build_mesh(verts, cycle_lists(ptr, flat), boundary)
+    return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, ptr, flat))
 
 
 def _split_cell(geom) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -358,7 +360,7 @@ def _inherit_markers(parent: PolygonalMesh, verts, cell_ptr,
     ends = np.array([(i, j) for i, j, _ in parent.boundary_edges])
     a = parent.vertices[ends[:, 0]]
     ab = parent.vertices[ends[:, 1]] - a
-    edges, counts = edge_table(cell_ptr, cell_vertices)
+    edges, counts, _ = edge_table(cell_ptr, cell_vertices)
     once = edges[counts == 1]
     ap = (0.5 * (verts[once[:, 0]] + verts[once[:, 1]]))[:, None] - a   # (E, F, 2)
     l2 = np.sum(ab * ab, axis=1)

@@ -167,6 +167,17 @@ def test_solve_k_too_large_exits_3(capsys):
     assert "50" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_solve_k_below_one_exits_2(capsys, tmp_path, k):
+    vtk = tmp_path / "modes.vtk"
+    code, out, err = run_cli(capsys, "solve", "--family", "t1", "--N", "4",
+                             "--k", k, "--vtk", str(vtk))
+    assert code == 2
+    assert "need at least one eigenvalue" in err
+    assert "lambda_" not in out
+    assert not vtk.exists()
+
+
 def test_solve_backward_error_above_bound_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(eig, "_BACKWARD_ERROR_BOUND", 0.0)
     code, _, err = run_cli(capsys, "solve", "--family", "t1", "--N", "4",

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklovem.errors import KTooLarge, NotSPD, TooLarge
+from steklovem.errors import InvalidN, KTooLarge, NotSPD, TooLarge
 from steklovem.eig import (
     dense_reference_solve,
     eigenfunction_field,
@@ -49,6 +49,13 @@ def test_single_cell_k_too_large():
     _, system = single_square_system()
     with pytest.raises(KTooLarge):
         solve_steklov(system, 5)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(k):
+    _, system = single_square_system()
+    with pytest.raises(InvalidN, match="need at least one eigenvalue"):
+        solve_steklov(system, k)
 
 
 @pytest.mark.parametrize("verts,bnd,k", [

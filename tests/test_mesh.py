@@ -135,6 +135,8 @@ REJECTIONS = {
                            MeshError, 0, "out of range"),
     "negative_index": (SQUARE_VERTS, [[0, 1, 2, -1]], SQUARE_BND,
                        MeshError, 0, "out of range"),
+    "index_beyond_int64": (SQUARE_VERTS, [[0, 1, 2, 3], [0, 1, 2, 10**30]], SQUARE_BND,
+                           MeshError, 1, "out of range"),
     "repeated_vertex": (SQUARE_VERTS, [[0, 1, 2, 1]], SQUARE_BND,
                         NonSimplePolygon, 0, "repeated vertex"),
     "vanishing_area": ([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]],
@@ -244,6 +246,28 @@ def test_rejection_table(case):
     assert fragment in str(info.value)
 
 
+def csr(cells):
+    """The integer cycles ``cells`` as ``(cell_ptr, cell_vertices)``."""
+    ptr = np.cumsum([0] + [len(cyc) for cyc in cells])
+    return ptr, np.array([v for cyc in cells for v in cyc], dtype=np.intp)
+
+
+def is_int_cycle(cyc):
+    return isinstance(cyc, list) and all(type(v) is int and abs(v) < 2**62 for v in cyc)
+
+
+@pytest.mark.parametrize("case", sorted(case for case, row in REJECTIONS.items()
+                                        if all(map(is_int_cycle, row[1]))))
+def test_rejection_table_csr_validator(case):
+    # the validator the generators call gives the same verdict as build_mesh
+    verts, cells, bnd, kind, cell, fragment = REJECTIONS[case]
+    with pytest.raises(MeshError) as info:
+        mesh_module._validate_csr(np.asarray(verts, dtype=float), *csr(cells), bnd)
+    assert type(info.value) is kind, info.value
+    assert cell_named(info.value) == cell, info.value
+    assert fragment in str(info.value)
+
+
 def test_rejection_table_strip_is_valid():
     mesh = build_mesh(np.asarray(STRIP_VERTS, dtype=float), STRIP_CELLS, STRIP_BND)
     assert mesh.total_area() == pytest.approx(3.0)
@@ -270,7 +294,7 @@ def test_edge_table_matches_per_cell_count(family, N):
     mesh = FAMILIES[family](N)
     count = collections.Counter(tuple(sorted((cyc[k - 1], cyc[k])))
                                 for cyc in mesh.cells for k in range(len(cyc)))
-    edges, counts = edge_table(mesh.cell_ptr, mesh.cell_vertices)
+    edges, counts, _ = edge_table(mesh.cell_ptr, mesh.cell_vertices)
     assert list(map(tuple, edges.tolist())) == sorted(count)
     assert counts.tolist() == [count[e] for e in sorted(count)]
     assert sorted(map(tuple, np.sort(edges[counts == 1], axis=1).tolist())) == sorted(
@@ -355,6 +379,34 @@ def test_verdict_invariant_under_renumbering_and_rotation(mesh, kind, c, k, seed
     data = mutate(*mesh, kind, c, k)
     expected = verdict(*data)
     assert verdict(*renumbered(*data, np.random.default_rng(seed))) == expected
+
+
+def outcome(validate, verts, cells, bnd):
+    """Verdict, named cell and message, or the stored cycles of an accepted mesh."""
+    try:
+        mesh = validate(verts, cells, bnd)
+    except MeshError as exc:
+        return type(exc).__name__, cell_named(exc), str(exc)
+    return "accepted", None, mesh.cells
+
+
+def csr_validate(verts, cells, bnd):
+    return mesh_module._validate_csr(np.asarray(verts, dtype=float), *csr(cells), bnd)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mesh=st.sampled_from([("t1", 2), ("t1", 3), ("t6", 2), ("t6", 4)]),
+       kind=st.sampled_from(MUTATIONS), c=st.integers(0, 10**6), k=st.integers(0, 10**6),
+       seed=st.integers(0, 2**32 - 1))
+def test_csr_validator_verdict_matches_list_path(mesh, kind, c, k, seed):
+    # every mutation keeps the cells integer cycles, so the CSR validator
+    # takes them all; it agrees with build_mesh and its verdict is invariant
+    data = mutate(*mesh, kind, c, k)
+    moved = renumbered(*data, np.random.default_rng(seed))
+    expected = outcome(csr_validate, *data)
+    assert expected == outcome(build_mesh, *data)
+    assert outcome(csr_validate, *moved) == outcome(build_mesh, *moved)
+    assert outcome(csr_validate, *moved)[:2] == expected[:2]
 
 
 # ---------------------------------------------------------------------------
