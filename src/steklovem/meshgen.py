@@ -132,9 +132,9 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     the two cells sharing an edge cover both of its sides, so a third cell
     with a vertex inside that edge would overlap one of them, and the patches
     do not overlap.  A vertex missed that way would still fail validation as
-    non-conforming.  Vertex p lies on edge ab when its
-    parameter t along ab is in (1e-12, 1 - 1e-12) and its distance from the
-    line is below 1e-9 |ab|; every such p lies in the ball of radius
+    non-conforming.  Vertex p lies on edge ab when its parameter t along ab
+    is in (1e-12, 1 - 1e-12) and its distance from the line is below
+    1e-9 |ab|; every such p lies in the ball of radius
     |ab| (1 + 1e-9) / 2 + 1e-12 around the midpoint, so one kd-tree query per
     once-edge gives all candidates.  One lexsort on (edge slot, t, vertex)
     puts the hits after the start vertex of their edge.

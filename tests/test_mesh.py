@@ -252,6 +252,11 @@ def csr(cells):
     return ptr, np.array([v for cyc in cells for v in cyc], dtype=np.intp)
 
 
+def csr_validate(verts, cells, bnd):
+    """The validator the generators call, on ``cells`` packed by :func:`csr`."""
+    return mesh_module._validate_csr(np.asarray(verts, dtype=float), *csr(cells), bnd)
+
+
 def is_int_cycle(cyc):
     return isinstance(cyc, list) and all(type(v) is int and abs(v) < 2**62 for v in cyc)
 
@@ -259,10 +264,9 @@ def is_int_cycle(cyc):
 @pytest.mark.parametrize("case", sorted(case for case, row in REJECTIONS.items()
                                         if all(map(is_int_cycle, row[1]))))
 def test_rejection_table_csr_validator(case):
-    # the validator the generators call gives the same verdict as build_mesh
     verts, cells, bnd, kind, cell, fragment = REJECTIONS[case]
     with pytest.raises(MeshError) as info:
-        mesh_module._validate_csr(np.asarray(verts, dtype=float), *csr(cells), bnd)
+        csr_validate(verts, cells, bnd)
     assert type(info.value) is kind, info.value
     assert cell_named(info.value) == cell, info.value
     assert fragment in str(info.value)
@@ -388,10 +392,6 @@ def outcome(validate, verts, cells, bnd):
     except MeshError as exc:
         return type(exc).__name__, cell_named(exc), str(exc)
     return "accepted", None, mesh.cells
-
-
-def csr_validate(verts, cells, bnd):
-    return mesh_module._validate_csr(np.asarray(verts, dtype=float), *csr(cells), bnd)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
