@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid input or mesh validation
 failure, 3 solver failure.
+
+Only the numpy layers are imported at the top: ``mesh`` and ``check-mesh``
+never load scipy, which ``solve`` and ``study`` import with the assembly and
+the eigensolver.
 """
 
 from __future__ import annotations
@@ -9,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import analysis, meshgen, vtkio
-from .eig import eigenfunction_field, solve_steklov
+from . import meshgen, vtkio
 from .errors import AnalysisError, MeshError, SolverError
 from .mesh import load_mesh_json, quality_report, save_mesh_json
-from .vem import StabilizationSpec, assemble_global, export_coo
 
 FAMILY_DOMAIN = {"t1": "square", "t2": "square", "t3": "rotated-t",
                  "t4": "rotated-t", "t5": "rotated-t", "t6": "lshape"}
@@ -67,6 +69,9 @@ def cmd_check_mesh(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .eig import eigenfunction_field, solve_steklov
+    from .vem import StabilizationSpec, assemble_global, export_coo
+
     mesh = _load_or_generate(args)
     spec = StabilizationSpec(alpha=args.alpha)
     try:
@@ -90,6 +95,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from . import analysis
+    from .vem import StabilizationSpec
+
     if len(args.Ns) == 1:
         print("warning: single level, no order fit", file=sys.stderr)
     spec = StabilizationSpec(alpha=args.alpha)

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EmptyGamma0,
@@ -287,7 +285,7 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
 
 
 def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
-                  faults=()) -> PolygonalMesh:
+                  faults=(), table=None) -> PolygonalMesh:
     """Validate a mesh given as a float ``(n, 2)`` vertex array and CSR cells.
 
     Each vertex-count group is checked with array masks: fewer than 3
@@ -296,8 +294,10 @@ def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
     rows that pass.  ``faults`` holds the caller's ``(mask, cell ->
     exception)`` pairs, which rank before these within a cell; one
     :func:`raise_first_fault` raises for all of them.  The edge table then
-    gives conformity, the boundary markers and connectivity.  The returned
-    mesh holds a counter-clockwise copy of the cycles.
+    gives conformity, the boundary markers and connectivity; ``table`` is
+    ``(edges, counts)`` of :func:`edge_table` when the caller has built it
+    already (reversing a cycle leaves the undirected edges as they are).  The
+    returned mesh holds a counter-clockwise copy of the cycles.
     """
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) == 0:
         raise MeshError("vertices must be a non-empty (n, 2) array")
@@ -336,7 +336,7 @@ def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
             "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
     ])
 
-    edges, counts, _ = edge_table(cell_ptr, flat)
+    edges, counts = table if table is not None else edge_table(cell_ptr, flat)[:2]
     marked = _check_conforming_and_boundary(verts, edges, counts, boundary_spec)
     if not any(m == GAMMA0 for _, _, m in marked):
         raise EmptyGamma0("no boundary edge is marked gamma0")
@@ -423,13 +423,38 @@ def _check_connected(nv: int, edges: np.ndarray, marked) -> None:
     orphans = np.flatnonzero(np.bincount(edges.ravel(), minlength=nv) == 0)
     if orphans.size:
         raise MeshError(f"vertex {orphans[0]} belongs to no cell")
-    graph = sps.coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(nv, nv))
-    _, labels = connected_components(graph, directed=False)
+    labels = _component_labels(nv, edges)
     wet = np.zeros(labels.max() + 1, dtype=bool)
     wet[labels[[i for i, _, m in marked if m == GAMMA0]]] = True
     dry = np.flatnonzero(~wet[labels])
     if dry.size:
         raise MeshError(f"vertex {dry[0]} lies in a part of the mesh with no gamma0 edge")
+
+
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` vertices joined by the
+    undirected ``(E, 2)`` edges; components are numbered in order of their
+    lowest vertex, as scipy's ``connected_components`` numbers them.
+
+    Hook and pointer jumping: every vertex points to a vertex no larger than
+    itself.  Each round hooks the larger of the two roots across every edge
+    that joins two trees onto the smaller one, then jumps every pointer to
+    its root.  Pointers only decrease, so a root is the lowest vertex of its
+    tree, and a round that finds no edge between trees leaves the components.
+    """
+    root = np.arange(n)
+    while True:
+        ends = root[edges]
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        if not len(ends):
+            break
+        np.minimum.at(root, ends.max(axis=1), ends.min(axis=1))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometry:
@@ -567,9 +592,9 @@ def mesh_from_dict(data: dict) -> PolygonalMesh:
 
 
 def save_mesh_json(mesh: PolygonalMesh, path) -> None:
+    text = json.dumps(mesh_to_dict(mesh))   # one-shot: the C encoder
     with open(path, "w") as fh:
-        json.dump(mesh_to_dict(mesh), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_mesh_json(path) -> PolygonalMesh:

@@ -9,12 +9,16 @@ Every generator runs the same array pipeline, with the cells in CSR form
    points within 1e-10 of each other are one vertex, which keeps the number
    and coordinates of its first occurrence;
 3. one join makes the composite conforming (:func:`_conformalize`): a
-   kd-tree ball query per once-edge (an edge of a single cell, the only
-   kind that can hold a hanging node) finds the vertices lying inside it,
-   and one sort inserts them into their cells as flat-angle vertices;
-4. the boundary edges of the edge table are marked, and the CSR validator
-   of :mod:`steklovem.mesh` checks the arrays as they are, with no
-   round trip through Python lists.
+   bucket join (:func:`_bucket_join`) pairs each once-edge (an edge of a
+   single cell, the only kind that can hold a hanging node) with the
+   once-edge endpoints near it, the ones lying inside it are kept, and one
+   sort inserts them into their cells as flat-angle vertices;
+4. the boundary edges of the final edge table are marked, and the CSR
+   validator of :mod:`steklovem.mesh` checks the arrays as they are, with
+   the same edge table and no round trip through Python lists.
+
+The point merge and the join both sort grid bucket keys, so generation
+needs only numpy.
 
 Families
 --------
@@ -29,18 +33,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import chain
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import InvalidN
 from .mesh import (
     GAMMA0,
     GAMMA1,
     PolygonalMesh,
+    _component_labels,
     _validate_csr,
     cycle_edges,
     edge_table,
@@ -49,6 +50,8 @@ from .mesh import (
 
 # the gamma0 side of the square families
 _TOP_Y = 1.0
+# points closer than this are one vertex
+_MERGE_TOL = 1e-10
 
 
 def _grid_corners(xs, ys):
@@ -97,17 +100,63 @@ def _perturbed_triangle_grid(x0, x1, y0, y1, nx, ny, split_fraction=None) -> np.
     return np.stack((start, u + t[..., None] * uv), axis=2).reshape(-1, 6, 2)
 
 
+def _bucket_join(points: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(box, point)`` index pairs of each box ``[lo, hi]`` (``(B, 2)``
+    corners) and every one of the ``(P, 2)`` points in a grid bucket the box
+    meets: a superset of the points inside each box.
+
+    The buckets are square and wider than every box, so a box meets at most
+    2 x 2 of them.  The points are sorted by bucket key once, and two binary
+    searches per box and bucket give the points of that bucket.
+    """
+    origin = np.minimum(points.min(axis=0), lo.min(axis=0))
+    span = float(np.max(np.maximum(points.max(axis=0), hi.max(axis=0)) - origin))
+    # at most 2^24 buckets a side keeps the keys small and the bucket
+    # coordinates exact to far better than the 1e-6 margin over the widest box
+    width = max(float(np.max(hi - lo)) * (1.0 + 1e-6), span * 2.0**-24)
+    cell, c0, c1 = (((xy - origin) // width).astype(np.int64) for xy in (points, lo, hi))
+    m = int(max(cell[:, 1].max(), c1[:, 1].max())) + 1
+    key = cell[:, 0] * m + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    boxes, found = [], []
+    for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        box = np.flatnonzero((c0[:, 0] + dx <= c1[:, 0]) & (c0[:, 1] + dy <= c1[:, 1]))
+        k = (c0[box, 0] + dx) * m + c0[box, 1] + dy
+        start = np.searchsorted(key, k, "left")
+        count = np.searchsorted(key, k, "right") - start
+        boxes.append(np.repeat(box, count))
+        # positions start[b], ..., start[b] + count[b] - 1 of each box b in turn
+        found.append(order[np.arange(count.sum())
+                           + np.repeat(start + count - np.cumsum(count), count)])
+    return np.concatenate(boxes), np.concatenate(found)
+
+
 def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices and the vertex id of each of the ``(P, 2)`` points.
 
     Points within 1e-10 of each other (transitively) are one vertex;
     vertices are numbered in order of first occurrence and sit at their
     first point.
+
+    One lexsort collapses exact duplicates.  Every distinct point p is then
+    joined (:func:`_bucket_join`) with the distinct points in the grid
+    buckets that the box of half-width 1e-10 around p meets; the buckets are
+    wider than 2e-10, and any point within 1e-10 of p lies in that box.  The
+    pairs that pass the distance test are labelled as components
+    (:func:`steklovem.mesh._component_labels`).
     """
-    pairs = cKDTree(pts).query_pairs(1e-10, output_type="ndarray")
-    graph = sps.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(pts),) * 2)
-    _, first, inverse = np.unique(connected_components(graph, directed=False)[1],
-                                  return_index=True, return_inverse=True)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    srt = pts[order]
+    new = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
+    uid = np.empty(len(pts), dtype=np.intp)
+    uid[order] = np.cumsum(new) - 1
+    uniq = srt[new]
+    i, j = _bucket_join(uniq, uniq - _MERGE_TOL, uniq + _MERGE_TOL)
+    d = uniq[i] - uniq[j]
+    close = (i < j) & (np.sum(d * d, axis=1) <= _MERGE_TOL ** 2)
+    labels = _component_labels(len(uniq), np.column_stack((i[close], j[close])))
+    _, first, inverse = np.unique(labels[uid], return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
     return pts[np.sort(first)], rank[inverse]
@@ -119,7 +168,9 @@ def _finish(patches, gamma0_rule: str) -> PolygonalMesh:
     verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
     sizes = np.concatenate([np.full(len(p), p.shape[1]) for p in patches])
     ptr, flat = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
-    return _validate_csr(verts, ptr, flat, _mark_boundary(verts, ptr, flat, gamma0_rule))
+    table = edge_table(ptr, flat)[:2]
+    return _validate_csr(verts, ptr, flat, _mark_boundary(verts, *table, gamma0_rule),
+                         table=table)
 
 
 def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
@@ -131,22 +182,27 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     one cell (a once-edge of :func:`steklovem.mesh.edge_table`) can hold one:
     the two cells sharing an edge cover both of its sides, so a third cell
     with a vertex inside that edge would overlap one of them, and the patches
-    do not overlap.  A vertex missed that way would still fail validation as
-    non-conforming.  Vertex p lies on edge ab when its parameter t along ab
-    is in (1e-12, 1 - 1e-12) and its distance from the line is below
-    1e-9 |ab|; every such p lies in the ball of radius
-    |ab| (1 + 1e-9) / 2 + 1e-12 around the midpoint, so one kd-tree query per
-    once-edge gives all candidates.  One lexsort on (edge slot, t, vertex)
-    puts the hits after the start vertex of their edge.
+    do not overlap.  For the same reason only once-edge endpoints can be
+    hanging: a vertex p inside the once-edge ab of cell K is a corner of the
+    cells across ab, and their edges along ab from p lie against K, so no
+    second cell shares them.  A vertex missed that way would still fail
+    validation as non-conforming.  Vertex p lies on edge ab when its
+    parameter t along ab is in (1e-12, 1 - 1e-12) and its distance from the
+    line is below 1e-9 |ab|; every such p lies in the bounding box of ab
+    padded by 1e-9 |ab| + 1e-12, so one :func:`_bucket_join` of those boxes
+    with the once-edge endpoints gives all candidates.  One lexsort on
+    (edge slot, t, vertex) puts the hits after the start vertex of their
+    edge.
     """
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
     _, counts, row = edge_table(cell_ptr, cell_vertices)
     once = np.flatnonzero(counts[row] == 1)
     a, ab = verts[ia], verts[ib] - verts[ia]
-    radius = 0.5 * np.hypot(ab[:, 0], ab[:, 1]) * (1.0 + 1e-9) + 1e-12
-    found = cKDTree(verts).query_ball_point(a[once] + 0.5 * ab[once], radius[once])
-    edge = np.repeat(once, list(map(len, found)))
-    cand = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=len(edge))
+    ends = np.unique(np.concatenate((ia[once], ib[once])))
+    pad = (1e-9 * np.hypot(ab[once, 0], ab[once, 1]) + 1e-12)[:, None]
+    box, found = _bucket_join(verts[ends], np.minimum(a[once], verts[ib[once]]) - pad,
+                              np.maximum(a[once], verts[ib[once]]) + pad)
+    edge, cand = once[box], ends[found]
     ap, ab_e = verts[cand] - a[edge], ab[edge]
     l2 = np.sum(ab_e * ab_e, axis=1)
     t = np.sum(ap * ab_e, axis=1) / l2
@@ -162,14 +218,13 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     return np.concatenate(([0], np.cumsum(sizes))), vertex[order]
 
 
-def _mark_boundary(verts, cell_ptr, cell_vertices,
-                   gamma0_rule: str) -> list[tuple[int, int, str]]:
-    """Assign markers to the boundary edges of the cell complex.
+def _mark_boundary(verts, edges, counts, gamma0_rule: str) -> list[tuple[int, int, str]]:
+    """Assign markers to the boundary edges of the cell complex, given its
+    edge table ``(edges, counts)``.
 
     ``gamma0_rule``: ``"all"`` marks everything gamma0; ``"top"`` marks
     the edges with both endpoints on y = 1 and the rest gamma1.
     """
-    edges, counts, _ = edge_table(cell_ptr, cell_vertices)
     once = edges[counts == 1]
     if gamma0_rule == "all":
         on_top = np.ones(len(once), dtype=bool)
@@ -309,7 +364,9 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
     ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
     ptr, flat = _conformalize(verts, ptr, flat)
-    return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, ptr, flat))
+    table = edge_table(ptr, flat)[:2]
+    return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, *table),
+                         table=table)
 
 
 def _split_cell(geom) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -352,15 +409,14 @@ def _split_cell(geom) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.vstack([bary] + mids), cells
 
 
-def _inherit_markers(parent: PolygonalMesh, verts, cell_ptr,
-                     cell_vertices) -> list[tuple[int, int, str]]:
-    """Mark the boundary of a refined mesh from the parent's markers: each
-    boundary edge takes the marker of the first parent boundary edge that
-    holds its midpoint."""
+def _inherit_markers(parent: PolygonalMesh, verts, edges,
+                     counts) -> list[tuple[int, int, str]]:
+    """Mark the boundary of a refined mesh, given its edge table ``(edges,
+    counts)``, from the parent's markers: each boundary edge takes the marker
+    of the first parent boundary edge that holds its midpoint."""
     ends = np.array([(i, j) for i, j, _ in parent.boundary_edges])
     a = parent.vertices[ends[:, 0]]
     ab = parent.vertices[ends[:, 1]] - a
-    edges, counts, _ = edge_table(cell_ptr, cell_vertices)
     once = edges[counts == 1]
     ap = (0.5 * (verts[once[:, 0]] + verts[once[:, 1]]))[:, None] - a   # (E, F, 2)
     l2 = np.sum(ab * ab, axis=1)

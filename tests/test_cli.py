@@ -1,5 +1,6 @@
 """Command-line interface: plumbing, round trips, exit codes."""
 
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 import steklovem
 from steklovem import eig
 from steklovem.cli import main
-from steklovem.mesh import load_mesh_json
+from steklovem.mesh import load_mesh_json, save_mesh_json
+from steklovem.meshgen import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -260,14 +262,97 @@ def test_study_bad_levels_exit_2(capsys):
 # import cost
 
 
-def test_package_never_imports_scipy_optimize():
-    # every CLI process pays for what the package imports
+def run_probe(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     package = Path(steklovem.__file__).parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(package.parent), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_never_imports_scipy_optimize():
+    # every CLI process pays for what the package imports
     probe = "import sys, steklovem, steklovem.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert run_probe(probe).strip() == "False"
+    package = Path(steklovem.__file__).parent
     for path in package.rglob("*.py"):
-        assert not re.search(r"\b(linprog|least_squares)\b", path.read_text()), path
+        text = path.read_text()
+        assert not re.search(r"\b(linprog|least_squares)\b", text), path
+        assert not re.search(r"^\s*(from|import) scipy\.(spatial|sparse\.csgraph)\b",
+                             text, re.MULTILINE), path
+
+
+def test_package_import_loads_no_scipy():
+    assert run_probe(f"import sys, steklovem; print({SCIPY_MODULES})").strip() == "[]"
+
+
+@pytest.fixture
+def lshape_json(tmp_path):
+    path = tmp_path / "lshape.json"
+    save_mesh_json(FAMILIES["t6"](4), path)
+    return path
+
+
+def run_cli_probe(argv):
+    """Exit code and the scipy modules loaded by one CLI run in a fresh process."""
+    out = run_probe("import json, sys; from steklovem.cli import main; "
+                    f"code = main({[str(a) for a in argv]!r}); "
+                    f"print(json.dumps([code, {SCIPY_MODULES}]))")
+    code, loaded = json.loads(out.splitlines()[-1])
+    return code, loaded
+
+
+@pytest.mark.parametrize("command", ["mesh", "check-mesh"])
+def test_mesh_commands_load_no_scipy(tmp_path, lshape_json, command):
+    argv = {"mesh": ["mesh", "--family", "t6", "--N", "4", "--refine-level", "1",
+                     "-o", tmp_path / "out.json"],
+            "check-mesh": ["check-mesh", lshape_json]}[command]
+    assert run_cli_probe(argv) == (0, [])
+
+
+def test_solve_loads_no_kd_tree_or_graph_module(tmp_path, lshape_json):
+    code, loaded = run_cli_probe(["solve", "--mesh-file", lshape_json, "--k", "2",
+                                  "--vtk", tmp_path / "modes.vtk"])
+    assert code == 0
+    assert "scipy.sparse.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse.csgraph"))]
+
+
+# the package namespace as it was when every module was imported eagerly
+EXPORTS = {
+    "analysis": ["ConvergenceStudy", "exact_square_eigenvalue", "extrapolate", "fit_order",
+                 "run_study"],
+    "eig": ["EigenResult", "dense_reference_solve", "eigenfunction_field", "solve_steklov"],
+    "mesh": ["GAMMA0", "GAMMA1", "ElementGeometry", "MeshQualityReport", "PolygonalMesh",
+             "build_mesh", "element_geometry", "load_mesh_json", "quality_report",
+             "save_mesh_json", "star_shaped_ratio"],
+    "meshgen": ["FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
+                "gen_square_perturbed_triangles", "refine_lshape_corner"],
+    "vem": ["GlobalSystem", "LocalOperators", "StabilizationSpec", "assemble_global",
+            "boundary_mass_edge", "local_operators", "local_projector", "local_stiffness",
+            "stability_matrix", "triple_norm"],
+}
+
+
+def test_lazy_namespace_resolves_every_export():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert sorted(steklovem.__all__) == sorted(names)
+    assert set(names) <= set(dir(steklovem))
+    for module, exported in EXPORTS.items():
+        source = importlib.import_module(f"steklovem.{module}")
+        for name in exported:
+            assert getattr(steklovem, name) is getattr(source, name)
+            scope = {}
+            exec(f"from steklovem import {name}", scope)
+            assert scope[name] is getattr(source, name)
+    assert steklovem.__version__ == "0.1.0"
+    from steklovem import analysis
+    assert analysis is importlib.import_module("steklovem.analysis")
+    with pytest.raises(AttributeError):
+        getattr(steklovem, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from steklovem import no_such_name", {})

@@ -2,13 +2,17 @@
 
 import collections
 import functools
+import io
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from steklovem import mesh as mesh_module
 from steklovem.errors import (
@@ -291,6 +295,43 @@ def test_corner_touching_parts_are_one_piece():
     bnd = SQUARE_BND + [(2, 4, GAMMA1), (4, 5, GAMMA1), (5, 6, GAMMA1), (6, 2, GAMMA1)]
     mesh = build_mesh(verts, [[0, 1, 2, 3], [2, 4, 5, 6]], bnd)
     assert mesh.n_cells == 2
+
+
+def scipy_labels(n, edges):
+    graph = sps.coo_matrix((np.ones(len(edges)), tuple(np.reshape(edges, (-1, 2)).T)),
+                           shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), density=st.floats(0.0, 2.0))
+def test_component_labels_match_scipy_on_random_graphs(seed, n, density):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, (int(density * n), 2))   # loops and repeats included
+    np.testing.assert_array_equal(mesh_module._component_labels(n, edges),
+                                  scipy_labels(n, edges))
+
+
+@pytest.mark.parametrize("numbering", ["identity", "reversed", "random", "interleaved"])
+@pytest.mark.parametrize("shape", ["path", "strip"])
+def test_component_labels_match_scipy_on_long_graphs(shape, numbering):
+    # 100k vertices: a path, or a 2 x 50k ladder with rungs on its first
+    # quarter only and its top row cut where the rungs end, so in two parts
+    n = 100_000
+    if shape == "path":
+        edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+    else:
+        grid = np.arange(n).reshape(2, -1)
+        edges = np.vstack([np.column_stack((grid[:, :-1].ravel(), grid[:, 1:].ravel())),
+                           grid.T[: n // 4]])
+        edges = edges[edges.max(axis=1) != grid[0, n // 4]]
+    relabel = {"identity": np.arange(n), "reversed": np.arange(n)[::-1],
+               "random": np.random.default_rng(7).permutation(n),
+               "interleaved": np.argsort(np.r_[0:n:2, 1:n:2])}[numbering]
+    edges = relabel[edges]
+    labels = mesh_module._component_labels(n, edges)
+    assert labels.max() == (shape == "strip")
+    np.testing.assert_array_equal(labels, scipy_labels(n, edges))
 
 
 @pytest.mark.parametrize("family, N", [("t1", 5), ("t2", 4), ("t5", 4)])
@@ -641,6 +682,9 @@ def test_json_round_trip(tmp_path):
     mesh = FAMILIES["t1"](4)
     path = tmp_path / "mesh.json"
     save_mesh_json(mesh, path)
+    streamed = io.StringIO()   # the streaming encoder writes the same bytes
+    json.dump(mesh_module.mesh_to_dict(mesh), streamed)
+    assert path.read_text() == streamed.getvalue() + "\n"
     back = load_mesh_json(path)
     np.testing.assert_allclose(back.vertices, mesh.vertices)
     assert back.cells == mesh.cells

@@ -6,6 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from steklovem.errors import InvalidN
 from steklovem.mesh import GAMMA0, element_geometry, mesh_to_dict, quality_report
@@ -198,6 +203,68 @@ def test_points_straddling_a_rounding_boundary_merge():
     verts, ids = _merge_points(pts)
     assert ids.tolist() == [0, 0, 1, 0]
     np.testing.assert_array_equal(verts, pts[[0, 2]])
+
+
+def kd_tree_merge(pts):
+    """Reference merge: kd-tree pairs within 1e-10 and scipy's components,
+    numbered by first occurrence."""
+    pairs = cKDTree(pts).query_pairs(1e-10, output_type="ndarray")
+    graph = sps.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(pts),) * 2)
+    _, first, inverse = np.unique(connected_components(graph, directed=False)[1],
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return pts[np.sort(first)], rank[inverse]
+
+
+@pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+def test_points_straddling_a_bucket_boundary_merge(axes):
+    # the merge grid for this point set: origin 1e-10 below the lowest point,
+    # buckets (span + 2e-10) 2^-24 wide; the pair sits 1e-15 apart across the
+    # edge of bucket 1000 along the given axes
+    origin, width = -1e-10, (1.0 + 2e-10) * 2.0**-24
+    edge = origin + 1000 * width
+    near = [x for x in edge + 1e-16 * np.arange(-20, 20)
+            if (x - origin) // width < (x + 1e-15 - origin) // width]
+    assert near, "no straddling pair found: the grid above is out of date"
+    a = np.full(2, 0.3)
+    a[list(axes)] = near[0]
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], a, a + 1e-15])
+    verts, ids = _merge_points(pts)
+    assert ids.tolist() == [0, 1, 2, 2]
+    np.testing.assert_array_equal(verts, pts[:3])
+
+
+def test_merge_is_transitive():
+    # a-b and b-c are within 1e-10, a-c is not: still one vertex, at a
+    a = np.array([0.3, 0.7])
+    pts = np.array([[1.0, 0.0], a + [1.2e-10, 0.0], a, a + [0.6e-10, 0.0]])
+    verts, ids = _merge_points(pts)
+    assert ids.tolist() == [0, 1, 1, 1]
+    np.testing.assert_array_equal(verts, pts[:2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       planted=st.integers(0, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_merge_matches_kd_tree(seed, n, planted, scale):
+    # a cloud, near-duplicates of it within 1e-10 (exact, jittered, chained)
+    # and a shuffle; same vertices and ids as the kd-tree, first occurrence kept
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-scale, scale, (n, 2))
+    for _ in range(planted):
+        src = pts[rng.integers(len(pts))]
+        step = rng.choice([0.0, 1e-12, 0.7e-10, 0.99e-10])
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        pts = np.vstack((pts, src + step * np.array([np.cos(angle), np.sin(angle)])))
+    pts = pts[rng.permutation(len(pts))]
+    verts, ids = _merge_points(pts)
+    ref_verts, ref_ids = kd_tree_merge(pts)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(verts, ref_verts)
+    first = np.unique(ids, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+    np.testing.assert_array_equal(verts, pts[first])
 
 
 # ---------------------------------------------------------------------------
