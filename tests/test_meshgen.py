@@ -310,10 +310,18 @@ PINNED = {
            16: "04c955d464a8eb03518533ba0aeb06ac97b48945699a9be1f76b12be0e724a1d"},
     "t6": {8: "215ee2fcf9c2bdc5af0d67f6b6af6a9d4bea7434e9f8c7d5fc74a1b746510492"},
 }
-PINNED_T6_16_REFINED = [
-    "322cb4dde808bf0ba074861d4c4267361bebeaff93f05ca646f99c3ede364b45",
-    "c08b2b64e8c5aa410d110cc36d54d081d9bbd29f27e9a3c0de2517631c0b3bf6",
-]
+# refinement sweeps 1, 2, ... of (family, N): the cli-lshape mesh is t6 N=32
+# at levels 1-2; t1 cells carry flat-angle vertices on the glued interface
+PINNED_REFINED = {
+    ("t6", 16): ["322cb4dde808bf0ba074861d4c4267361bebeaff93f05ca646f99c3ede364b45",
+                 "c08b2b64e8c5aa410d110cc36d54d081d9bbd29f27e9a3c0de2517631c0b3bf6",
+                 "4026af583fdf3431978701adf667b54332c477958b1c7a1afb51a43086e20ecb",
+                 "5bdc196d31017ca54dc0643a44d75e7da326448b706e4e6c45ecdd507633dec9"],
+    ("t6", 32): ["cf0750ff8a5a4197360d38f539aed7e354fab3905edf8e6c75faf4f268f9445a",
+                 "7227b5e9e19828716d155b67964944e2f6d4d0ab6e05d9bd01f217c6773f1e71"],
+    ("t1", 8): ["ce592cb65ba04a536c8e08d0d4e6a2c89d8f33507dcc21e065433717985fc403",
+                "114962a38fc6a67cfdf269bd701f5c28879cfd7ad735018f800e00431d3a9f25"],
+}
 
 
 def json_sha256(mesh):
@@ -327,7 +335,8 @@ def test_generator_output_pinned(family):
 
 
 def test_corner_refinement_output_pinned():
-    mesh = gen_lshape_uniform(16)
-    for level, want in enumerate(PINNED_T6_16_REFINED, start=1):
-        mesh = refine_lshape_corner(mesh, level, 16)
-        assert json_sha256(mesh) == want
+    for (family, N), pins in PINNED_REFINED.items():
+        mesh = FAMILIES[family](N)
+        for level, want in enumerate(pins, start=1):
+            mesh = refine_lshape_corner(mesh, level, N)
+            assert json_sha256(mesh) == want, (family, N, level)
