@@ -40,13 +40,6 @@ def fit_order(hs, errors) -> float:
     return float(slope)
 
 
-def pairwise_orders(hs, errors) -> np.ndarray:
-    """log(e_i/e_{i+1}) / log(h_i/h_{i+1}) between consecutive levels."""
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    return np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:])
-
-
 def extrapolate(hs, values) -> tuple[float, float, float]:
     """Fit values ~ limit + C h^alpha and return (limit, C, alpha).
 
@@ -128,13 +121,12 @@ class ConvergenceStudy:
 
 
 def run_study(family: str, Ns, k: int,
-              spec: StabilizationSpec = StabilizationSpec(),
-              reference: str = "auto") -> ConvergenceStudy:
+              spec: StabilizationSpec = StabilizationSpec()) -> ConvergenceStudy:
     """Generate, assemble and solve each level, then fit rates.
 
-    ``reference``: "exact" uses the analytic square sloshing spectrum,
-    "extrapolate" fits the study's own levels, "auto" picks exact for the
-    square families (t1, t2) and extrapolation otherwise.
+    The errors are taken against the analytic square sloshing spectrum for
+    the square families (t1, t2), and against each eigenvalue extrapolated
+    from the study's own levels otherwise.
     """
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -143,8 +135,6 @@ def run_study(family: str, Ns, k: int,
         raise InvalidN("need at least one eigenvalue")
     if family not in FAMILIES:
         raise InvalidN(f"unknown mesh family {family!r}")
-    if reference == "auto":
-        reference = "exact" if family in ("t1", "t2") else "extrapolate"
 
     hs, dofs, eigs = [], [], []
     for N in Ns:
@@ -159,7 +149,7 @@ def run_study(family: str, Ns, k: int,
     study = ConvergenceStudy(family=family, alpha=spec.alpha, Ns=Ns, hs=hs,
                              n_dofs=dofs, eigenvalues=eigenvalues)
     extrapolated = None
-    if reference == "exact":
+    if family in ("t1", "t2"):
         refs = np.array([exact_square_eigenvalue(i + 1) for i in range(k)])
     else:
         extrapolated = []

@@ -23,13 +23,10 @@ FAMILY_DOMAIN = {"t1": "square", "t2": "square", "t3": "rotated-t",
 
 def _generate(args):
     family = args.family
-    if family not in meshgen.FAMILIES:
-        raise MeshError(f"unknown family {family!r}; choose from "
-                        f"{sorted(meshgen.FAMILIES)}")
     if args.domain and FAMILY_DOMAIN[family] != args.domain:
         raise MeshError(f"family {family} belongs to domain "
                         f"{FAMILY_DOMAIN[family]}, not {args.domain}")
-    levels = getattr(args, "refine_level", 0)
+    levels = args.refine_level or 0
     if levels < 0 or (levels > 0 and family != "t6"):
         raise MeshError(f"--refine-level {levels}: corner refinement takes a level "
                         ">= 0 and applies to family t6 only")
@@ -131,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", required=False,
                        choices=sorted(meshgen.FAMILIES), default=None)
         p.add_argument("--N", type=int, default=8)
-        p.add_argument("--refine-level", type=int, default=0,
+        p.add_argument("--refine-level", type=int,
                        help="corner refinement sweeps (t6 only)")
 
     p_mesh = sub.add_parser("mesh", help="generate a mesh and write JSON")
@@ -167,8 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "family", None) is None and args.command in ("mesh", "solve") \
-            and not getattr(args, "mesh_file", None):
+    if args.command == "solve" and args.mesh_file:
+        given = [flag for flag, value in (("--family", args.family), ("--domain", args.domain),
+                                          ("--refine-level", args.refine_level))
+                 if value is not None]
+        if given:
+            parser.error(f"--mesh-file cannot be combined with {', '.join(given)}")
+    elif args.command in ("mesh", "solve") and args.family is None:
         parser.error(f"{args.command} requires --family")
     try:
         return args.func(args)

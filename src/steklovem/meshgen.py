@@ -18,7 +18,10 @@ Every generator runs the same array pipeline, with the cells in CSR form
    the same edge table and no round trip through Python lists.
 
 The point merge and the join both sort grid bucket keys, so generation
-needs only numpy.
+needs only numpy.  Corner refinement (:func:`refine_lshape_corner`) runs
+the same steps on the parent's vertices plus the pieces of all patch
+cells, which it builds in one array pass; the join puts the patch cells'
+flat-angle vertices back into the pieces.
 
 Families
 --------
@@ -45,7 +48,6 @@ from .mesh import (
     _validate_csr,
     cycle_edges,
     edge_table,
-    element_geometry,
 )
 
 # the gamma0 side of the square families
@@ -335,78 +337,69 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     non-flat corners).  A square cell yields four sub-squares; neighbours
     outside the patch keep their shape and gain the new midpoints as
     flat-angle vertices.  Markers are inherited from the parent mesh.
+
+    All patch cells are split in one array pass: piece r of a cell with
+    corners c_0, ..., c_{m-1} is the quad (mid_{r-1}, c_r, mid_r, barycenter)
+    with mid_r = (c_r + c_{r+1}) / 2, and the new points are numbered cell
+    by cell, barycenter first.  A flat-angle vertex of a patch cell is left
+    out of its pieces; :func:`_conformalize` puts it back as a hanging node,
+    which requires it to be a vertex of another cell of the refined mesh (a
+    cell outside the patch, or a corner of a patch cell).  Every mesh of
+    :func:`gen_lshape_uniform` and of this function meets that; a flat
+    vertex on the domain boundary does not, and the refined mesh then fails
+    validation with :class:`~steklovem.errors.MeshError` (vertex of no cell).
     """
     if level < 1:
         raise InvalidN("refinement level must be >= 1")
     w = _refinement_halfwidth(level, N)
-    bary = np.empty((mesh.n_cells, 2))
+    bary, h = np.empty((mesh.n_cells, 2)), np.empty(mesh.n_cells)
     for cells, geom in mesh.grouped_geometry():
-        bary[cells] = geom.centroid
+        bary[cells], h[cells] = geom.centroid, geom.diameter
     inside = np.all(np.abs(bary - 0.5) <= w + 1e-12, axis=1)
 
-    seeds, pieces, parent = [], [], []
-    for c in np.flatnonzero(inside).tolist():
-        new_points, cycles = _split_cell(element_geometry(mesh, c))
-        seeds.append(new_points)
-        pieces += cycles
-        parent += [c] * len(cycles)
-    # parent vertices, then the new points in numbering order, then the
-    # corners of the pieces, each of which meets a point already numbered
-    n_head = len(mesh.vertices) + sum(map(len, seeds))
-    verts, ids = _merge_points(np.concatenate([mesh.vertices, *seeds, *pieces]))
+    # corners = patch cell vertices where the boundary actually turns
+    old_sizes = np.diff(mesh.cell_ptr)
+    slot_cell = np.repeat(np.arange(mesh.n_cells), old_sizes)
+    succ = cycle_edges(mesh.cell_ptr, np.arange(len(slot_cell)))[:, 1]
+    xy = mesh.vertices[mesh.cell_vertices]
+    v = xy[succ] - xy
+    u = np.empty_like(v)
+    u[succ] = v
+    turn = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    corner = np.flatnonzero(inside[slot_cell] & (turn > 1e-12 * h[slot_cell] ** 2))
+    cell = slot_cell[corner]
+    n_corners = np.bincount(cell, minlength=mesh.n_cells)[inside]
+    for m in n_corners[n_corners != 4].tolist():
+        warnings.warn(
+            f"refined cell has {m} corners, not a quad patch; "
+            "fanning barycenter to all primary-edge midpoints")
+
+    # piece r of each patch cell: (mid_{r-1}, c_r, mid_r, barycenter)
+    c = xy[corner]
+    nxt = cycle_edges(np.concatenate(([0], np.cumsum(n_corners))), np.arange(len(c)))[:, 1]
+    mid = 0.5 * (c + c[nxt])
+    mid_in = np.empty_like(mid)
+    mid_in[nxt] = mid
+    pieces = np.stack((mid_in, c, mid, bary[cell]), axis=1)
+    # parent vertices, then per patch cell its barycenter and midpoints, then
+    # the corners of the pieces, each of which meets a point already numbered
+    patch = np.flatnonzero(inside)
+    seeds = np.concatenate((bary[patch], mid))[
+        np.argsort(np.concatenate((patch, cell)), kind="stable")]
+    n_head = len(mesh.vertices) + len(seeds)
+    verts, ids = _merge_points(np.concatenate((mesh.vertices, seeds, pieces.reshape(-1, 2))))
 
     # the kept cycles and the pieces, put back in parent cell order
-    kept, old_sizes = ~inside, np.diff(mesh.cell_ptr)
-    parent = np.concatenate((np.flatnonzero(kept), np.array(parent, dtype=int)))
-    sizes = np.concatenate((old_sizes[kept], [len(p) for p in pieces])).astype(int)
-    kept_vertices = mesh.cell_vertices[np.repeat(kept, old_sizes)]
-    flat = np.concatenate((ids[kept_vertices], ids[n_head:]))
+    kept = ~inside
+    parent = np.concatenate((np.flatnonzero(kept), cell))
+    sizes = np.concatenate((old_sizes[kept], np.full(len(cell), 4)))
+    flat = np.concatenate((ids[mesh.cell_vertices[kept[slot_cell]]], ids[n_head:]))
     flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
     ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
     ptr, flat = _conformalize(verts, ptr, flat)
     table = edge_table(ptr, flat)[:2]
     return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, *table),
                          table=table)
-
-
-def _split_cell(geom) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Fan a cell into quadrilaterals: barycenter to primary-edge midpoints.
-
-    Returns the new points (barycenter, then the midpoints) and the
-    sub-cells as coordinate cycles.  A midpoint within 1e-10 of a vertex of
-    its chain is that vertex, as the point merge would make it.
-    """
-    coords = geom.coords
-    n = len(coords)
-    # corners = vertices where the boundary actually turns
-    u = coords - np.roll(coords, 1, axis=0)
-    v = np.roll(coords, -1, axis=0) - coords
-    corners = np.flatnonzero(np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-                             > 1e-12 * geom.diameter ** 2).tolist()
-    if len(corners) != 4:
-        warnings.warn(
-            f"refined cell has {len(corners)} corners, not a quad patch; "
-            "fanning barycenter to all primary-edge midpoints")
-
-    # chain of coordinates from corner r to corner r+1, midpoint inserted
-    chains, mids = [], []
-    for k0, k1 in zip(corners, corners[1:] + corners[:1]):
-        chain = coords[(k0 + np.arange((k1 - k0) % n + 1)) % n]
-        mid = 0.5 * (coords[k0] + coords[k1])
-        near = np.linalg.norm(chain - mid, axis=1) <= 1e-10
-        if near.any():
-            slot = int(np.argmax(near))
-        else:
-            beyond = (np.linalg.norm(chain - coords[k0], axis=1)
-                      > np.linalg.norm(mid - coords[k0]))
-            slot = int(np.argmax(beyond))
-            chain = np.insert(chain, slot, mid, axis=0)
-        chains.append((chain, slot))
-        mids.append(mid)
-    bary = geom.centroid
-    cells = [np.concatenate((prev[prev_slot:-1], chain[:slot + 1], [bary]))
-             for (prev, prev_slot), (chain, slot) in zip(chains[-1:] + chains[:-1], chains)]
-    return np.vstack([bary] + mids), cells
 
 
 def _inherit_markers(parent: PolygonalMesh, verts, edges,

@@ -11,7 +11,6 @@ from steklovem.analysis import (
     exact_square_eigenvalue,
     extrapolate,
     fit_order,
-    pairwise_orders,
     run_study,
     study_to_csv,
     study_to_markdown,
@@ -78,12 +77,6 @@ def test_fit_order_error_paths():
         fit_order([0.1], [1e-3])
     with pytest.raises(NonPositiveError):
         fit_order([0.1, 0.05], [1e-3, 0.0])
-
-
-def test_pairwise_orders():
-    hs = np.array([0.2, 0.1, 0.05])
-    np.testing.assert_allclose(pairwise_orders(hs, 4.0 * hs ** 1.5),
-                               [1.5, 1.5], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 import steklovem
 from steklovem import eig
 from steklovem.cli import main
 from steklovem.mesh import load_mesh_json, save_mesh_json
 from steklovem.meshgen import FAMILIES
+from steklovem.vem import StabilizationSpec, assemble_global
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +142,22 @@ def test_refine_level_on_t6_still_refines(capsys):
     assert out != plain
 
 
+def test_solve_mesh_file_rejects_generator_flags(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    save_mesh_json(FAMILIES["t6"](4), path)
+    for flags in (["--family", "t6"], ["--domain", "lshape"],
+                  ["--refine-level", "-4"], ["--refine-level", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--mesh-file", str(path), *flags, "--k", "1"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"--mesh-file cannot be combined with {flags[0]}" in err
+    # --N keeps its default and is not checked
+    code, out, _ = run_cli(capsys, "solve", "--mesh-file", str(path), "--N", "16", "--k", "1")
+    assert code == 0
+    assert "lambda_1" in out
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -217,8 +235,13 @@ def test_solve_exports_matrices(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "solve", "--family", "t1", "--N", "4",
                          "--k", "1", "--export-matrices", str(prefix))
     assert code == 0
-    rows = np.loadtxt(str(prefix) + ".A.txt")
-    assert rows.shape[1] == 3
+    system = assemble_global(FAMILIES["t1"](4), StabilizationSpec())
+    for name in ("A", "B"):
+        rows, cols, values = np.loadtxt(f"{prefix}.{name}.txt", ndmin=2).T
+        dump = sps.coo_matrix((values, (rows.astype(int), cols.astype(int))),
+                              shape=(system.n_dofs, system.n_dofs))
+        # %.17g round-trips every double, so the dump is the matrix exactly
+        assert np.array_equal(dump.toarray(), getattr(system, name).toarray()), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from steklovem.errors import InvalidN, KTooLarge, NotSPD, TooLarge
+from steklovem.errors import InvalidN, KTooLarge, NotSPD, RankDeficientGamma0Mass, TooLarge
 from steklovem.eig import (
     dense_reference_solve,
     eigenfunction_field,
@@ -132,6 +133,17 @@ def test_indefinite_ahat_rejected():
     indefinite = dataclasses.replace(system, Ahat=system.A - system.B)
     with pytest.raises(NotSPD):
         solve_steklov(indefinite, 3)
+
+
+def test_singular_gamma0_mass_rejected():
+    # zeroing the row and column of one gamma0 dof leaves B rank m - 1
+    system = system_for("t2", 4)
+    keep = sps.diags((np.arange(system.n_dofs) != system.gamma0_dofs[0]).astype(float))
+    singular = dataclasses.replace(system, B=(keep @ system.B @ keep).tocsr())
+    with pytest.raises(RankDeficientGamma0Mass):
+        solve_steklov(singular, 3)
+    with pytest.raises(RankDeficientGamma0Mass):
+        dense_reference_solve(singular)
 
 
 def test_residuals_are_scale_invariant_backward_errors():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from steklovem.errors import InvalidN
+from steklovem.errors import InvalidN, MeshError
 from steklovem.mesh import GAMMA0, element_geometry, mesh_to_dict, quality_report
 from steklovem.meshgen import (
     FAMILIES,
@@ -189,6 +189,14 @@ def test_corner_refinement_localized():
         if np.max(np.abs(bary - 0.5)) > half + 0.1:
             # far away from the corner region the original cell sizes survive
             assert g.area == pytest.approx((1.0 / 32.0) ** 2, rel=1e-9)
+
+
+def test_corner_refinement_rejects_flat_vertices_no_other_cell_keeps():
+    # the pieces of a patch cell leave out its flat-angle vertices; a t2
+    # hexagon's edge points on the domain boundary belong to no other cell
+    with pytest.warns(UserWarning, match="3 corners"), \
+            pytest.raises(MeshError, match="belongs to no cell"):
+        refine_lshape_corner(FAMILIES["t2"](4), 1, 4)
 
 
 # ---------------------------------------------------------------------------
