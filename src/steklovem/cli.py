@@ -30,9 +30,10 @@ def _generate(args):
     if levels < 0 or (levels > 0 and family != "t6"):
         raise MeshError(f"--refine-level {levels}: corner refinement takes a level "
                         ">= 0 and applies to family t6 only")
-    mesh = meshgen.FAMILIES[family](args.N)
+    N = 8 if args.N is None else args.N
+    mesh = meshgen.FAMILIES[family](N)
     for level in range(1, levels + 1):
-        mesh = meshgen.refine_lshape_corner(mesh, level, args.N)
+        mesh = meshgen.refine_lshape_corner(mesh, level, N)
     return mesh
 
 
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--domain", choices=["square", "rotated-t", "lshape"])
         p.add_argument("--family", required=False,
                        choices=sorted(meshgen.FAMILIES), default=None)
-        p.add_argument("--N", type=int, default=8)
+        p.add_argument("--N", type=int, help="mesh level (default 8)")
         p.add_argument("--refine-level", type=int,
                        help="corner refinement sweeps (t6 only)")
 
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and args.mesh_file:
         given = [flag for flag, value in (("--family", args.family), ("--domain", args.domain),
-                                          ("--refine-level", args.refine_level))
+                                          ("--N", args.N), ("--refine-level", args.refine_level))
                  if value is not None]
         if given:
             parser.error(f"--mesh-file cannot be combined with {', '.join(given)}")

@@ -3,18 +3,29 @@
 A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + B
 symmetric positive definite, so mu = 1 / (1 + lambda) lies in (0, 1] and
 the first k positive lambdas are the k + 1 largest mu (the constant mode
-has mu = 1).  This is shift-invert at sigma = -1 for the pencil (A, B):
-implicitly restarted Lanczos (ARPACK in regular inverse mode, Ahat inner
-product) finds those mu with a few dozen solves against one symmetric LU
-of Ahat.  Iterating on the largest mu never touches the near-zero mu that
-tiny gamma0 edges produce at the other end of the spectrum.  The
-constant mode is dropped by its B-overlap with the constants; everything
-else is returned ascending in lambda.
+has mu = 1).  B lives on the m gamma0 dofs g: B = E_g R' R E_g' with E_g
+the scatter of a gamma0 vector into all n dofs and R the upper Cholesky
+factor of the gamma0 block B_gg.  So the nonzero mu are the eigenvalues of
+the symmetric positive definite m x m operator
+
+    K = R (Ahat^{-1})_gg R',
+
+the discrete Dirichlet-to-Neumann map, and u = Ahat^{-1} E_g R' w lifts an
+eigenvector w of K to the pencil.  Implicitly restarted Lanczos (ARPACK,
+standard mode, Euclidean inner product on length-m vectors) finds the
+k + 1 largest mu with one solve against a single LU of Ahat per step;
+iterating on the largest mu never touches the near-zero mu that tiny
+gamma0 edges produce at the other end of the spectrum.  When k + 2 >= m
+leaves ARPACK no room, K is formed densely from one m-column solve and
+handed to eigh; only there is a dense n x m block formed, with
+m <= k + 2.  The constant mode
+is dropped by its B-overlap with the constants; everything else is
+returned ascending in lambda, each lambda being the Rayleigh quotient of
+its returned vector.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +53,13 @@ class EigenResult:
 
 
 def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
-    """Drop the constant mode, sort ascending in lambda, normalize.
+    """Drop the constant mode, normalize, sort ascending in lambda.
+
+    Each lambda is the Rayleigh quotient u'Au / u'Bu of its returned
+    vector.  1/mu - 1 would carry the absolute error of mu, which the
+    eigensolvers bound relative to the largest mu = 1, so it loses digits
+    when lambda is very small or very large, as on a scaled mesh; the
+    Rayleigh quotient's error is quadratic in the vector's.
 
     The residual of a pair is its normwise backward error in the 1-norm,
     ||A u - lambda B u|| / ((||A|| + |lambda| ||B||) ||u||), which does
@@ -59,33 +76,41 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
     zero = np.flatnonzero(overlap > _CONSTANT_OVERLAP)[:1]
     keep = np.delete(np.arange(len(mus)), zero)[:k]
 
-    lambdas = 1.0 / mus[keep] - 1.0
+    norm_A, norm_B = spla.norm(system.A, 1), spla.norm(system.B, 1)
     U = vecs[:, keep]
     U = U / np.sqrt(np.einsum("ij,ij->j", U, system.Ahat @ U))
-    R = system.A @ U - (system.B @ U) * lambdas
-    scale = spla.norm(system.A, 1) + np.abs(lambdas) * spla.norm(system.B, 1)
-    residuals = np.abs(R).sum(axis=0) / (scale * np.abs(U).sum(axis=0))
+    AU, BU = system.A @ U, system.B @ U
+    lambdas = np.einsum("ij,ij->j", U, AU) / np.einsum("ij,ij->j", U, BU)
+    scale = norm_A + np.abs(lambdas) * norm_B
+    residuals = (np.abs(AU - BU * lambdas).sum(axis=0)
+                 / (scale * np.abs(U).sum(axis=0)))
+    order = np.argsort(lambdas, kind="stable")
+    lambdas = lambdas[order]
 
     return EigenResult(
         lambdas=lambdas,
         mus=1.0 / (1.0 + lambdas),
-        vectors=U,
+        vectors=U[:, order],
         zero_mode_detected=bool(zero.size),
-        residuals=residuals,
+        residuals=residuals[order],
     )
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
-    """First k positive Steklov eigenvalues by shift-invert Lanczos.
+    """First k positive Steklov eigenvalues by Lanczos on the gamma0 traces.
 
-    ARPACK builds its Krylov space from Ahat^{-1} B with one solve per
-    step against a single LU of Ahat.  The LU uses a symmetric
-    minimum-degree ordering and diagonal pivots only, so Ahat = P' L U P
-    with U = D L', and by Sylvester's law of inertia Ahat is SPD exactly
-    when every pivot diag(U) is positive.  The start vector is fixed, so
-    repeated calls give bit-identical results.  With k + 1 >= n_dofs there
-    is no room for a Krylov space and the same call passes dense matrices,
-    which scipy solves with eigh.
+    The Cholesky factor R of the gamma0 mass block, B_gg = R'R, doubles as
+    the rank check (rank(B) = m needs B_gg definite).  ARPACK then iterates
+    on K = R (Ahat^{-1})_gg R' with length-m vectors from a fixed start
+    vector, so repeated calls give bit-identical results; each step costs
+    one solve against a single LU of Ahat and two triangular products with
+    R.  The LU uses a symmetric minimum-degree ordering and diagonal pivots
+    only, so Ahat = P' L U P with U = D L', and by Sylvester's law of
+    inertia Ahat is SPD exactly when every pivot diag(U) is positive.  The
+    k + 1 eigenvectors w are lifted to u = Ahat^{-1} E_g R' w by one
+    multi-column solve.  With k + 2 >= m ARPACK has no room for a Krylov
+    space; K is then formed densely from one m-column solve, whose columns
+    also lift the eigenvectors of eigh.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
@@ -99,8 +124,8 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     if k > m - 1:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
-    try:                              # rank(B) = m needs a definite gamma0 mass
-        sla.cholesky(system.B[np.ix_(g, g)].toarray())
+    try:
+        R = sla.cholesky(system.B[np.ix_(g, g)].toarray())
     except sla.LinAlgError as exc:
         raise RankDeficientGamma0Mass(str(exc)) from exc
 
@@ -115,15 +140,21 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
                      "it is not SPD")
 
-    n = system.n_dofs
-    B, Ahat = system.B, system.Ahat
-    if k + 1 >= n:
-        B, Ahat = B.toarray(), Ahat.toarray()
-    Minv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "k >= N", RuntimeWarning)
-        mus, vecs = spla.eigsh(B, k + 1, M=Ahat, Minv=Minv, which="LA",
-                               v0=np.random.default_rng(0).standard_normal(n))
+    def lift(Y):                      # Ahat^{-1} E_g R' Y
+        rhs = np.zeros((system.n_dofs,) + Y.shape[1:])
+        rhs[g] = R.T @ Y
+        return factor.solve(rhs)
+
+    if k + 2 >= m:
+        X = lift(np.eye(m))
+        mus, W = sla.eigh(R @ X[g], subset_by_index=[m - k - 1, m - 1])
+        vecs = X @ W
+    else:
+        K = spla.LinearOperator((m, m), matvec=lambda y: R @ lift(y)[g],
+                                dtype=float)
+        mus, W = spla.eigsh(K, k + 1, which="LA",
+                            v0=np.random.default_rng(0).standard_normal(m))
+        vecs = lift(W)
     result = _filter_and_pack(system, mus, vecs, k)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:

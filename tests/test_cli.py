@@ -47,6 +47,13 @@ def test_mesh_reports_lshape_dof_count(capsys):
     assert "vertices: 833" in out
 
 
+def test_mesh_level_defaults_to_8(capsys):
+    code, default, _ = run_cli(capsys, "mesh", "--family", "t6")
+    assert code == 0
+    assert default == run_cli(capsys, "mesh", "--family", "t6", "--N", "8")[1]
+    assert default != run_cli(capsys, "mesh", "--family", "t6", "--N", "4")[1]
+
+
 def test_unknown_family_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mesh", "--domain", "square", "--family", "t9", "--N", "8"])
@@ -145,15 +152,14 @@ def test_refine_level_on_t6_still_refines(capsys):
 def test_solve_mesh_file_rejects_generator_flags(capsys, tmp_path):
     path = tmp_path / "m.json"
     save_mesh_json(FAMILIES["t6"](4), path)
-    for flags in (["--family", "t6"], ["--domain", "lshape"],
-                  ["--refine-level", "-4"], ["--refine-level", "0"]):
+    for flags in (["--family", "t6"], ["--domain", "lshape"], ["--N", "16"],
+                  ["--N", "8"], ["--refine-level", "-4"], ["--refine-level", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--mesh-file", str(path), *flags, "--k", "1"])
         assert exc.value.code == 2
         _, err = capsys.readouterr()
         assert f"--mesh-file cannot be combined with {flags[0]}" in err
-    # --N keeps its default and is not checked
-    code, out, _ = run_cli(capsys, "solve", "--mesh-file", str(path), "--N", "16", "--k", "1")
+    code, out, _ = run_cli(capsys, "solve", "--mesh-file", str(path), "--k", "1")
     assert code == 0
     assert "lambda_1" in out
 

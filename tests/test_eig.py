@@ -1,8 +1,9 @@
-"""Generalized eigensolver: Lanczos solve, filtering, oracles."""
+"""Generalized eigensolver: trace-space Lanczos, filtering, oracles."""
 
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_k_below_one_rejected(k):
 @pytest.mark.parametrize("verts,bnd,k", [
     # m = n = 4, k + 1 = n: no room for a Krylov space
     (SQUARE, [(i, (i + 1) % 4, GAMMA0) for i in range(4)], 3),
-    # m = 4, n = 5, k + 1 = n - 1: the largest k the Lanczos path takes
+    # m = 4, n = 5, k = m - 1: one interior dof, k + 2 >= m takes eigh
     (np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
      [(0, 1, GAMMA1), (1, 2, GAMMA1), (2, 3, GAMMA0), (3, 4, GAMMA0),
       (4, 0, GAMMA0)], 3),
@@ -88,6 +89,82 @@ def test_sparse_matches_dense_oracle(family, N):
     fast = solve_steklov(system, k)
     slow = dense_reference_solve(system)
     np.testing.assert_allclose(fast.lambdas, slow.lambdas[:k], rtol=1e-9)
+
+
+def test_permuted_t5_matches_dense_oracle():
+    # gamma0 ids in random order: the gamma0 mass block and its Cholesky
+    # factor R are scattered, not banded
+    mesh = sibling_test_module("test_vem.py").permuted_t5_mesh()
+    system = assemble_global(mesh, StabilizationSpec())
+    fast = solve_steklov(system, 6)
+    slow = dense_reference_solve(system)
+    np.testing.assert_allclose(fast.lambdas, slow.lambdas[:6], rtol=1e-10)
+    assert np.all(fast.residuals <= 1e-12)
+
+
+@pytest.mark.parametrize("family,N", [("t1", 4), ("t2", 4), ("t6", 4)])
+@pytest.mark.parametrize("below_m", [3, 2, 1])
+def test_lanczos_and_dense_branches_agree_with_oracle(family, N, below_m):
+    # k = m - 3 runs ARPACK on the trace space; k + 2 >= m takes eigh
+    system = system_for(family, N)
+    k = len(system.gamma0_dofs) - below_m
+    result = solve_steklov(system, k)
+    oracle = dense_reference_solve(system)
+    assert result.zero_mode_detected
+    np.testing.assert_allclose(result.lambdas, oracle.lambdas[:k], rtol=1e-10)
+    np.testing.assert_allclose(
+        result.vectors.T @ (system.Ahat @ result.vectors), np.eye(k), atol=1e-10)
+
+
+def renumbered(mesh, seed):
+    """The same mesh with its vertices renumbered by a seeded permutation."""
+    new_id = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    return build_mesh(vertices, [new_id[c].tolist() for c in mesh.cells],
+                      [(int(new_id[a]), int(new_id[b]), marker)
+                       for a, b, marker in mesh.boundary_edges])
+
+
+@pytest.mark.parametrize("family,N", [("t5", 8), ("t6", 8)])
+def test_lambdas_invariant_under_vertex_renumbering(family, N):
+    mesh = FAMILIES[family](N)
+    ref = solve_steklov(assemble_global(mesh, StabilizationSpec()), 6).lambdas
+    for seed in (1, 2, 3):
+        system = assemble_global(renumbered(mesh, seed), StabilizationSpec())
+        np.testing.assert_allclose(solve_steklov(system, 6).lambdas, ref,
+                                   rtol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+def test_lambdas_scale_as_inverse_length(s):
+    # A is invariant under x -> s x in 2D and B scales by s, so s lambda(s)
+    # = lambda(1); 1/mu - 1 loses up to 2e-8 of it, the Rayleigh quotient
+    # does not
+    mesh = FAMILIES["t5"](8)
+    ref = solve_steklov(assemble_global(mesh, StabilizationSpec()), 3).lambdas
+    scaled = build_mesh(s * mesh.vertices, mesh.cells, mesh.boundary_edges)
+    lambdas = solve_steklov(assemble_global(scaled, StabilizationSpec()), 3).lambdas
+    np.testing.assert_allclose(s * lambdas, ref, rtol=1e-10)
+
+
+def test_solve_allocates_no_dense_n_by_m_block():
+    # t5 N=30: n = 4690 dofs, m = 234 gamma0 dofs.  The solver's own arrays
+    # are the CSC copy of Ahat and the L, U copies behind the SPD pivot
+    # check (tens of doubles per dof here), a dozen n x (k + 1) blocks and
+    # a few m x m ones; a dense n x m array alone exceeds that sum.
+    system = system_for("t5", 30)
+    n, m, k = system.n_dofs, len(system.gamma0_dofs), 6
+    bound = 8 * (60 * n + 12 * n * (k + 1) + 4 * m * m)
+    assert 8 * n * m > bound
+    solve_steklov(system, k)
+    tracemalloc.start()
+    try:
+        solve_steklov(system, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_dense_oracle_counts_rank_of_b():
@@ -203,13 +280,27 @@ def test_first_sloshing_mode_trace_is_cosine():
 # edges at rounding level
 
 
-def uniform_square_mesh(n, eps=None):
-    """The criterion-8 mesh from tests/test_acceptance.py."""
-    path = Path(__file__).resolve().with_name("test_acceptance.py")
-    spec = importlib.util.spec_from_file_location("acceptance_meshes", path)
+def sibling_test_module(filename):
+    path = Path(__file__).resolve().with_name(filename)
+    spec = importlib.util.spec_from_file_location(path.stem + "_helpers", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.uniform_square_mesh(n, eps)
+    return module
+
+
+def uniform_square_mesh(n, eps=None):
+    """The criterion-8 mesh from tests/test_acceptance.py."""
+    return sibling_test_module("test_acceptance.py").uniform_square_mesh(n, eps)
+
+
+@pytest.mark.parametrize("n,eps", [(4, None), (16, None), (4, 1e-8), (8, 1e-8)])
+def test_degenerate_pairs_come_out_ascending(n, eps):
+    # the square's symmetric pairs are equal to rounding (1e-8 edges split
+    # them by ~1e-9): their Rayleigh quotients need not follow the order
+    # of mu, so the result is sorted on lambda itself
+    system = assemble_global(uniform_square_mesh(n, eps), StabilizationSpec())
+    lambdas = solve_steklov(system, 6).lambdas
+    assert np.all(np.diff(lambdas) >= 0.0)
 
 
 @pytest.mark.parametrize("n", [8, 16])
