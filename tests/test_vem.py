@@ -1,5 +1,6 @@
 """Local virtual element operators and global assembly."""
 
+import hashlib
 import importlib.util
 import math
 from pathlib import Path
@@ -16,8 +17,9 @@ from steklovem.mesh import (
     element_geometry,
     mesh_to_dict,
     polygon_geometry,
+    quality_report,
 )
-from steklovem.meshgen import FAMILIES
+from steklovem.meshgen import FAMILIES, refine_lshape_corner
 from steklovem.vem import (
     StabilizationSpec,
     assemble_global,
@@ -392,3 +394,38 @@ def test_degenerate_cell_among_regular_cells(order):
         assemble_global(mesh, StabilizationSpec())
     reported = float(str(info.value).split()[2])
     assert reported == pytest.approx(element_geometry(mesh, first).area, rel=1e-12, abs=0)
+
+
+# SHA-256 of the assembled matrices (data, indices and indptr of A, B and Ahat,
+# in that order) and of quality_report's star_ratio and min_edge_ratio, per
+# mesh: the geometry kernels and assembly are pinned to the bit, so a rewrite
+# of polygon_geometry cannot move a rounding unnoticed.  ("t6", 32, 2) is t6
+# N=32 after two corner-refinement sweeps
+PINNED_SYSTEMS = {
+    ("t1", 8, 0): "791c2c0f3550f1c51fcaf457e26a654c8453f409e1f45a89f9120ecfd02d3e5d",
+    ("t2", 16, 0): "ecd3fd4b399ffe69162a9267c5c7d2ea862763dfd677f27de872f2b2d546d66e",
+    ("t3", 8, 0): "56189998eed9d2393bc0aedb670e3e845cfe31ea942277bfdfc4f40a8d3493ab",
+    ("t4", 8, 0): "cbd64236b4867a915aa1dbd63d1143e8c638996898f3b38250dc97ff1b294e9d",
+    ("t5", 8, 0): "9400fce950592096b65a59c5055363ba9c9bce66f45c4848255067269d43ac9d",
+    ("t6", 8, 0): "17e5fbfe18c30bf0481408a3f478e252c9b554404dfa546426457f4e9499eedb",
+    ("t6", 32, 2): "d4b30cdb44a46db4a5da823fc076ce99830e6e9d3febb26bd6ff9bd002a4f637",
+}
+
+
+def system_sha256(mesh):
+    system, report = assemble_global(mesh), quality_report(mesh)
+    digest = hashlib.sha256()
+    for m in (system.A, system.B, system.Ahat):
+        for part in (m.data, m.indices, m.indptr):
+            digest.update(np.ascontiguousarray(part).tobytes())
+    digest.update(report.star_ratio.tobytes())
+    digest.update(report.min_edge_ratio.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family, N, levels", sorted(PINNED_SYSTEMS))
+def test_assembled_system_pinned(family, N, levels):
+    mesh = FAMILIES[family](N)
+    for level in range(1, levels + 1):
+        mesh = refine_lshape_corner(mesh, level, N)
+    assert system_sha256(mesh) == PINNED_SYSTEMS[family, N, levels]
