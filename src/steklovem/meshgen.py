@@ -18,7 +18,9 @@ Every generator runs the same array pipeline, with the cells in CSR form
    the same edge table and no round trip through Python lists.
 
 The point merge and the join both sort grid bucket keys, so generation
-needs only numpy.  Corner refinement (:func:`refine_lshape_corner`) runs
+needs only numpy.  Points, boxes and edges go through them as x and y
+planes, under the rule of :mod:`steklovem.mesh`: no reduction over an axis
+of length 2, the two components written out instead.  Corner refinement (:func:`refine_lshape_corner`) runs
 the same steps on the parent's vertices plus the pieces of all patch
 cells, which it builds in one array pass; the join puts the patch cells'
 flat-angle vertices back into the pieces.
@@ -102,29 +104,32 @@ def _perturbed_triangle_grid(x0, x1, y0, y1, nx, ny, split_fraction=None) -> np.
     return np.stack((start, u + t[..., None] * uv), axis=2).reshape(-1, 6, 2)
 
 
-def _bucket_join(points: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """``(box, point)`` index pairs of each box ``[lo, hi]`` (``(B, 2)``
-    corners) and every one of the ``(P, 2)`` points in a grid bucket the box
-    meets: a superset of the points inside each box.
+def _bucket_join(points, lo, hi):
+    """``(box, point)`` index pairs of each box ``[lo, hi]`` and every one of
+    the points in a grid bucket the box meets: a superset of the points inside
+    each box.  ``points`` (P of them), ``lo`` and ``hi`` (B box corners) are
+    ``(x, y)`` pairs of coordinate planes.
 
     The buckets are square and wider than every box, so a box meets at most
     2 x 2 of them.  The points are sorted by bucket key once, and two binary
     searches per box and bucket give the points of that bucket.
     """
-    origin = np.minimum(points.min(axis=0), lo.min(axis=0))
-    span = float(np.max(np.maximum(points.max(axis=0), hi.max(axis=0)) - origin))
+    origin = [min(p.min(), a.min()) for p, a in zip(points, lo)]
+    span = max(max(p.max(), b.max()) - o for p, b, o in zip(points, hi, origin))
+    widest = max(np.max(b - a) for a, b in zip(lo, hi))
     # at most 2^24 buckets a side keeps the keys small and the bucket
     # coordinates exact to far better than the 1e-6 margin over the widest box
-    width = max(float(np.max(hi - lo)) * (1.0 + 1e-6), span * 2.0**-24)
-    cell, c0, c1 = (((xy - origin) // width).astype(np.int64) for xy in (points, lo, hi))
-    m = int(max(cell[:, 1].max(), c1[:, 1].max())) + 1
-    key = cell[:, 0] * m + cell[:, 1]
+    width = max(float(widest) * (1.0 + 1e-6), float(span) * 2.0**-24)
+    (px, py), (x0, y0), (x1, y1) = ([((c - o) // width).astype(np.int64)
+                                     for c, o in zip(xy, origin)] for xy in (points, lo, hi))
+    m = int(max(py.max(), y1.max())) + 1
+    key = px * m + py
     order = np.argsort(key, kind="stable")
     key = key[order]
     boxes, found = [], []
     for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        box = np.flatnonzero((c0[:, 0] + dx <= c1[:, 0]) & (c0[:, 1] + dy <= c1[:, 1]))
-        k = (c0[box, 0] + dx) * m + c0[box, 1] + dy
+        box = np.flatnonzero((x0 + dx <= x1) & (y0 + dy <= y1))
+        k = (x0[box] + dx) * m + y0[box] + dy
         start = np.searchsorted(key, k, "left")
         count = np.searchsorted(key, k, "right") - start
         boxes.append(np.repeat(box, count))
@@ -149,15 +154,16 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (:func:`steklovem.mesh._component_labels`).
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    srt = pts[order]
-    new = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
+    x, y = pts[order, 0], pts[order, 1]
+    new = np.concatenate(([True], (x[1:] != x[:-1]) | (y[1:] != y[:-1])))
     uid = np.empty(len(pts), dtype=np.intp)
     uid[order] = np.cumsum(new) - 1
-    uniq = srt[new]
-    i, j = _bucket_join(uniq, uniq - _MERGE_TOL, uniq + _MERGE_TOL)
-    d = uniq[i] - uniq[j]
-    close = (i < j) & (np.sum(d * d, axis=1) <= _MERGE_TOL ** 2)
-    labels = _component_labels(len(uniq), np.column_stack((i[close], j[close])))
+    x, y = x[new], y[new]
+    i, j = _bucket_join((x, y), (x - _MERGE_TOL, y - _MERGE_TOL),
+                        (x + _MERGE_TOL, y + _MERGE_TOL))
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    close = (i < j) & (dx * dx + dy * dy <= _MERGE_TOL ** 2)
+    labels = _component_labels(len(x), np.column_stack((i[close], j[close])))
     _, first, inverse = np.unique(labels[uid], return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -199,16 +205,19 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
     _, counts, row = edge_table(cell_ptr, cell_vertices)
     once = np.flatnonzero(counts[row] == 1)
-    a, ab = verts[ia], verts[ib] - verts[ia]
+    vx, vy = verts[:, 0], verts[:, 1]
+    ax, ay, bx, by = vx[ia[once]], vy[ia[once]], vx[ib[once]], vy[ib[once]]
+    dx, dy = bx - ax, by - ay
     ends = np.unique(np.concatenate((ia[once], ib[once])))
-    pad = (1e-9 * np.hypot(ab[once, 0], ab[once, 1]) + 1e-12)[:, None]
-    box, found = _bucket_join(verts[ends], np.minimum(a[once], verts[ib[once]]) - pad,
-                              np.maximum(a[once], verts[ib[once]]) + pad)
+    pad = 1e-9 * np.hypot(dx, dy) + 1e-12
+    box, found = _bucket_join((vx[ends], vy[ends]),
+                              (np.minimum(ax, bx) - pad, np.minimum(ay, by) - pad),
+                              (np.maximum(ax, bx) + pad, np.maximum(ay, by) + pad))
     edge, cand = once[box], ends[found]
-    ap, ab_e = verts[cand] - a[edge], ab[edge]
-    l2 = np.sum(ab_e * ab_e, axis=1)
-    t = np.sum(ap * ab_e, axis=1) / l2
-    off = np.abs(ap[:, 0] * ab_e[:, 1] - ap[:, 1] * ab_e[:, 0]) / l2
+    px, py, dx, dy = vx[cand] - ax[box], vy[cand] - ay[box], dx[box], dy[box]
+    l2 = dx * dx + dy * dy
+    t = (px * dx + py * dy) / l2
+    off = np.abs(px * dy - py * dx) / l2
     hit = ((cand != ia[edge]) & (cand != ib[edge])
            & (t > 1e-12) & (t < 1.0 - 1e-12) & (off < 1e-9))
     slot = np.concatenate((np.arange(len(ia)), edge[hit]))
@@ -231,7 +240,7 @@ def _mark_boundary(verts, edges, counts, gamma0_rule: str) -> list[tuple[int, in
     if gamma0_rule == "all":
         on_top = np.ones(len(once), dtype=bool)
     elif gamma0_rule == "top":
-        on_top = np.all(np.abs(verts[once, 1] - _TOP_Y) < 1e-12, axis=1)
+        on_top = np.logical_and(*(np.abs(verts[once, 1] - _TOP_Y) < 1e-12).T)
     else:
         raise ValueError(f"unknown gamma0 rule {gamma0_rule!r}")
     return [(i, j, GAMMA0 if top else GAMMA1)
@@ -355,7 +364,7 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     bary, h = np.empty((mesh.n_cells, 2)), np.empty(mesh.n_cells)
     for cells, geom in mesh.grouped_geometry():
         bary[cells], h[cells] = geom.centroid, geom.diameter
-    inside = np.all(np.abs(bary - 0.5) <= w + 1e-12, axis=1)
+    inside = np.logical_and(*(np.abs(bary - 0.5) <= w + 1e-12).T)
 
     # corners = patch cell vertices where the boundary actually turns
     old_sizes = np.diff(mesh.cell_ptr)
@@ -407,14 +416,16 @@ def _inherit_markers(parent: PolygonalMesh, verts, edges,
     """Mark the boundary of a refined mesh, given its edge table ``(edges,
     counts)``, from the parent's markers: each boundary edge takes the marker
     of the first parent boundary edge that holds its midpoint."""
-    ends = np.array([(i, j) for i, j, _ in parent.boundary_edges])
-    a = parent.vertices[ends[:, 0]]
-    ab = parent.vertices[ends[:, 1]] - a
+    start, end = np.array([(i, j) for i, j, _ in parent.boundary_edges]).T
+    x, y = parent.vertices[:, 0], parent.vertices[:, 1]
+    dx, dy = x[end] - x[start], y[end] - y[start]
     once = edges[counts == 1]
-    ap = (0.5 * (verts[once[:, 0]] + verts[once[:, 1]]))[:, None] - a   # (E, F, 2)
-    l2 = np.sum(ab * ab, axis=1)
-    t = np.sum(ap * ab, axis=-1) / l2
-    off = np.abs(ap[..., 0] * ab[:, 1] - ap[..., 1] * ab[:, 0]) / np.sqrt(l2)
+    # (E, F) planes from each edge midpoint to each parent edge start
+    px = (0.5 * (verts[once[:, 0], 0] + verts[once[:, 1], 0]))[:, None] - x[start]
+    py = (0.5 * (verts[once[:, 0], 1] + verts[once[:, 1], 1]))[:, None] - y[start]
+    l2 = dx * dx + dy * dy
+    t = (px * dx + py * dy) / l2
+    off = np.abs(px * dy - py * dx) / np.sqrt(l2)
     on = (-1e-12 <= t) & (t <= 1.0 + 1e-12) & (off < 1e-9)
     stray = np.flatnonzero(~on.any(axis=1))
     if stray.size:

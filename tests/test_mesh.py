@@ -27,6 +27,7 @@ from steklovem.errors import (
 from steklovem.mesh import (
     GAMMA0,
     GAMMA1,
+    ZERO_EDGE_REL_TOL,
     build_mesh,
     edge_table,
     element_geometry,
@@ -448,6 +449,50 @@ def test_csr_validator_verdict_matches_list_path(mesh, kind, c, k, seed):
     assert expected == outcome(build_mesh, *data)
     assert outcome(csr_validate, *moved) == outcome(build_mesh, *moved)
     assert outcome(csr_validate, *moved)[:2] == expected[:2]
+
+
+def reference_crossings(coords):
+    """Crossing mask and first crossing edge pair of CCW ``(C, n, 2)`` cycles,
+    found pair by pair with ``(..., 2)`` points and the on-segment test as an
+    ``all`` over the x/y axis: the formulation the validator's coordinate-plane
+    kernel must reproduce."""
+    n = coords.shape[1]
+    ptp = np.max(np.ptp(coords, axis=1), axis=1)
+    area_eps = (ZERO_EDGE_REL_TOL * np.maximum(ptp, 1.0)) ** 2
+    coord_eps = np.sqrt(area_eps)[:, None]
+
+    def orient(p, q, r):
+        v = ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+             - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+        return (v > area_eps).astype(int) - (v < -area_eps)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
+    first_pair = np.full(len(coords), -1)
+    for k, (i, j) in enumerate(pairs):
+        p1, p2, p3, p4 = (coords[:, m % n] for m in (i, i + 1, j, j + 1))
+        turns = ((p1, p2, p3), (p1, p2, p4), (p3, p4, p1), (p3, p4, p2))
+        o = [orient(a, b, r) for a, b, r in turns]
+        hit = (o[0] != o[1]) & (o[2] != o[3]) & (o[0] != 0) & (o[2] != 0)
+        for o_r, (a, b, r) in zip(o, turns):
+            hit |= (o_r == 0) & np.all((np.minimum(a, b) - coord_eps <= r)
+                                       & (r <= np.maximum(a, b) + coord_eps), axis=1)
+        first_pair[hit & (first_pair < 0)] = k
+    return first_pair >= 0, np.array(pairs + [(-1, -1)], dtype=int)[first_pair]
+
+
+@settings(max_examples=180, deadline=None, derandomize=True)
+@given(n=st.integers(3, 11), seed=st.integers(0, 2**32 - 1), grid=st.booleans(),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+def test_crossing_check_matches_pairwise_reference(n, seed, grid, scale):
+    # integer-grid vertices make collinear, touching and overlapping edges
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 4, (500, n, 2)) if grid else rng.random((500, n, 2))
+    verts = scale * coords.reshape(-1, 2).astype(float)
+    cycles = np.arange(500 * n).reshape(500, n)
+    cycles, masks, _, crossing = mesh_module._check_group(verts, cycles)
+    want_mask, want_crossing = reference_crossings(verts[cycles])
+    np.testing.assert_array_equal(masks[3], want_mask)
+    np.testing.assert_array_equal(crossing, want_crossing)
 
 
 # ---------------------------------------------------------------------------
