@@ -259,7 +259,7 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
     folds = (np.abs(ux * ty - uy * tx) <= area_eps[:, None]) & (ux * tx + uy * ty < 0.0)
 
     # crossings between non-adjacent edges, pair by pair over the whole group
-    coord_eps = np.sqrt(area_eps)
+    coord_eps = ZERO_EDGE_REL_TOL * h_k   # on-segment slack: the zero-edge floor
 
     @cache
     def side(e, r):

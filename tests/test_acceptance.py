@@ -313,6 +313,16 @@ def uniform_square_mesh(n, eps=None):
     return build_mesh(np.array(verts), cells, bnd)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_rounding_level_flat_vertex_mesh_builds(n):
+    # each boundary cell gains a flat vertex 1e-14 from a corner, so the edge
+    # after it starts 1e-14 from that corner on the same line; the crossing
+    # check's on-segment slack is the zero-edge floor ZERO_EDGE_REL_TOL * h_K,
+    # so the corner no longer counts as lying on that edge
+    mesh = uniform_square_mesh(n, eps=1e-14)
+    assert mesh.n_vertices == (n + 1) ** 2 + 4 * (n - 1)
+
+
 def test_criterion_8_small_edge_robustness():
     problems = []
     rels = []

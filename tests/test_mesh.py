@@ -459,7 +459,9 @@ def reference_crossings(coords):
     n = coords.shape[1]
     ptp = np.max(np.ptp(coords, axis=1), axis=1)
     area_eps = (ZERO_EDGE_REL_TOL * np.maximum(ptp, 1.0)) ** 2
-    coord_eps = np.sqrt(area_eps)[:, None]
+    # on-segment slack: the zero-edge floor ZERO_EDGE_REL_TOL * h_K
+    h_k = np.max(np.linalg.norm(coords[:, :, None] - coords[:, None], axis=-1), axis=(1, 2))
+    coord_eps = (ZERO_EDGE_REL_TOL * h_k)[:, None]
 
     def orient(p, q, r):
         v = ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
@@ -484,10 +486,16 @@ def reference_crossings(coords):
 @given(n=st.integers(3, 11), seed=st.integers(0, 2**32 - 1), grid=st.booleans(),
        scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
 def test_crossing_check_matches_pairwise_reference(n, seed, grid, scale):
-    # integer-grid vertices make collinear, touching and overlapping edges
+    # integer-grid vertices make collinear, touching and overlapping edges;
+    # x moved by a few 1e-14 keeps horizontal edges collinear and puts their
+    # ends within rounding of each other, where the on-segment slack decides
     rng = np.random.default_rng(seed)
-    coords = rng.integers(0, 4, (500, n, 2)) if grid else rng.random((500, n, 2))
-    verts = scale * coords.reshape(-1, 2).astype(float)
+    if grid:
+        coords = rng.integers(0, 4, (500, n, 2)).astype(float)
+        coords[..., 0] += 1e-14 * rng.integers(-4, 5, (500, n))
+    else:
+        coords = rng.random((500, n, 2))
+    verts = scale * coords.reshape(-1, 2)
     cycles = np.arange(500 * n).reshape(500, n)
     cycles, masks, _, crossing = mesh_module._check_group(verts, cycles)
     want_mask, want_crossing = reference_crossings(verts[cycles])
