@@ -146,7 +146,9 @@ class PolygonalMesh:
                 for ids, slots in _size_groups(self.cell_ptr)]
 
     def max_diameter(self) -> float:
-        return max(float(g.diameter.max()) for _, g in self.grouped_geometry())
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        cycles = [self.cell_vertices[slots] for _, slots in _size_groups(self.cell_ptr)]
+        return max(float(_diameter(x[c], y[c]).max()) for c in cycles)
 
     def total_area(self) -> float:
         return float(sum(g.area.sum() for _, g in self.grouped_geometry()))
