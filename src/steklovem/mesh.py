@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -262,24 +262,20 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
 
     # crossings between non-adjacent edges, pair by pair over the whole group
     coord_eps = ZERO_EDGE_REL_TOL * h_k   # on-segment slack: the zero-edge floor
-
-    @cache
-    def side(e, r):
-        """Turn of edge e to vertex r, and whether r is collinear with and on e."""
-        a, b, p = pts[e], pts[(e + 1) % n], pts[r]
-        o = _orient(a, b, p, area_eps)
-        on = o == 0
-        if on.any():
-            for u, v, w in zip(a, b, p):   # x, then y
-                on &= (np.minimum(u, v) - coord_eps <= w) & (w <= np.maximum(u, v) + coord_eps)
-        return o, on
-
     pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
     first_pair = np.full(len(cycles), -1)
     for k, (i, j) in enumerate(pairs):
-        (o1, on1), (o2, on2) = side(i, j), side(i, (j + 1) % n)
-        (o3, on3), (o4, on4) = side(j, i), side(j, (i + 1) % n)
-        hit = ((o1 != o2) & (o3 != o4) & (o1 != 0) & (o3 != 0)) | on1 | on2 | on3 | on4
+        p1, p2, p3, p4 = (pts[m % n] for m in (i, i + 1, j, j + 1))
+        turns = ((p1, p2, p3), (p1, p2, p4), (p3, p4, p1), (p3, p4, p2))
+        o = [_orient(a, b, r, area_eps) for a, b, r in turns]
+        hit = (o[0] != o[1]) & (o[2] != o[3]) & (o[0] != 0) & (o[2] != 0)
+        for o_r, (a, b, r) in zip(o, turns):   # r collinear with and on the segment ab
+            on = o_r == 0
+            if on.any():
+                for u, v, w in zip(a, b, r):   # x, then y
+                    lo, hi = np.minimum(u, v) - coord_eps, np.maximum(u, v) + coord_eps
+                    on &= (lo <= w) & (w <= hi)
+            hit |= on
         first_pair[hit & (first_pair < 0)] = k
     masks = (vanishing, zero_edge, folds.any(axis=1), first_pair >= 0)
     # a cell without a crossing (first_pair -1) gets the (-1, -1) sentinel

@@ -20,10 +20,10 @@ Every generator runs the same array pipeline, with the cells in CSR form
 The point merge and the join both sort grid bucket keys, so generation
 needs only numpy.  Points, boxes and edges go through them as x and y
 planes, under the rule of :mod:`steklovem.mesh`: no reduction over an axis
-of length 2, the two components written out instead.  Corner refinement (:func:`refine_lshape_corner`) runs
-the same steps on the parent's vertices plus the pieces of all patch
-cells, which it builds in one array pass; the join puts the patch cells'
-flat-angle vertices back into the pieces.
+of length 2, the two components written out instead.  Corner refinement
+(:func:`refine_lshape_corner`) runs the same steps on the parent's vertices
+plus the pieces of all patch cells, which it builds in one array pass; the
+join puts the patch cells' flat-angle vertices back into the pieces.
 
 Families
 --------
