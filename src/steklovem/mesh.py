@@ -24,10 +24,15 @@ fold-back spikes and edge crossings are ``(C, n, 2)`` array computations on
 the kernels of :func:`polygon_geometry`.  A cell whose area is at most
 ``VANISHING_AREA_REL_TOL * h_K**2`` is rejected here, with the cutoff
 assembly applies.  The edge table gives every edge count: edges shared by
-more than two cells, unmarked or phantom boundary edges, vertices in no cell
-and parts of the mesh without a gamma0 edge.  A faulty mesh raises for its
-first faulty cell in cell order, and within that cell for the first failed
-check (:func:`raise_first_fault`).
+more than two cells, hanging nodes, unmarked or phantom boundary edges,
+vertices in no cell and parts of the mesh without a gamma0 edge.  A hanging
+node is an endpoint of a once-edge (an edge of one cell) strictly inside
+another once-edge (:func:`_hanging_nodes`): a flat-angle vertex missing from
+one incident cell, found by the one on-segment rule (:func:`_near_segment`)
+that :mod:`steklovem.meshgen` also inserts hanging nodes and inherits
+boundary markers by.  A faulty mesh raises for its first faulty cell in cell
+order, and within that cell for the first failed check
+(:func:`raise_first_fault`).
 
 The batched kernels work on coordinate planes: the x and y of a group are
 two ``(C, n)`` arrays (an edge list is two endpoint columns), and anything
@@ -90,6 +95,9 @@ EMPTY_KERNEL_REL_TOL = 1e-13
 _SINGULAR_TRIPLE_TOL = 1e-13
 # (cells x edge triples x edges) entries per chunk of the kernel computation
 _KERNEL_CHUNK = 1 << 16
+# a point within this fraction of |ab| of the line through a segment ab, and
+# at most that far beyond its ends, is near it (:func:`_near_segment`)
+_ON_SEGMENT_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -390,8 +398,95 @@ def edge_table(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.column_stack(np.divmod(keys, base)), counts, row
 
 
+def _bucket_join(points, lo, hi):
+    """``(box, point)`` index pairs of each box ``[lo, hi]`` and every one of
+    the points in a grid bucket the box meets: a superset of the points inside
+    each box.  ``points`` (P of them), ``lo`` and ``hi`` (B box corners) are
+    ``(x, y)`` pairs of coordinate planes.
+
+    The buckets are square and wider than every box, so a box meets at most
+    2 x 2 of them.  The points are sorted by bucket key once, and two binary
+    searches per box and bucket give the points of that bucket.  The pairs
+    come box by box.
+    """
+    origin = [min(p.min(), a.min()) for p, a in zip(points, lo)]
+    span = max(max(p.max(), b.max()) - o for p, b, o in zip(points, hi, origin))
+    widest = max(np.max(b - a) for a, b in zip(lo, hi))
+    # at most 2^24 buckets a side keeps the keys small and the bucket
+    # coordinates exact to far better than the 1e-6 margin over the widest box
+    width = max(float(widest) * (1.0 + 1e-6), float(span) * 2.0**-24)
+    (px, py), (x0, y0), (x1, y1) = ([((c - o) // width).astype(np.int64)
+                                     for c, o in zip(xy, origin)] for xy in (points, lo, hi))
+    m = int(max(py.max(), y1.max())) + 1
+    key = px * m + py
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    dx, dy = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])   # the 2 x 2 buckets
+    box, d = np.nonzero((x0[:, None] + dx <= x1[:, None]) & (y0[:, None] + dy <= y1[:, None]))
+    k = (x0[box] + dx[d]) * m + y0[box] + dy[d]
+    start = np.searchsorted(key, k, "left")
+    count = np.searchsorted(key, k, "right") - start
+    # positions start[b], ..., start[b] + count[b] - 1 of each box bucket b in turn
+    return np.repeat(box, count), order[np.arange(count.sum())
+                                        + np.repeat(start + count - np.cumsum(count), count)]
+
+
+def _near_segment(a, b, points):
+    """``(segment, point, t)`` for every point p near a segment ab, sorted by
+    segment, then point: p = a + t (b - a) + s n with unit normal n,
+    ``|s| < tol |ab|`` and ``|t - 1/2| <= 1/2 + tol``, tol =
+    ``_ON_SEGMENT_REL_TOL`` = 1e-9.  ``a``, ``b`` (S segments) and
+    ``points`` are ``(x, y)`` pairs of coordinate planes.
+
+    This is the one on-segment rule of the package; each caller keeps its own
+    range of t.  Such a p lies in the bounding box of ab padded by 2 tol |ab|
+    (s and the overhang of t move a coordinate by less than tol (|dx| +
+    |dy|)).  Segments longer than the mean are cut into pieces no longer
+    than the mean, so no bucket of :func:`_bucket_join` is wider than about
+    that: one long edge next to many short ones does not put them all in one
+    bucket.  A point that the boxes of two pieces both meet counts once.
+    """
+    (ax, ay), (bx, by) = a, b
+    if not (len(ax) and len(points[0])):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    dx, dy = bx - ax, by - ay
+    length = np.hypot(dx, dy)
+    cuts = np.ceil(length / length.mean()).astype(np.intp)
+    seg = np.repeat(np.arange(len(ax)), cuts)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    pad = 2.0 * _ON_SEGMENT_REL_TOL * length[seg] + 1e-12
+    pieces = [(c[seg] + (k / cuts[seg]) * d[seg], c[seg] + ((k + 1) / cuts[seg]) * d[seg])
+              for c, d in ((ax, dx), (ay, dy))]   # x, then y of the piece ends
+    box, found = _bucket_join(points, [np.minimum(*e) - pad for e in pieces],
+                              [np.maximum(*e) + pad for e in pieces])
+    seg, found = np.divmod(np.unique(seg[box] * len(points[0]) + found), len(points[0]))
+    px, py, dx, dy = points[0][found] - ax[seg], points[1][found] - ay[seg], dx[seg], dy[seg]
+    l2 = dx * dx + dy * dy
+    t = (px * dx + py * dy) / l2
+    near = ((np.abs(px * dy - py * dx) / l2 < _ON_SEGMENT_REL_TOL)
+            & (np.abs(t - 0.5) <= 0.5 + _ON_SEGMENT_REL_TOL))
+    return seg[near], found[near], t[near]
+
+
+def _hanging_nodes(verts, ia, ib):
+    """``(edge, vertex, t)`` for every endpoint of the edges ``ia -> ib`` that
+    lies strictly inside one of them, with t in (1e-12, 1 - 1e-12) by
+    :func:`_near_segment`, sorted by edge, then vertex."""
+    ends = np.unique(np.concatenate((ia, ib)))
+    edge, k, t = _near_segment(verts[ia].T, verts[ib].T, verts[ends].T)
+    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
+    return edge[inside], ends[k[inside]], t[inside]
+
+
 def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):
-    """Check the edge counts against the declared boundary; return it marked."""
+    """Check the edge counts and the hanging nodes against the declared
+    boundary; return it marked.
+
+    An endpoint of a once-edge (an edge of one cell) strictly inside another
+    once-edge (:func:`_hanging_nodes`) is a hanging node missing from the
+    cell across, or a boundary that touches itself: non-conforming, whether
+    the edges are marked or not.
+    """
     if np.any(counts > 2):
         raise NonConforming(
             f"edge {tuple(edges[counts > 2][0].tolist())} shared by more than two cells")
@@ -408,18 +503,14 @@ def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):
             raise MeshError(f"unknown boundary marker {m!r}")
 
     once_edges = edges[counts == 1]
+    edge, vertex, _ = _hanging_nodes(verts, *once_edges.T)
+    if edge.size:
+        raise NonConforming(
+            f"vertex {vertex[0]} lies inside edge {tuple(once_edges[edge[0]].tolist())}, "
+            "so the edges overlap; hanging node present in only one incident cell")
     once = set(map(tuple, once_edges.tolist()))
     undeclared = once - set(declared)
     if undeclared:
-        # distinguish a genuinely unmarked boundary edge from a hanging
-        # node missing on one side: the latter leaves collinear overlapping
-        # once-edges behind
-        for e in sorted(undeclared):
-            overlap = _edges_overlap(verts, e, once_edges) & np.any(once_edges != e, axis=1)
-            if overlap.any():
-                f = tuple(once_edges[np.argmax(overlap)].tolist())
-                raise NonConforming(f"edges {e} and {f} overlap; hanging node present "
-                                    "in only one incident cell")
         raise UnmarkedBoundaryEdge(
             f"boundary edge {sorted(undeclared)[0]} carries no marker")
     phantom = set(declared) - once
@@ -428,20 +519,6 @@ def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):
             f"declared boundary edge {sorted(phantom)[0]} is not a boundary "
             "edge of the cell complex")
     return [(int(i), int(j), str(m)) for i, j, m in boundary_spec]
-
-
-def _edges_overlap(verts, e, f: np.ndarray) -> np.ndarray:
-    """Whether edge ``e`` overlaps each of the edges ``f`` (k, 2) on a 1D set."""
-    a, b = verts[e[0]], verts[e[1]]
-    c, d = verts[f[:, 0]], verts[f[:, 1]]
-    t = b - a
-    scale = np.maximum(np.maximum(np.linalg.norm(t), np.linalg.norm(d - c, axis=1)), 1e-300)
-    eps = 1e-12 * scale * scale
-    collinear = (_orient(a, b, c.T, eps) == 0) & (_orient(a, b, d.T, eps) == 0)
-    s = np.stack(((c - a) @ t, (d - a) @ t))
-    span = float(t @ t)
-    return collinear & (np.minimum(s.max(axis=0), span) - np.maximum(s.min(axis=0), 0.0)
-                        > 1e-12 * span)
 
 
 def _check_connected(nv: int, edges: np.ndarray, marked) -> None:

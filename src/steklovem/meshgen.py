@@ -6,21 +6,22 @@ Every generator runs the same array pipeline, with the cells in CSR form
 1. each structured patch emits its cells as one ``(C, n, 2)`` array of
    vertex coordinates, in cycle order;
 2. one merge numbers the points of all patches (:func:`_merge_points`):
-   points within 1e-10 of each other are one vertex, which keeps the number
-   and coordinates of its first occurrence;
-3. one join makes the composite conforming (:func:`_conformalize`): a
-   bucket join (:func:`_bucket_join`) pairs each once-edge (an edge of a
-   single cell, the only kind that can hold a hanging node) with the
-   once-edge endpoints near it, the ones lying inside it are kept, and one
-   sort inserts them into their cells as flat-angle vertices;
+   points within ``_MERGE_TOL`` = 1e-10 of each other are one vertex, which
+   keeps the number and coordinates of its first occurrence;
+3. one join makes the composite conforming (:func:`_conformalize`): the
+   once-edge endpoints (an edge of a single cell is the only kind that can
+   hold a hanging node) lying inside a once-edge, by the on-segment rule of
+   :mod:`steklovem.mesh` that the validator checks too, are inserted into
+   their cells as flat-angle vertices by one sort;
 4. the boundary edges of the final edge table are marked, and the CSR
    validator of :mod:`steklovem.mesh` checks the arrays as they are, with
    the same edge table and no round trip through Python lists.
 
-The point merge and the join both sort grid bucket keys, so generation
-needs only numpy.  Points, boxes and edges go through them as x and y
-planes, under the rule of :mod:`steklovem.mesh`: no reduction over an axis
-of length 2, the two components written out instead.  Corner refinement
+The point merge and the join both sort grid bucket keys
+(:func:`steklovem.mesh._bucket_join`), so generation needs only numpy.
+Points, boxes and edges go through them as x and y planes, under the rule of
+:mod:`steklovem.mesh`: no reduction over an axis of length 2, the two
+components written out instead.  Corner refinement
 (:func:`refine_lshape_corner`) runs the same steps on the parent's vertices
 plus the pieces of all patch cells, which it builds in one array pass; the
 join puts the patch cells' flat-angle vertices back into the pieces.
@@ -46,7 +47,10 @@ from .mesh import (
     GAMMA0,
     GAMMA1,
     PolygonalMesh,
+    _bucket_join,
     _component_labels,
+    _hanging_nodes,
+    _near_segment,
     _validate_csr,
     cycle_edges,
     edge_table,
@@ -54,7 +58,9 @@ from .mesh import (
 
 # the gamma0 side of the square families
 _TOP_Y = 1.0
-# points closer than this are one vertex
+# points closer than this are one vertex.  The floor is absolute, not
+# relative to the mesh size: generator coordinates must be O(1), and an edge
+# of a generated mesh is never shorter than 1e-10
 _MERGE_TOL = 1e-10
 
 
@@ -104,54 +110,19 @@ def _perturbed_triangle_grid(x0, x1, y0, y1, nx, ny, split_fraction=None) -> np.
     return np.stack((start, u + t[..., None] * uv), axis=2).reshape(-1, 6, 2)
 
 
-def _bucket_join(points, lo, hi):
-    """``(box, point)`` index pairs of each box ``[lo, hi]`` and every one of
-    the points in a grid bucket the box meets: a superset of the points inside
-    each box.  ``points`` (P of them), ``lo`` and ``hi`` (B box corners) are
-    ``(x, y)`` pairs of coordinate planes.
-
-    The buckets are square and wider than every box, so a box meets at most
-    2 x 2 of them.  The points are sorted by bucket key once, and two binary
-    searches per box and bucket give the points of that bucket.
-    """
-    origin = [min(p.min(), a.min()) for p, a in zip(points, lo)]
-    span = max(max(p.max(), b.max()) - o for p, b, o in zip(points, hi, origin))
-    widest = max(np.max(b - a) for a, b in zip(lo, hi))
-    # at most 2^24 buckets a side keeps the keys small and the bucket
-    # coordinates exact to far better than the 1e-6 margin over the widest box
-    width = max(float(widest) * (1.0 + 1e-6), float(span) * 2.0**-24)
-    (px, py), (x0, y0), (x1, y1) = ([((c - o) // width).astype(np.int64)
-                                     for c, o in zip(xy, origin)] for xy in (points, lo, hi))
-    m = int(max(py.max(), y1.max())) + 1
-    key = px * m + py
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    boxes, found = [], []
-    for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        box = np.flatnonzero((x0 + dx <= x1) & (y0 + dy <= y1))
-        k = (x0[box] + dx) * m + y0[box] + dy
-        start = np.searchsorted(key, k, "left")
-        count = np.searchsorted(key, k, "right") - start
-        boxes.append(np.repeat(box, count))
-        # positions start[b], ..., start[b] + count[b] - 1 of each box b in turn
-        found.append(order[np.arange(count.sum())
-                           + np.repeat(start + count - np.cumsum(count), count)])
-    return np.concatenate(boxes), np.concatenate(found)
-
-
 def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices and the vertex id of each of the ``(P, 2)`` points.
 
-    Points within 1e-10 of each other (transitively) are one vertex;
+    Points within ``_MERGE_TOL`` of each other (transitively) are one vertex;
     vertices are numbered in order of first occurrence and sit at their
     first point.
 
     One lexsort collapses exact duplicates.  Every distinct point p is then
-    joined (:func:`_bucket_join`) with the distinct points in the grid
-    buckets that the box of half-width 1e-10 around p meets; the buckets are
-    wider than 2e-10, and any point within 1e-10 of p lies in that box.  The
-    pairs that pass the distance test are labelled as components
-    (:func:`steklovem.mesh._component_labels`).
+    joined (:func:`steklovem.mesh._bucket_join`) with the distinct points in
+    the grid buckets that the box of half-width ``_MERGE_TOL`` around p meets;
+    the buckets are wider than that box, and any point within ``_MERGE_TOL``
+    of p lies in it.  The pairs that pass the distance test are labelled as
+    components (:func:`steklovem.mesh._component_labels`).
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     x, y = pts[order, 0], pts[order, 1]
@@ -193,36 +164,19 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     do not overlap.  For the same reason only once-edge endpoints can be
     hanging: a vertex p inside the once-edge ab of cell K is a corner of the
     cells across ab, and their edges along ab from p lie against K, so no
-    second cell shares them.  A vertex missed that way would still fail
-    validation as non-conforming.  Vertex p lies on edge ab when its
-    parameter t along ab is in (1e-12, 1 - 1e-12) and its distance from the
-    line is below 1e-9 |ab|; every such p lies in the bounding box of ab
-    padded by 1e-9 |ab| + 1e-12, so one :func:`_bucket_join` of those boxes
-    with the once-edge endpoints gives all candidates.  One lexsort on
-    (edge slot, t, vertex) puts the hits after the start vertex of their
-    edge.
+    second cell shares them.  The hanging nodes are the ones
+    :func:`steklovem.mesh._hanging_nodes` finds, under the rule the validator
+    rejects them by, so a vertex missed here fails validation as
+    non-conforming.  One lexsort on (edge slot, t, vertex) puts them after
+    the start vertex of their edge.
     """
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
     _, counts, row = edge_table(cell_ptr, cell_vertices)
     once = np.flatnonzero(counts[row] == 1)
-    vx, vy = verts[:, 0], verts[:, 1]
-    ax, ay, bx, by = vx[ia[once]], vy[ia[once]], vx[ib[once]], vy[ib[once]]
-    dx, dy = bx - ax, by - ay
-    ends = np.unique(np.concatenate((ia[once], ib[once])))
-    pad = 1e-9 * np.hypot(dx, dy) + 1e-12
-    box, found = _bucket_join((vx[ends], vy[ends]),
-                              (np.minimum(ax, bx) - pad, np.minimum(ay, by) - pad),
-                              (np.maximum(ax, bx) + pad, np.maximum(ay, by) + pad))
-    edge, cand = once[box], ends[found]
-    px, py, dx, dy = vx[cand] - ax[box], vy[cand] - ay[box], dx[box], dy[box]
-    l2 = dx * dx + dy * dy
-    t = (px * dx + py * dy) / l2
-    off = np.abs(px * dy - py * dx) / l2
-    hit = ((cand != ia[edge]) & (cand != ib[edge])
-           & (t > 1e-12) & (t < 1.0 - 1e-12) & (off < 1e-9))
-    slot = np.concatenate((np.arange(len(ia)), edge[hit]))
-    vertex = np.concatenate((ia, cand[hit]))
-    order = np.lexsort((vertex, np.concatenate((np.full(len(ia), -1.0), t[hit])), slot))
+    edge, hanging, t = _hanging_nodes(verts, ia[once], ib[once])
+    slot = np.concatenate((np.arange(len(ia)), once[edge]))
+    vertex = np.concatenate((ia, hanging))
+    order = np.lexsort((vertex, np.concatenate((np.full(len(ia), -1.0), t)), slot))
     n_cells = len(cell_ptr) - 1
     cell = np.repeat(np.arange(n_cells), np.diff(cell_ptr))[slot]
     sizes = np.bincount(cell, minlength=n_cells)
@@ -415,25 +369,22 @@ def _inherit_markers(parent: PolygonalMesh, verts, edges,
                      counts) -> list[tuple[int, int, str]]:
     """Mark the boundary of a refined mesh, given its edge table ``(edges,
     counts)``, from the parent's markers: each boundary edge takes the marker
-    of the first parent boundary edge that holds its midpoint."""
+    of the first parent boundary edge that holds its midpoint, by
+    :func:`steklovem.mesh._near_segment` with t in [-1e-12, 1 + 1e-12] (a
+    midpoint may sit on a parent vertex)."""
     start, end = np.array([(i, j) for i, j, _ in parent.boundary_edges]).T
-    x, y = parent.vertices[:, 0], parent.vertices[:, 1]
-    dx, dy = x[end] - x[start], y[end] - y[start]
     once = edges[counts == 1]
-    # (E, F) planes from each edge midpoint to each parent edge start
-    px = (0.5 * (verts[once[:, 0], 0] + verts[once[:, 1], 0]))[:, None] - x[start]
-    py = (0.5 * (verts[once[:, 0], 1] + verts[once[:, 1], 1]))[:, None] - y[start]
-    l2 = dx * dx + dy * dy
-    t = (px * dx + py * dy) / l2
-    off = np.abs(px * dy - py * dx) / np.sqrt(l2)
-    on = (-1e-12 <= t) & (t <= 1.0 + 1e-12) & (off < 1e-9)
-    stray = np.flatnonzero(~on.any(axis=1))
+    mid = 0.5 * (verts[once[:, 0]] + verts[once[:, 1]])
+    edge, k, t = _near_segment(parent.vertices[start].T, parent.vertices[end].T, mid.T)
+    on = (-1e-12 <= t) & (t <= 1.0 + 1e-12)
+    first = np.full(len(once), len(start))
+    np.minimum.at(first, k[on], edge[on])
+    stray = np.flatnonzero(first == len(start))
     if stray.size:
         raise RuntimeError("refined boundary edge ({}, {}) does not lie on the parent "
                            "boundary".format(*once[stray[0]]))
     markers = [m for _, _, m in parent.boundary_edges]
-    return [(i, j, markers[f])
-            for (i, j), f in zip(once.tolist(), np.argmax(on, axis=1).tolist())]
+    return [(i, j, markers[f]) for (i, j), f in zip(once.tolist(), first.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,13 @@ INVALID_INPUTS = {
                                         [2, 0, "gamma0"]]},
     "orphan_vertex": {"vertices": SQUARE + [[5, 5]], "cells": [[0, 1, 2, 3]],
                       "boundary": SQUARE_BOUNDARY},
+    # a hanging node in one incident cell only, its interface declared boundary
+    "hanging_node_with_declared_interface": {
+        "vertices": SQUARE + [[2, 0], [2, 1], [1, 0.5]],
+        "cells": [[0, 1, 6, 2, 3], [1, 4, 5, 2]],
+        "boundary": [[0, 1, "gamma0"], [1, 4, "gamma0"], [4, 5, "gamma0"], [5, 2, "gamma0"],
+                     [2, 3, "gamma0"], [3, 0, "gamma0"], [1, 6, "gamma1"], [6, 2, "gamma1"],
+                     [1, 2, "gamma1"]]},
     "part_without_gamma0": {
         "vertices": SQUARE + [[2, 0], [3, 0], [3, 1], [2, 1]],
         "cells": [[0, 1, 2, 3], [4, 5, 6, 7]],

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ REJECTIONS = {
         [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
          (2, 3, GAMMA0), (3, 0, GAMMA0)],
         NonConforming, None, "overlap"),
+    # declaring the faulty interface as boundary does not hide the hanging node
+    "hanging_node_with_declared_interface": (
+        [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0.5]],
+        [[0, 1, 6, 2, 3], [1, 4, 5, 2]],
+        [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
+         (2, 3, GAMMA0), (3, 0, GAMMA0), (1, 6, GAMMA1), (6, 2, GAMMA1), (1, 2, GAMMA1)],
+        NonConforming, None, "overlap"),
+    # two copies of one cell leave no once-edge: every declared edge is a phantom
+    "coincident_cells": (SQUARE_VERTS, [[0, 1, 2], [0, 2, 1]],
+                         [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)],
+                         MeshError, None, "not a boundary edge"),
     "boundary_edge_declared_twice": (SQUARE_VERTS, [[0, 1, 2, 3]],
                                      SQUARE_BND + [(1, 0, GAMMA0)],
                                      MeshError, None, "declared twice"),
@@ -501,6 +513,99 @@ def test_crossing_check_matches_pairwise_reference(n, seed, grid, scale):
     want_mask, want_crossing = reference_crossings(verts[cycles])
     np.testing.assert_array_equal(masks[3], want_mask)
     np.testing.assert_array_equal(crossing, want_crossing)
+
+
+# ---------------------------------------------------------------------------
+# the on-segment rule and the bucket join under it
+
+
+def reference_near_segment(a, b, points):
+    """``(segment, point, t)`` of the on-segment rule over dense (S, P) arrays
+    of all pairs: the formulation the bucket join of ``_near_segment`` must
+    reproduce, in its order (segment, then point)."""
+    (ax, ay), (bx, by), (qx, qy) = a, b, points
+    dx, dy = (bx - ax)[:, None], (by - ay)[:, None]
+    px, py = qx[None] - ax[:, None], qy[None] - ay[:, None]
+    l2 = dx * dx + dy * dy
+    t = (px * dx + py * dy) / l2
+    near = (np.abs(px * dy - py * dx) / l2 < 1e-9) & (np.abs(t - 0.5) <= 0.5 + 1e-9)
+    seg, point = np.nonzero(near)
+    return seg, point, t[near]
+
+
+def exact_box_join(points, lo, hi):
+    """``(box, point)`` pairs of exactly the points inside each box."""
+    (px, py), (x0, y0), (x1, y1) = points, lo, hi
+    return np.nonzero((x0[:, None] <= px) & (px <= x1[:, None])
+                      & (y0[:, None] <= py) & (py <= y1[:, None]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_seg=st.integers(1, 40),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+def test_near_segment_matches_dense_reference(seed, n_seg, scale):
+    # segment lengths over three decades, so long ones are cut into pieces;
+    # points on the segments, at and just beyond their ends, 1e-10 ... 1e-8
+    # |ab| off their lines, and anywhere
+    rng = np.random.default_rng(seed)
+    a = scale * rng.random((n_seg, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n_seg)
+    d = scale * 10.0 ** rng.uniform(-3.0, 0.0, n_seg)[:, None] * np.column_stack(
+        (np.cos(angle), np.sin(angle)))
+    b = a + d
+    m = 400
+    which = rng.integers(0, n_seg, m)
+    t = rng.random(m)
+    t[: m // 2] = rng.choice([0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12, -2e-9, 1.0 + 2e-9], m // 2)
+    s = rng.choice([0.0, 0.0, 1e-10, -1e-10, 5e-10, -9e-10, 2e-9, -1e-8, 1e-8], m)
+    normal = np.column_stack((-d[:, 1], d[:, 0]))      # |normal| = |ab|
+    pts = a[which] + t[:, None] * (b - a)[which] + s[:, None] * normal[which]
+    pts = np.vstack((pts, a, b, scale * rng.random((50, 2))))
+    want = reference_near_segment(a.T, b.T, pts.T)
+    assert want[0].size >= n_seg      # every segment holds its own ends
+    got = mesh_module._near_segment(tuple(a.T), tuple(b.T), tuple(pts.T))
+    # the buckets hold more than the boxes; joined on the boxes alone, the
+    # padded pieces must still cover every hit
+    with mock.patch.object(mesh_module, "_bucket_join", exact_box_join):
+        tight = mesh_module._near_segment(tuple(a.T), tuple(b.T), tuple(pts.T))
+    for g, h, w in zip(got, tight, want):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(h, w)
+
+
+def test_hanging_node_check_stays_linear_next_to_long_edges():
+    # a half-disk fan: 2000 arc edges and two radii 637 times longer.  Buckets
+    # as wide as a radius would put all arc points in a few buckets, 2e6
+    # candidate pairs; radii cut into pieces keep the join linear
+    n = 2000
+    theta = np.linspace(0.0, np.pi, n + 1)
+    verts = np.vstack(([[0.0, 0.0]], np.column_stack((np.cos(theta), np.sin(theta)))))
+    cells = [[0, k, k + 1] for k in range(1, n + 1)]
+    bnd = [(k, k + 1, GAMMA0) for k in range(1, n + 1)] + [(0, 1, GAMMA1), (n + 1, 0, GAMMA1)]
+    join, sizes = mesh_module._bucket_join, []
+
+    def counted(*args):
+        pairs = join(*args)
+        sizes.append(len(pairs[0]))
+        return pairs
+
+    with mock.patch.object(mesh_module, "_bucket_join", counted):
+        build_mesh(verts, cells, bnd)
+    assert len(sizes) == 1 and sizes[0] < 4 * (n + 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_bucket_join_finds_every_point_of_every_box_once(seed, scale):
+    rng = np.random.default_rng(seed)
+    lo = scale * rng.random((40, 2))
+    hi = lo + scale * 10.0 ** rng.uniform(-4.0, -0.5, (40, 2))
+    pts = np.vstack((lo[:10], hi[10:20], scale * rng.random((200, 2))))   # corners too
+    box, found = mesh_module._bucket_join(tuple(pts.T), tuple(lo.T), tuple(hi.T))
+    pairs = set(zip(box.tolist(), found.tolist()))
+    assert len(pairs) == len(box)
+    inside = exact_box_join(tuple(pts.T), tuple(lo.T), tuple(hi.T))
+    assert set(zip(*(i.tolist() for i in inside))) <= pairs
 
 
 # ---------------------------------------------------------------------------

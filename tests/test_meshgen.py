@@ -7,16 +7,26 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from steklovem.errors import InvalidN, MeshError
-from steklovem.mesh import GAMMA0, element_geometry, mesh_to_dict, quality_report
+from steklovem.errors import InvalidN, MeshError, NonConforming
+from steklovem.mesh import (
+    GAMMA0,
+    _validate_csr,
+    edge_table,
+    element_geometry,
+    mesh_to_dict,
+    quality_report,
+)
 from steklovem.meshgen import (
     FAMILIES,
+    _conformalize,
+    _mark_boundary,
     _merge_points,
+    _quad_grid,
     gen_lshape_uniform,
     gen_rotated_t,
     gen_square_glued,
@@ -66,6 +76,31 @@ def test_glued_square_interface_cells_have_small_edges():
         assert min(interface) < 0.2 * np.median(interior)
         minima.append(min(interface))
     assert minima[1] < 0.6 * minima[0]   # relative size shrinks with N
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), n2=st.integers(1, 12), rows=st.integers(1, 3),
+       rows2=st.integers(1, 3))
+def test_glued_grids_validate_exactly_when_conformalized(n, n2, rows, rows2):
+    # two quad grids glued at y = 0.6 as in t1, with n and n2 columns: the
+    # validator rejects the interface's one-sided hanging nodes, even with
+    # every once-edge marked, by the rule the conforming join inserts them by
+    assume(n != n2)
+    patches = [_quad_grid(0.0, 1.0, 0.6, 1.0, n, rows),
+               _quad_grid(0.0, 1.0, 0.0, 0.6, n2, rows2)]
+    verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
+
+    def validate(ptr, flat):
+        table = edge_table(ptr, flat)[:2]
+        return _validate_csr(verts, ptr, flat, _mark_boundary(verts, *table, "top"),
+                             table=table)
+
+    ptr = np.arange(0, len(ids) + 1, 4)
+    with pytest.raises(NonConforming, match="overlap"):
+        validate(ptr, ids)
+    mesh = validate(*_conformalize(verts, ptr, ids))
+    # each side takes the other's interior interface points it lacks
+    assert len(mesh.cell_vertices) - len(ids) == n + n2 - 2 * math.gcd(n, n2)
 
 
 def test_glued_square_rejects_small_n():
