@@ -20,12 +20,11 @@ _EXPORTS = {
             "solve_steklov"),
     "mesh": ("GAMMA0", "GAMMA1", "ElementGeometry", "MeshQualityReport",
              "PolygonalMesh", "build_mesh", "element_geometry", "load_mesh_json",
-             "quality_report", "save_mesh_json", "star_shaped_ratio"),
+             "quality_report", "save_mesh_json"),
     "meshgen": ("FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
                 "gen_square_perturbed_triangles", "refine_lshape_corner"),
     "vem": ("GlobalSystem", "LocalOperators", "StabilizationSpec", "assemble_global",
-            "boundary_mass_edge", "local_operators", "local_projector",
-            "local_stiffness", "stability_matrix", "triple_norm"),
+            "boundary_mass_edge", "local_operators", "triple_norm"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

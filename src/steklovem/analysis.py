@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,10 +110,10 @@ class ConvergenceStudy:
     hs: list[float]                       # max element diameter per level
     n_dofs: list[int]
     eigenvalues: np.ndarray               # (levels, k)
-    references: np.ndarray | None = None  # (k,) exact or extrapolated
-    errors: np.ndarray | None = None      # (levels, k)
-    orders: np.ndarray | None = None      # (k,)
-    extrapolated: list[tuple[float, float, float]] | None = None
+    references: np.ndarray                # (k,) exact or extrapolated
+    errors: np.ndarray                    # (levels, k)
+    orders: np.ndarray | None = None      # (k,), None for a single level
+    extrapolated: list[tuple[float, float, float]] | None = None   # None: exact
 
     @property
     def k(self) -> int:
@@ -146,8 +146,6 @@ def run_study(family: str, Ns, k: int,
         eigs.append(result.lambdas)
     eigenvalues = np.asarray(eigs)
 
-    study = ConvergenceStudy(family=family, alpha=spec.alpha, Ns=Ns, hs=hs,
-                             n_dofs=dofs, eigenvalues=eigenvalues)
     extrapolated = None
     if family in ("t1", "t2"):
         refs = np.array([exact_square_eigenvalue(i + 1) for i in range(k)])
@@ -162,16 +160,14 @@ def run_study(family: str, Ns, k: int,
             extrapolated.append((lam, c, a))
             refs[i] = lam
 
-    study.references = refs
-    study.extrapolated = extrapolated
-    study.errors = np.abs(eigenvalues - refs[None, :])
+    errors = np.abs(eigenvalues - refs[None, :])
+    orders = None
     if len(Ns) >= 2:
-        orders = np.empty(k)
-        for i in range(k):
-            err = study.errors[:, i]
-            orders[i] = fit_order(hs, err) if np.all(err > 0) else float("nan")
-        study.orders = orders
-    return study
+        orders = np.array([fit_order(hs, err) if np.all(err > 0) else float("nan")
+                           for err in errors.T])
+    return ConvergenceStudy(family=family, alpha=spec.alpha, Ns=Ns, hs=hs, n_dofs=dofs,
+                            eigenvalues=eigenvalues, references=refs, errors=errors,
+                            orders=orders, extrapolated=extrapolated)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +186,8 @@ def study_to_markdown(study: ConvergenceStudy) -> str:
         lines.append("| Order |  |  | "
                      + " | ".join(f"{o:.2f}" for o in study.orders) + " |")
     label = "Extrap." if study.extrapolated is not None else "Exact"
-    if study.references is not None:
-        lines.append(f"| {label} |  |  | "
-                     + " | ".join(f"{r:.4f}" for r in study.references) + " |")
+    lines.append(f"| {label} |  |  | "
+                 + " | ".join(f"{r:.4f}" for r in study.references) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -204,8 +199,6 @@ def study_to_csv(study: ConvergenceStudy) -> str:
         out.append(f"{N},{study.hs[row]:.17g},{study.n_dofs[row]},{vals}")
     if study.orders is not None:
         out.append("Order,,," + ",".join(f"{o:.17g}" for o in study.orders))
-    if study.references is not None:
-        label = "Extrap" if study.extrapolated is not None else "Exact"
-        out.append(f"{label},,,"
-                   + ",".join(f"{r:.17g}" for r in study.references))
+    label = "Extrap" if study.extrapolated is not None else "Exact"
+    out.append(f"{label},,," + ",".join(f"{r:.17g}" for r in study.references))
     return "\n".join(out) + "\n"

@@ -25,10 +25,6 @@ class EmptyGamma0(MeshError):
     pass
 
 
-class EmptyKernel(MeshError):
-    """Polygon is not star-shaped with respect to any interior ball."""
-
-
 class InvalidN(ValueError):
     pass
 

@@ -49,13 +49,15 @@ axis -2 of ``(..., n, 2)`` adds from the first vertex on, which
 :func:`_vertex_sum` writes out, while the last-axis sums (area, perimeter)
 stay ``np.sum``, whose order changes from n = 8 on.
 
-Star-shapedness is reported, not enforced.  The radius of the largest disk in
-a cell's kernel is the clearance of the kernel's Chebyshev center, a linear
-program in (x, y, r) whose optimum has three active edge constraints (Boyd &
-Vandenberghe, *Convex Optimization*, 2004, section 8.5.1).  It is found by
-vertex enumeration: per vertex-count group, the 3x3 systems of all C(n, 3)
-edge triples are solved in one batch and every candidate center is scored by
-its clearance from all edge lines (:func:`_chebyshev_radius`).
+Star-shapedness is reported, not enforced, and :func:`quality_report` is
+its only interface: the star ratio of every cell, NaN where the kernel is
+empty.  The radius of the largest disk in a cell's kernel is the clearance of
+the kernel's Chebyshev center, a linear program in (x, y, r) whose optimum
+has three active edge constraints (Boyd & Vandenberghe, *Convex
+Optimization*, 2004, section 8.5.1).  It is found by vertex enumeration: per
+vertex-count group, the 3x3 systems of all C(n, 3) edge triples are solved in
+one batch and every candidate center is scored by its clearance from all
+edge lines (:func:`_chebyshev_radius`).
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ import numpy as np
 
 from .errors import (
     EmptyGamma0,
-    EmptyKernel,
     MeshError,
     NonConforming,
     NonSimplePolygon,
@@ -113,7 +114,6 @@ class ElementGeometry:
     boundary_centroid: np.ndarray   # edge-length weighted mean of vertices
     edge_lengths: np.ndarray        # (n,)
     edge_normals: np.ndarray        # (n, 2) outward unit normals
-    edge_nodes: np.ndarray          # (n, 2) local endpoint indices, shared by a batch
 
     @property
     def n_vertices(self) -> int:
@@ -140,7 +140,8 @@ class PolygonalMesh:
     @property
     def cells(self) -> list[list[int]]:
         """The CCW cycles as lists, derived from the CSR arrays."""
-        return cycle_lists(self.cell_ptr, self.cell_vertices)
+        flat, ptr = self.cell_vertices.tolist(), self.cell_ptr.tolist()
+        return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def gamma0_edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, m in self.boundary_edges if m == GAMMA0]
@@ -169,7 +170,6 @@ class MeshQualityReport:
     star_ratio: np.ndarray        # rho(K)/h_K, NaN where the kernel is empty
     min_edge_ratio: np.ndarray    # min_e |e| / h_K
     empty_kernel_cells: list[int]
-    flagged_cells: list[int]      # star ratio below the requested threshold
     min_star_ratio: float
     global_min_edge_ratio: float
 
@@ -203,11 +203,21 @@ def _vertex_sum(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, np.moveaxis(a, -1, 0))
 
 
-def _orient(p, q, r, eps):
-    """Elementwise sign of the turn p->q->r of points given as ``(x, y)``
-    pairs of arrays, with tolerance eps (area units)."""
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _turn_sign(a, b):
+    """Elementwise sign of the cross product a - b of two edge vectors, given
+    its two products; 0 (no turn) where it is at most ``ZERO_EDGE_REL_TOL``
+    times |a| + |b|, a sine below the zero-edge floor.  Rounding moves a - b
+    by about 1e-16 of |a| + |b| whatever the coordinates, so every nonzero
+    sign is exact for the stored vertices and no rotation or shift of
+    collinear vertices turns them."""
+    v, eps = a - b, ZERO_EDGE_REL_TOL * (np.abs(a) + np.abs(b))
     return (v > eps).astype(int) - (v < -eps)
+
+
+def _orient(p, q, r):
+    """Elementwise sign of the turn p->q->r of points given as ``(x, y)``
+    pairs of arrays (:func:`_turn_sign`)."""
+    return _turn_sign((q[0] - p[0]) * (r[1] - p[1]), (q[1] - p[1]) * (r[0] - p[0]))
 
 
 def raise_first_fault(faults) -> None:
@@ -237,12 +247,6 @@ def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def cycle_lists(cell_ptr, cell_vertices) -> list[list[int]]:
-    """The cycles of CSR cells as lists of ints."""
-    flat, ptr = cell_vertices.tolist(), cell_ptr.tolist()
-    return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
-
-
 def _check_group(verts: np.ndarray, cycles: np.ndarray):
     """Orient a group of same-size cycles counter-clockwise and flag their
     geometric faults.
@@ -262,11 +266,9 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
 
     n = cycles.shape[1]
     pts = [(x[:, m], y[:, m]) for m in range(n)]   # vertex columns
-    ptp = [reduce(np.maximum, c) - reduce(np.minimum, c) for c in zip(*pts)]   # x, y extent
-    area_eps = (ZERO_EDGE_REL_TOL * np.maximum(np.maximum(*ptp), 1.0)) ** 2
     # spikes: consecutive edges folding back onto each other at vertex k
     ux, uy = np.roll(tx, 1, axis=1), np.roll(ty, 1, axis=1)
-    folds = (np.abs(ux * ty - uy * tx) <= area_eps[:, None]) & (ux * tx + uy * ty < 0.0)
+    folds = (_turn_sign(ux * ty, uy * tx) == 0) & (ux * tx + uy * ty < 0.0)
 
     # crossings between non-adjacent edges, pair by pair over the whole group
     coord_eps = ZERO_EDGE_REL_TOL * h_k   # on-segment slack: the zero-edge floor
@@ -275,7 +277,7 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
     for k, (i, j) in enumerate(pairs):
         p1, p2, p3, p4 = (pts[m % n] for m in (i, i + 1, j, j + 1))
         turns = ((p1, p2, p3), (p1, p2, p4), (p3, p4, p1), (p3, p4, p2))
-        o = [_orient(a, b, r, area_eps) for a, b, r in turns]
+        o = [_orient(a, b, r) for a, b, r in turns]
         hit = (o[0] != o[1]) & (o[2] != o[3]) & (o[0] != 0) & (o[2] != 0)
         for o_r, (a, b, r) in zip(o, turns):   # r collinear with and on the segment ab
             on = o_r == 0
@@ -470,11 +472,14 @@ def _near_segment(a, b, points):
 
 def _hanging_nodes(verts, ia, ib):
     """``(edge, vertex, t)`` for every endpoint of the edges ``ia -> ib`` that
-    lies strictly inside one of them, with t in (1e-12, 1 - 1e-12) by
-    :func:`_near_segment`, sorted by edge, then vertex."""
+    lies strictly inside one of them, sorted by edge, then vertex: near it by
+    :func:`_near_segment`, with t in (``ZERO_EDGE_REL_TOL``, 1 -
+    ``ZERO_EDGE_REL_TOL``).  The range ends at the zero-edge floor taken
+    relative to the edge: a node that cuts off a piece longer than
+    ``ZERO_EDGE_REL_TOL`` of it is inside, however close to an end."""
     ends = np.unique(np.concatenate((ia, ib)))
     edge, k, t = _near_segment(verts[ia].T, verts[ib].T, verts[ends].T)
-    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
+    inside = (t > ZERO_EDGE_REL_TOL) & (t < 1.0 - ZERO_EDGE_REL_TOL)
     return edge[inside], ends[k[inside]], t[inside]
 
 
@@ -566,7 +571,6 @@ def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometr
     same-size cells as one array computation.  The boundary centroid is the
     edge-trapezoid mean of the coordinates, exact for linear traces."""
     x, y = vertices[:, 0][cycles], vertices[:, 1][cycles]
-    n = cycles.shape[-1]
     xn, yn, cross, tx, ty, lengths = _edge_arrays(x, y)
     area = 0.5 * np.sum(cross, axis=-1)
     normals = np.stack((ty, -tx), axis=-1) / lengths[..., None]
@@ -586,7 +590,6 @@ def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometr
         boundary_centroid=boundary_centroid,
         edge_lengths=lengths,
         edge_normals=normals,
-        edge_nodes=np.column_stack((np.arange(n), (np.arange(n) + 1) % n)),
     )
 
 
@@ -628,33 +631,14 @@ def _chebyshev_radius(coords: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return radius
 
 
-def star_shaped_ratio(mesh: PolygonalMesh, cell: int) -> float:
-    """Radius of the largest disk in the kernel of the cell, over h_K.
-
-    The disk is centred at the Chebyshev center of the kernel, found by vertex
-    enumeration (:func:`_chebyshev_radius`, the kernel :func:`quality_report`
-    runs on every cell).  For a convex cell the kernel is the cell itself and
-    the ratio is the inradius over the diameter.
-
-    Raises :class:`EmptyKernel` when the cell is not star-shaped: the kernel
-    is empty, or the largest disk has radius at most
-    ``EMPTY_KERNEL_REL_TOL * h_K``.
-    """
-    geom = element_geometry(mesh, cell)
-    rho = float(_chebyshev_radius(geom.coords[None], geom.edge_normals[None])[0])
-    if rho < 0.0:
-        raise EmptyKernel(f"cell {cell}: kernel of the polygon is empty")
-    if rho <= EMPTY_KERNEL_REL_TOL * geom.diameter:
-        raise EmptyKernel(f"cell {cell}: kernel has empty interior")
-    return rho / geom.diameter
-
-
-def quality_report(mesh: PolygonalMesh, gamma_threshold: float = 0.0) -> MeshQualityReport:
+def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
     """Star-shapedness and smallest-edge ratios for every cell.
 
-    Cells whose kernel is empty or has empty interior get a NaN star ratio
-    and are listed in ``empty_kernel_cells``; cells with star ratio below
-    ``gamma_threshold`` are flagged.  Neither condition is fatal:
+    The star ratio is the radius of the largest disk in the cell's kernel
+    over h_K (:func:`_chebyshev_radius`); for a convex cell it is the
+    inradius over the diameter.  Cells whose kernel is empty, or whose
+    largest disk has radius at most ``EMPTY_KERNEL_REL_TOL * h_K``, get a NaN
+    star ratio and are listed in ``empty_kernel_cells``.  That is not fatal:
     star-shapedness is reported, never enforced.
     """
     star, edge_ratio = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
@@ -668,7 +652,6 @@ def quality_report(mesh: PolygonalMesh, gamma_threshold: float = 0.0) -> MeshQua
         star_ratio=star,
         min_edge_ratio=edge_ratio,
         empty_kernel_cells=np.flatnonzero(np.isnan(star)).tolist(),
-        flagged_cells=np.flatnonzero(star < gamma_threshold).tolist(),
         min_star_ratio=float(np.min(finite)) if len(finite) else float("nan"),
         global_min_edge_ratio=float(np.min(edge_ratio)),
     )

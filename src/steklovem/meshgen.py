@@ -165,10 +165,11 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     hanging: a vertex p inside the once-edge ab of cell K is a corner of the
     cells across ab, and their edges along ab from p lie against K, so no
     second cell shares them.  The hanging nodes are the ones
-    :func:`steklovem.mesh._hanging_nodes` finds, under the rule the validator
-    rejects them by, so a vertex missed here fails validation as
-    non-conforming.  One lexsort on (edge slot, t, vertex) puts them after
-    the start vertex of their edge.
+    :func:`steklovem.mesh._hanging_nodes` finds, with t in
+    (``ZERO_EDGE_REL_TOL``, 1 - ``ZERO_EDGE_REL_TOL``) along the edge, under
+    the rule the validator rejects them by, so a vertex missed here fails
+    validation as non-conforming.  One lexsort on (edge slot, t, vertex) puts
+    them after the start vertex of their edge.
     """
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
     _, counts, row = edge_table(cell_ptr, cell_vertices)

@@ -14,7 +14,8 @@ Every local matrix is thus a closed-form function of the vertex
 coordinates.  Assembly groups the cells by vertex count, computes each
 group's geometry and operators as one batch of ``(C, n, ...)`` arrays and
 converts all stiffness and all gamma0 edge-mass entries to CSR once each.
-The single-cell functions run the same kernel without the batch axis.
+:func:`local_operators` runs the same kernel on one cell, without the batch
+axis.
 """
 
 from __future__ import annotations
@@ -111,21 +112,6 @@ def local_operators(geom: ElementGeometry,
     shortest_edge = geom.edge_lengths.min(axis=-1)
     raise_first_fault(_element_faults(geom.area, geom.diameter, shortest_edge))
     return _operators(geom, spec.alpha)
-
-
-def local_projector(geom: ElementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy projection onto affine functions as ``(G, mean_row, P)``."""
-    ops = local_operators(geom)
-    return ops.G, ops.mean_row, ops.P
-
-
-def stability_matrix(geom: ElementGeometry, spec: StabilizationSpec) -> np.ndarray:
-    return local_operators(geom, spec).S_K
-
-
-def local_stiffness(geom: ElementGeometry,
-                    spec: StabilizationSpec = StabilizationSpec()) -> np.ndarray:
-    return local_operators(geom, spec).A_K
 
 
 def boundary_mass_edge(length) -> np.ndarray:

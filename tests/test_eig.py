@@ -1,6 +1,7 @@
 """Generalized eigensolver: trace-space Lanczos, filtering, oracles."""
 
 import dataclasses
+import functools
 import importlib.util
 import math
 import tracemalloc
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovem.errors import InvalidN, KTooLarge, NotSPD, RankDeficientGamma0Mass, TooLarge
 from steklovem.eig import (
@@ -146,6 +149,26 @@ def test_lambdas_scale_as_inverse_length(s):
     scaled = build_mesh(s * mesh.vertices, mesh.cells, mesh.boundary_edges)
     lambdas = solve_steklov(assemble_global(scaled, StabilizationSpec()), 3).lambdas
     np.testing.assert_allclose(s * lambdas, ref, rtol=1e-10)
+
+
+@functools.cache
+def unmoved_lambdas(family):
+    return solve_steklov(system_for(family, 8), 6).lambdas
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_lambdas_invariant_under_rigid_motion(family, theta, shift):
+    # the shoelace area runs on absolute coordinates, so shifts far beyond
+    # the mesh size (1e3) lose digits of |K|; within 10 they do not
+    mesh = FAMILIES[family](8)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    moved = build_mesh(mesh.vertices @ rot.T + np.array(shift), mesh.cells,
+                       mesh.boundary_edges)
+    lambdas = solve_steklov(assemble_global(moved, StabilizationSpec()), 6).lambdas
+    np.testing.assert_allclose(lambdas, unmoved_lambdas(family), rtol=1e-10)
 
 
 def test_solve_allocates_no_dense_n_by_m_block():

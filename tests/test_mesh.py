@@ -18,7 +18,6 @@ from scipy.sparse.csgraph import connected_components
 from steklovem import mesh as mesh_module
 from steklovem.errors import (
     EmptyGamma0,
-    EmptyKernel,
     MeshError,
     NonConforming,
     NonSimplePolygon,
@@ -35,7 +34,6 @@ from steklovem.mesh import (
     load_mesh_json,
     quality_report,
     save_mesh_json,
-    star_shaped_ratio,
 )
 from steklovem.meshgen import FAMILIES
 
@@ -182,6 +180,20 @@ REJECTIONS = {
         [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
          (2, 3, GAMMA0), (3, 0, GAMMA0), (1, 6, GAMMA1), (6, 2, GAMMA1), (1, 2, GAMMA1)],
         NonConforming, None, "overlap"),
+    # the hanging node 1e-13 |ab| from an end of edge ab = (1, 2): its short
+    # edge (1, 6) is above the zero-edge floor, so the node is inside ab too
+    "hanging_node_near_edge_end": (
+        [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 1e-13]],
+        [[0, 1, 6, 2, 3], [1, 4, 5, 2]],
+        [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
+         (2, 3, GAMMA0), (3, 0, GAMMA0)],
+        NonConforming, None, "overlap"),
+    "hanging_node_near_edge_end_with_declared_interface": (
+        [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 1e-13]],
+        [[0, 1, 6, 2, 3], [1, 4, 5, 2]],
+        [(0, 1, GAMMA0), (1, 4, GAMMA0), (4, 5, GAMMA0), (5, 2, GAMMA0),
+         (2, 3, GAMMA0), (3, 0, GAMMA0), (1, 6, GAMMA1), (6, 2, GAMMA1), (1, 2, GAMMA1)],
+        NonConforming, None, "overlap"),
     # two copies of one cell leave no once-edge: every declared edge is a phantom
     "coincident_cells": (SQUARE_VERTS, [[0, 1, 2], [0, 2, 1]],
                          [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)],
@@ -287,6 +299,36 @@ def test_rejection_table_csr_validator(case):
     assert type(info.value) is kind, info.value
     assert cell_named(info.value) == cell, info.value
     assert fragment in str(info.value)
+
+
+def rotated(verts, theta):
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return np.asarray(verts, dtype=float) @ rot.T
+
+
+def is_point_array(verts):
+    v = np.asarray(verts, dtype=float)
+    return v.ndim == 2 and v.shape[1:] == (2,) and len(v) > 0 and bool(np.all(np.isfinite(v)))
+
+
+def test_rejection_verdicts_invariant_under_rotation():
+    # rotated vertices are collinear only up to rounding: a spike must still
+    # fold back, and a chain of flat vertices must not turn into a crossing
+    for case, (verts, cells, bnd, kind, cell, _) in sorted(REJECTIONS.items()):
+        if not is_point_array(verts):
+            continue
+        for theta in np.linspace(0.1, 6.2, 13):
+            assert verdict(rotated(verts, theta), cells, bnd) == (kind.__name__, cell), (
+                case, theta)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rotated_generated_meshes_validate(family):
+    # t4 and t5 cells carry chains of flat vertices, which rounding bends
+    # both ways once rotated about the origin
+    mesh = FAMILIES[family](8)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+        build_mesh(rotated(mesh.vertices, theta), mesh.cells, mesh.boundary_edges)
 
 
 def test_rejection_table_strip_is_valid():
@@ -469,16 +511,16 @@ def reference_crossings(coords):
     ``all`` over the x/y axis: the formulation the validator's coordinate-plane
     kernel must reproduce."""
     n = coords.shape[1]
-    ptp = np.max(np.ptp(coords, axis=1), axis=1)
-    area_eps = (ZERO_EDGE_REL_TOL * np.maximum(ptp, 1.0)) ** 2
     # on-segment slack: the zero-edge floor ZERO_EDGE_REL_TOL * h_K
     h_k = np.max(np.linalg.norm(coords[:, :, None] - coords[:, None], axis=-1), axis=(1, 2))
     coord_eps = (ZERO_EDGE_REL_TOL * h_k)[:, None]
 
     def orient(p, q, r):
-        v = ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
-             - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
-        return (v > area_eps).astype(int) - (v < -area_eps)
+        # no turn where |cross| <= ZERO_EDGE_REL_TOL times the sum of |its terms|
+        terms = np.stack(((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]),
+                          -(q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])))
+        v, eps = terms[0] + terms[1], ZERO_EDGE_REL_TOL * np.abs(terms).sum(axis=0)
+        return (v > eps).astype(int) - (v < -eps)
 
     pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
     first_pair = np.full(len(coords), -1)
@@ -659,8 +701,9 @@ def test_outward_normals_point_away_from_centroid():
     mesh = FAMILIES["t6"](4)
     for c in range(mesh.n_cells):
         g = element_geometry(mesh, c)
-        for e in range(g.n_vertices):
-            i, j = g.edge_nodes[e]
+        n = g.n_vertices
+        for e in range(n):
+            i, j = e, (e + 1) % n
             mid = 0.5 * (g.coords[i] + g.coords[j])
             assert np.dot(g.edge_normals[e], mid - g.centroid) > 0.0
 
@@ -669,8 +712,13 @@ def test_outward_normals_point_away_from_centroid():
 # star-shapedness
 
 
+def star_ratio(mesh):
+    """Star ratio of the first cell, as the quality report gives it."""
+    return quality_report(mesh).star_ratio[0]
+
+
 def test_star_ratio_square():
-    assert star_shaped_ratio(unit_square_mesh(), 0) == pytest.approx(
+    assert star_ratio(unit_square_mesh()) == pytest.approx(
         0.5 / math.sqrt(2.0), abs=1e-9)
 
 
@@ -678,8 +726,7 @@ def test_star_ratio_equilateral_triangle():
     verts = np.array([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
     bnd = [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)]
     mesh = build_mesh(verts, [[0, 1, 2]], bnd)
-    assert star_shaped_ratio(mesh, 0) == pytest.approx(
-        1.0 / (2.0 * math.sqrt(3.0)), abs=1e-9)
+    assert star_ratio(mesh) == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-9)
 
 
 def single_cell_mesh(verts):
@@ -710,8 +757,7 @@ def test_star_ratio_lshaped_hexagon_vs_grid_search():
     xs = np.linspace(0.0, 2.0, 401)
     best = grid_search_clearance(mesh, xs, xs)
     g = element_geometry(mesh, 0)
-    assert star_shaped_ratio(mesh, 0) == pytest.approx(best / g.diameter,
-                                                       abs=1e-3)
+    assert star_ratio(mesh) == pytest.approx(best / g.diameter, abs=1e-3)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -721,20 +767,13 @@ def test_star_ratio_regular_polygon_closed_form(n):
     mesh = single_cell_mesh(radius * np.column_stack((np.cos(theta), np.sin(theta))))
     inradius = radius * math.cos(math.pi / n)
     diameter = 2.0 * radius * (1.0 if n % 2 == 0 else math.cos(math.pi / (2 * n)))
-    assert star_shaped_ratio(mesh, 0) == pytest.approx(inradius / diameter, rel=1e-13)
+    assert star_ratio(mesh) == pytest.approx(inradius / diameter, rel=1e-13)
 
 
 # the edges on y = 0, y = x and y = -x confine the kernel to the origin
 POINT_KERNEL = [[1, 0], [3, 0], [3, 3], [2, 2], [-2, 2], [-3, 3], [-3, -3]]
 # staircase octagon: one wall demands x >= 2, another x <= 1
 STAIRCASE = [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 2], [0, 2]]
-
-
-def test_star_ratio_point_and_empty_kernels():
-    with pytest.raises(EmptyKernel, match="cell 0: kernel has empty interior"):
-        star_shaped_ratio(single_cell_mesh(POINT_KERNEL), 0)
-    with pytest.raises(EmptyKernel, match="cell 0: kernel of the polygon is empty"):
-        star_shaped_ratio(single_cell_mesh(STAIRCASE), 0)
 
 
 def test_star_ratio_invariant_under_rigid_motion_and_scale():
@@ -746,14 +785,13 @@ def test_star_ratio_invariant_under_rigid_motion_and_scale():
         element_geometry(FAMILIES["t5"](4), 5).coords,
     ]
     for verts in map(np.asarray, polygons):
-        base = star_shaped_ratio(single_cell_mesh(verts), 0)
+        base = star_ratio(single_cell_mesh(verts))
         for s in (1.0, 1e-6, 1e6):
             for _ in range(5):
                 a = rng.uniform(0.0, 2.0 * math.pi)
                 rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
                 moved = s * (verts @ rot.T + rng.uniform(-3.0, 3.0, 2))
-                assert star_shaped_ratio(single_cell_mesh(moved), 0) == pytest.approx(
-                    base, rel=1e-12)
+                assert star_ratio(single_cell_mesh(moved)) == pytest.approx(base, rel=1e-12)
 
 
 def test_star_ratio_random_polygons_vs_grid_search():
@@ -765,7 +803,7 @@ def test_star_ratio_random_polygons_vs_grid_search():
         radii = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, n)
         mesh = single_cell_mesh(radii[:, None] * np.column_stack((np.cos(theta),
                                                                   np.sin(theta))))
-        rho = star_shaped_ratio(mesh, 0) * element_geometry(mesh, 0).diameter
+        rho = star_ratio(mesh) * element_geometry(mesh, 0).diameter
         xs = np.linspace(-1.5, 1.5, 301)
         best = grid_search_clearance(mesh, xs, xs)
         # clearance is 1-Lipschitz: the optimum lies within half a grid
@@ -783,8 +821,7 @@ def test_star_ratio_random_polygons_vs_grid_search():
         mesh = single_cell_mesh(np.concatenate((outer, inner[::-1])))
         xs = np.linspace(-1.2, 1.2, 241)
         assert grid_search_clearance(mesh, xs, xs) < 0.0
-        with pytest.raises(EmptyKernel, match="kernel of the polygon is empty"):
-            star_shaped_ratio(mesh, 0)
+        assert np.isnan(star_ratio(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +830,13 @@ def test_star_ratio_random_polygons_vs_grid_search():
 
 def test_quality_report_matches_per_cell_ratio(monkeypatch):
     # a small chunk splits every vertex-count group of the batched kernel
+    # into chunks of a cell or a few; the ratios must not move by a bit
+    # (NaNs, empty kernels, count as equal where both reports have them)
+    meshes = [FAMILIES["t5"](4), FAMILIES["t2"](8), FAMILIES["t6"](16)]
+    whole = [quality_report(mesh).star_ratio for mesh in meshes]
     monkeypatch.setattr(mesh_module, "_KERNEL_CHUNK", 100)
-    mesh = FAMILIES["t5"](4)
-    per_cell = [star_shaped_ratio(mesh, c) for c in range(mesh.n_cells)]
-    threshold = float(np.median(per_cell))
-    report = quality_report(mesh, gamma_threshold=threshold)
-    np.testing.assert_allclose(report.star_ratio, per_cell, rtol=1e-14)
-    assert report.flagged_cells == [c for c, r in enumerate(report.star_ratio)
-                                    if r < threshold]
-    assert 0 < len(report.flagged_cells) < mesh.n_cells
+    for mesh, ratio in zip(meshes, whole):
+        np.testing.assert_array_equal(quality_report(mesh).star_ratio, ratio, strict=True)
 
 
 def test_quality_axis_aligned_squares():

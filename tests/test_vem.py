@@ -25,9 +25,6 @@ from steklovem.vem import (
     assemble_global,
     boundary_mass_edge,
     local_operators,
-    local_projector,
-    local_stiffness,
-    stability_matrix,
     triple_norm,
 )
 
@@ -57,7 +54,8 @@ UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 def test_projector_reproduces_x_on_square():
     g = geom_of(UNIT_SQUARE)
-    G, mean_row, P = local_projector(g)
+    ops = local_operators(g)
+    G, mean_row, P = ops.G, ops.mean_row, ops.P
     w = np.array([0.0, 1.0, 1.0, 0.0])       # dofs of v(x, y) = x
     np.testing.assert_allclose(G @ w, [1.0, 0.0], atol=1e-14)
     assert mean_row @ w == pytest.approx(0.5)
@@ -66,7 +64,8 @@ def test_projector_reproduces_x_on_square():
 
 def test_projector_kills_gradient_of_constants():
     g = geom_of([[0, 0], [2, 0.3], [1.7, 1.9], [0.2, 1.4]])
-    G, _, P = local_projector(g)
+    ops = local_operators(g)
+    G, P = ops.G, ops.P
     w = 3.25 * np.ones(4)
     np.testing.assert_allclose(G @ w, [0.0, 0.0], atol=1e-13)
     np.testing.assert_allclose(P @ w, w, atol=1e-13)
@@ -74,7 +73,8 @@ def test_projector_kills_gradient_of_constants():
 
 def test_projector_p1_reproduction_general_polygon():
     g = geom_of([[0, 0], [1.3, -0.1], [1.5, 0.9], [0.7, 1.4], [-0.2, 0.8]])
-    G, _, P = local_projector(g)
+    ops = local_operators(g)
+    G, P = ops.G, ops.P
     for a, b, c in [(1.0, 2.0, -0.5), (0.0, -1.0, 3.0)]:
         w = a + b * g.coords[:, 0] + c * g.coords[:, 1]
         np.testing.assert_allclose(G @ w, [b, c], atol=1e-13)
@@ -92,8 +92,9 @@ def test_projector_matches_quadrature_oracle():
 
         nq = 2000
         pts, vals, wts = [], [], []
-        for e in range(g.n_vertices):
-            i, j = g.edge_nodes[e]
+        n = g.n_vertices
+        for e in range(n):
+            i, j = e, (e + 1) % n
             t = (np.arange(nq) + 0.5) / nq
             pts.append(g.coords[i][None, :] * (1 - t[:, None])
                        + g.coords[j][None, :] * t[:, None])
@@ -105,13 +106,14 @@ def test_projector_matches_quadrature_oracle():
 
         # gradient: a(v, q) = ∮ v ∂_n q for harmonic q in P1
         grad = np.zeros(2)
-        for e in range(g.n_vertices):
-            i, j = g.edge_nodes[e]
+        for e in range(n):
+            i, j = e, (e + 1) % n
             grad += g.edge_normals[e] * g.edge_lengths[e] * 0.5 * (w[i] + w[j])
         grad /= g.area
         vbar = np.sum(wts * vals) / g.boundary_length
 
-        G, mean_row, P = local_projector(g)
+        ops = local_operators(g)
+        G, mean_row, P = ops.G, ops.mean_row, ops.P
         np.testing.assert_allclose(G @ w, grad, atol=1e-12)
         assert mean_row @ w == pytest.approx(vbar, abs=1e-9)
         proj_bar = np.sum(
@@ -125,7 +127,7 @@ def test_projector_matches_quadrature_oracle():
 
 
 def test_stability_matrix_unit_square_closed_form():
-    S = stability_matrix(geom_of(UNIT_SQUARE), StabilizationSpec(alpha=1.0))
+    S = local_operators(geom_of(UNIT_SQUARE), StabilizationSpec(alpha=1.0)).S_K
     expected = SQRT2 * np.array([[2, -1, 0, -1],
                                  [-1, 2, -1, 0],
                                  [0, -1, 2, -1],
@@ -135,14 +137,14 @@ def test_stability_matrix_unit_square_closed_form():
 
 def test_stability_annihilates_constants():
     g = geom_of([[0, 0], [2, 0], [2.4, 1.1], [0.5, 1.7]])
-    S = stability_matrix(g, StabilizationSpec(alpha=1.5))
+    S = local_operators(g, StabilizationSpec(alpha=1.5)).S_K
     np.testing.assert_allclose(S @ np.ones(4), 0.0, atol=1e-12)
 
 
 def test_stability_small_edge_psd():
     eps = 1e-8
     g = geom_of([[0, 0], [eps, 0], [1, 0], [1, 1], [0, 1]])
-    S = stability_matrix(g, StabilizationSpec())
+    S = local_operators(g, StabilizationSpec()).S_K
     assert S[0, 1] == pytest.approx(-SQRT2 / eps, rel=1e-12)
     eigs = np.linalg.eigvalsh(S)
     assert eigs.min() >= -1e-10 * np.abs(eigs).max()
@@ -177,13 +179,13 @@ def fem_p1_stiffness(tri):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_triangle_equals_p1_fem(alpha):
     tri = [[0.1, -0.2], [1.4, 0.3], [0.5, 1.2]]
-    A = local_stiffness(geom_of(tri), StabilizationSpec(alpha=alpha))
+    A = local_operators(geom_of(tri), StabilizationSpec(alpha=alpha)).A_K
     np.testing.assert_allclose(A, fem_p1_stiffness(tri), atol=1e-12)
 
 
 def test_patch_test_energy_of_linears():
     g = geom_of([[0, 0], [1.1, 0.1], [1.3, 0.9], [0.4, 1.2], [-0.1, 0.6]])
-    A = local_stiffness(g, StabilizationSpec())
+    A = local_operators(g, StabilizationSpec()).A_K
     for b, c in [(1.0, 0.0), (0.3, -2.0), (1.5, 1.5)]:
         w = b * g.coords[:, 0] + c * g.coords[:, 1]
         assert w @ A @ w == pytest.approx(g.area * (b * b + c * c), rel=1e-12)
@@ -191,7 +193,7 @@ def test_patch_test_energy_of_linears():
 
 def test_local_stiffness_symmetric_psd_kernel_constants():
     g = geom_of([[0, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 1]])
-    A = local_stiffness(g, StabilizationSpec())
+    A = local_operators(g, StabilizationSpec()).A_K
     np.testing.assert_allclose(A, A.T, atol=1e-13)
     np.testing.assert_allclose(A @ np.ones(5), 0.0, atol=1e-12)
     eigs = np.linalg.eigvalsh(A)
@@ -260,7 +262,7 @@ def test_triple_norm_of_x_on_unit_square():
     w = mesh.vertices[:, 0].copy()
     # consistency part: |K| |grad x|^2 = 1; mean-deviation part:
     # S(x - 1/2, x - 1/2) with the closed-form square S of the tests above
-    S = stability_matrix(element_geometry(mesh, 0), StabilizationSpec())
+    S = local_operators(element_geometry(mesh, 0), StabilizationSpec()).S_K
     dev = w - 0.5
     expected = math.sqrt(1.0 + dev @ S @ dev)
     assert triple_norm(mesh, w, StabilizationSpec()) == pytest.approx(
@@ -278,7 +280,7 @@ def test_assemble_single_square_cell():
     system = assemble_global(mesh, StabilizationSpec())
     np.testing.assert_allclose(
         system.A.toarray(),
-        local_stiffness(element_geometry(mesh, 0), StabilizationSpec()),
+        local_operators(element_geometry(mesh, 0), StabilizationSpec()).A_K,
         atol=1e-13)
     B = system.B.toarray()
     np.testing.assert_allclose(B[np.ix_([2, 3], [2, 3])],
@@ -294,7 +296,7 @@ def per_cell_assembly(mesh, spec):
     A, B = np.zeros((n, n)), np.zeros((n, n))
     for c in range(mesh.n_cells):
         g = element_geometry(mesh, c)
-        A[np.ix_(g.vertex_ids, g.vertex_ids)] += local_stiffness(g, spec)
+        A[np.ix_(g.vertex_ids, g.vertex_ids)] += local_operators(g, spec).A_K
     for i, j in mesh.gamma0_edges():
         length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
         B[np.ix_([i, j], [i, j])] += boundary_mass_edge(length)
