@@ -207,9 +207,9 @@ def _turn_sign(a, b):
     """Elementwise sign of the cross product a - b of two edge vectors, given
     its two products; 0 (no turn) where it is at most ``ZERO_EDGE_REL_TOL``
     times |a| + |b|, a sine below the zero-edge floor.  Rounding moves a - b
-    by about 1e-16 of |a| + |b| whatever the coordinates, so every nonzero
-    sign is exact for the stored vertices and no rotation or shift of
-    collinear vertices turns them."""
+    by a few 1e-16 of |a| + |b| whatever the coordinates, so a nonzero sign
+    is exact for the stored vertices: rounding cannot bend a rotated chain
+    of collinear vertices into a crossing, or a rotated spike out of line."""
     v, eps = a - b, ZERO_EDGE_REL_TOL * (np.abs(a) + np.abs(b))
     return (v > eps).astype(int) - (v < -eps)
 

@@ -230,7 +230,6 @@ def test_criterion_7_property_suite():
                 np.linalg.cholesky(system.Ahat.toarray())
             except np.linalg.LinAlgError:
                 problems.append(f"Ahat Cholesky ({family}, N={N})")
-    ops = local_operators(g, StabilizationSpec())
     eigs = np.linalg.eigvalsh(ops.S_K)
     if eigs.min() < -1e-10 * eigs.max() or np.abs(
             ops.S_K @ np.ones(5)).max() > 1e-12:

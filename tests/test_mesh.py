@@ -831,7 +831,6 @@ def test_star_ratio_random_polygons_vs_grid_search():
 def test_quality_report_matches_per_cell_ratio(monkeypatch):
     # a small chunk splits every vertex-count group of the batched kernel
     # into chunks of a cell or a few; the ratios must not move by a bit
-    # (NaNs, empty kernels, count as equal where both reports have them)
     meshes = [FAMILIES["t5"](4), FAMILIES["t2"](8), FAMILIES["t6"](16)]
     whole = [quality_report(mesh).star_ratio for mesh in meshes]
     monkeypatch.setattr(mesh_module, "_KERNEL_CHUNK", 100)
