@@ -26,19 +26,24 @@ its returned vector.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidN, KTooLarge, NotSPD, RankDeficientGamma0Mass, SolverError, TooLarge
+from .errors import (FactorizationOutOfMemory, InvalidN, KTooLarge, NotSPD,
+                     RankDeficientGamma0Mass, SolverError, TooLarge)
 from .mesh import PolygonalMesh
 from .vem import GlobalSystem
 
 _CONSTANT_OVERLAP = 0.99
 _DENSE_LIMIT = 2000
 _BACKWARD_ERROR_BOUND = 1e-10
+# SuperLU's allocation failures: "SUPERLU_MALLOC fails for ...", "Malloc fails
+# for ...", "Not enough memory to perform factorization." and "Out of memory."
+_OUT_OF_MEMORY = re.compile(r"malloc|memory", re.IGNORECASE)
 
 
 @dataclass
@@ -50,6 +55,13 @@ class EigenResult:
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
+
+
+def _norm_1(matrix) -> float:
+    """Largest column sum of |matrix|, read from its data and column indices
+    without the copy of |matrix| that ``scipy.sparse.linalg.norm`` builds."""
+    return float(np.bincount(matrix.indices, weights=np.abs(matrix.data),
+                             minlength=matrix.shape[1]).max(initial=0.0))
 
 
 def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
@@ -76,10 +88,11 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
     zero = np.flatnonzero(overlap > _CONSTANT_OVERLAP)[:1]
     keep = np.delete(np.arange(len(mus)), zero)[:k]
 
-    norm_A, norm_B = spla.norm(system.A, 1), spla.norm(system.B, 1)
-    U = vecs[:, keep]
-    U = U / np.sqrt(np.einsum("ij,ij->j", U, system.Ahat @ U))
-    AU, BU = system.A @ U, system.B @ U
+    norm_A, norm_B = _norm_1(system.A), _norm_1(system.B)
+    U, BU = vecs[:, keep], BV[:, keep]
+    unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", U, system.Ahat @ U))
+    U, BU = U * unit, BU * unit
+    AU = system.A @ U
     lambdas = np.einsum("ij,ij->j", U, AU) / np.einsum("ij,ij->j", U, BU)
     scale = norm_A + np.abs(lambdas) * norm_B
     residuals = (np.abs(AU - BU * lambdas).sum(axis=0)
@@ -114,7 +127,9 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
-    positive definite, NotSPD when Ahat is not, and SolverError when a
+    positive definite, FactorizationOutOfMemory when the LU cannot allocate
+    its factors (SuperLU's "SUPERLU_MALLOC fails ..." and kin), NotSPD when
+    the LU fails otherwise or Ahat is not SPD, and SolverError when a
     backward error exceeds 1e-10.
     """
     if k < 1:
@@ -125,15 +140,19 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
     try:
-        R = sla.cholesky(system.B[np.ix_(g, g)].toarray())
+        R = sla.cholesky(system.B[g][:, g].toarray())
     except sla.LinAlgError as exc:
         raise RankDeficientGamma0Mass(str(exc)) from exc
 
     try:
-        factor = spla.splu(system.Ahat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself
+        factor = spla.splu(system.Ahat.T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
+        if isinstance(exc, MemoryError) or _OUT_OF_MEMORY.search(str(exc)):
+            raise FactorizationOutOfMemory(
+                f"factorization of Ahat ran out of memory: {exc}") from exc
         raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
     if not (np.array_equal(factor.perm_r, factor.perm_c)
             and np.all(factor.U.diagonal() > 0.0)):

@@ -41,6 +41,10 @@ class NotSPD(SolverError):
     pass
 
 
+class FactorizationOutOfMemory(SolverError):
+    """The sparse LU of Ahat could not allocate its factors."""
+
+
 class RankDeficientGamma0Mass(SolverError):
     pass
 

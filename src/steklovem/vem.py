@@ -5,28 +5,40 @@ vertex.  Everything is computed from boundary data alone: the gradient G
 of the energy projection onto affine functions comes from the divergence
 theorem (trapezoid averages of the dofs against |e| n_e, over |K|); the
 projection P w = mean(w) + (G w) . (x - x_bnd) keeps the boundary mean;
-the stabilization S = h_K^alpha sum_e d_e d_e^T / |e| weights the exact
-tangential edge derivatives (d_e the signed incidence vector of edge e);
-A_K = |K| G^T G + (I - P)^T S (I - P).  No volume quadrature appears, which
-is what makes the operators insensitive to arbitrarily small edges.
+the stabilization S_K = sum_e w_e d_e d_e^T with w_e = h_K^alpha / |e|
+weights the exact tangential edge derivatives (d_e the signed incidence
+vector of edge e); A_K = |K| G^T G + (I - P)^T S_K (I - P) (Mora, Rivera &
+Rodriguez, M3AS 25, 2015).  No volume quadrature appears, which is what
+makes the operators insensitive to arbitrarily small edges.
 
-Every local matrix is thus a closed-form function of the vertex
-coordinates.  Assembly groups the cells by vertex count, computes each
-group's geometry and operators as one batch of ``(C, n, ...)`` arrays and
-converts all stiffness and all gamma0 edge-mass entries to CSR once each.
-:func:`local_operators` runs the same kernel on one cell, without the batch
-axis.
+Assembly never forms P.  Since 1^T d_e = 0, (I - P)^T d_e = d_e - G^T t_e
+with t_e the edge vector, so
+
+    A_K = |K| G^T G + sum_e w_e q_e q_e^T,   q_e = d_e - G^T t_e,
+        = G^T M G - c^T G - G^T c + S_K,
+
+with the 2 x 2 matrix M = |K| I + sum_e w_e t_e t_e^T and the 2 x n matrix c
+whose column i is w_{i-1} t_{i-1} - w_i t_i.  The cells are grouped by vertex
+count, and one kernel per group (:func:`_stiffness`) reads the x/y planes of
+the group's edge vectors, each a ``(C, n)`` array, and writes A_K as
+G^T h + h^T G with h = M G / 2 - c, two rank-2 outer products, plus the
+cyclic tridiagonal S_K: no ``(C, n, n)`` P, I - P or S_K and no batched
+matrix product.  All stiffness and all gamma0 edge-mass entries go to CSR once
+each, with int32 indices.  :func:`local_operators` keeps the projector form
+for one cell; it is the reference the tests hold assembly to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sps
 
 from .errors import DegenerateElement, ZeroLengthEdge
-from .mesh import VANISHING_AREA_REL_TOL, ElementGeometry, PolygonalMesh, raise_first_fault
+from .mesh import (VANISHING_AREA_REL_TOL, ElementGeometry, PolygonalMesh, _diameter,
+                   _edge_arrays, _size_groups, raise_first_fault)
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,8 @@ class StabilizationSpec:
 
 @dataclass(frozen=True)
 class LocalOperators:
-    """Projector, stabilization and stiffness of one element (or a batch)."""
+    """Projector, stabilization and stiffness of one element, in the projector
+    form A_K = |K| G^T G + (I - P)^T S_K (I - P)."""
 
     G: np.ndarray          # (2, n): dofs -> constant gradient of the projection
     mean_row: np.ndarray   # (n,):   dofs -> boundary mean value
@@ -72,46 +85,72 @@ def _element_faults(area, diameter, shortest_edge) -> list:
                 "stabilization needs strictly positive edge lengths"))]
 
 
-def _operators(geom: ElementGeometry, alpha: float) -> LocalOperators:
-    """Local operators of one cell, or of a batch of same-size cells (leading
-    axes).  Edge e joins vertices e and e + 1: a vertex sums an edge array and its shift."""
-    n = geom.n_vertices
-    half = 0.5 * geom.edge_lengths
-    flux = half[..., None] * geom.edge_normals
-    G = np.swapaxes(flux + np.roll(flux, 1, axis=-2), -1, -2) / geom.area[..., None, None]
-    mean_row = (half + np.roll(half, 1, axis=-1)) / geom.boundary_length[..., None]
-    P = mean_row[..., None, :] + (geom.coords - geom.boundary_centroid[..., None, :]) @ G
-
-    inv = 1.0 / geom.edge_lengths
-    i, j = np.arange(n), np.roll(np.arange(n), -1)
-    S = np.zeros(inv.shape + (n,))
-    S[..., i, i] = inv + np.roll(inv, 1, axis=-1)
-    S[..., i, j] = S[..., j, i] = -inv
-    S *= (geom.diameter ** alpha)[..., None, None]
-
-    Q = np.eye(n) - P
-    A_K = (geom.area[..., None, None] * (np.swapaxes(G, -1, -2) @ G)
-           + np.swapaxes(Q, -1, -2) @ S @ Q)
-    A_K = 0.5 * (A_K + np.swapaxes(A_K, -1, -2))
-    return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=A_K, S_K=S)
-
-
-def _grouped_operators(mesh: PolygonalMesh, spec: StabilizationSpec):
-    """``(geometry, operators)`` per vertex-count group; cells checked in cell order."""
-    groups = mesh.grouped_geometry()
-    stats = np.empty((3, mesh.n_cells))
-    for cells, geom in groups:
-        stats[:, cells] = geom.area, geom.diameter, geom.edge_lengths.min(axis=-1)
+def _cell_planes(mesh: PolygonalMesh, alpha: float) -> list[tuple]:
+    """``(cycles, |K|, tx, ty, w)`` per vertex-count group, ascending: the
+    ``(C, n)`` vertex cycles, the areas, the x/y planes of the edge vectors and
+    the edge weights w_e = h_K^alpha / |e|; cells checked in cell order."""
+    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    stats, groups = np.empty((3, mesh.n_cells)), []
+    for ids, slots in _size_groups(mesh.cell_ptr):
+        cycles = mesh.cell_vertices[slots]
+        x, y = vx[cycles], vy[cycles]
+        tx, ty, lengths, *_, cross = _edge_arrays(x, y)
+        area, diameter = 0.5 * np.sum(cross, axis=-1), _diameter(x, y)
+        stats[:, ids] = area, diameter, lengths.min(axis=-1)
+        groups.append((cycles, area, tx, ty, lengths, diameter))
     raise_first_fault(_element_faults(*stats))
-    return [(geom, _operators(geom, spec.alpha)) for _, geom in groups]
+    return [(cycles, area, tx, ty, (diameter ** alpha)[:, None] / lengths)
+            for cycles, area, tx, ty, lengths, diameter in groups]
+
+
+def _gradient(area, tx, ty):
+    """The rows gx, gy of G: column i is (t_{i-1} + t_i) rotated clockwise,
+    over 2 |K|, the flux of the trapezoid trace through the two edges at i."""
+    s = 0.5 / area[:, None]
+    return s * (ty + np.roll(ty, 1, axis=1)), -s * (tx + np.roll(tx, 1, axis=1))
+
+
+def _stiffness(area, tx, ty, w, out: np.ndarray) -> None:
+    """Write A_K = G^T h + h^T G + S_K of a group of same-size cells into
+    ``out`` (C, n, n), with h = M G / 2 - c (module docstring).  Each entry
+    is X_ij + X_ji for X = G^T h, so A_K is exactly symmetric."""
+    gx, gy = _gradient(area, tx, ty)
+    wx, wy = w * tx, w * ty
+    mxx = area + np.sum(wx * tx, axis=1)
+    mxy = np.sum(wx * ty, axis=1)
+    myy = area + np.sum(wy * ty, axis=1)
+    hx = 0.5 * (mxx[:, None] * gx + mxy[:, None] * gy) + wx - np.roll(wx, 1, axis=1)
+    hy = 0.5 * (mxy[:, None] * gx + myy[:, None] * gy) + wy - np.roll(wy, 1, axis=1)
+    tmp = gy[:, :, None] * hy[:, None, :]
+    np.multiply(gx[:, :, None], hx[:, None, :], out=out)
+    out += tmp
+    np.copyto(tmp, out.transpose(0, 2, 1))
+    out += tmp
+    n = tx.shape[1]
+    flat = out.reshape(len(out), n * n)       # entry (i, j) at i * n + j
+    flat[:, ::n + 1] += w + np.roll(w, 1, axis=1)    # (i, i)
+    flat[:, 1::n + 1] -= w[:, :-1]                   # (i, i + 1)
+    flat[:, n::n + 1] -= w[:, :-1]                   # (i + 1, i)
+    flat[:, [n - 1, n * (n - 1)]] -= w[:, -1:]       # (0, n - 1), (n - 1, 0)
 
 
 def local_operators(geom: ElementGeometry,
                     spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
-    """Full set of local matrices: consistency plus stabilized remainder."""
-    shortest_edge = geom.edge_lengths.min(axis=-1)
-    raise_first_fault(_element_faults(geom.area, geom.diameter, shortest_edge))
-    return _operators(geom, spec.alpha)
+    """Projector, stabilization and stiffness of one cell in the projector form;
+    the reference the closed-form assembly of :func:`assemble_global` is
+    tested against.  Edge e joins vertices e and e + 1."""
+    raise_first_fault(_element_faults(geom.area, geom.diameter, geom.edge_lengths.min()))
+    n = geom.n_vertices
+    half = 0.5 * geom.edge_lengths
+    flux = half[:, None] * geom.edge_normals
+    G = (flux + np.roll(flux, 1, axis=0)).T / geom.area
+    mean_row = (half + np.roll(half, 1)) / geom.boundary_length
+    P = mean_row + (geom.coords - geom.boundary_centroid) @ G
+    D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)       # row e: d_e
+    S = D.T @ ((geom.diameter ** spec.alpha / geom.edge_lengths)[:, None] * D)
+    Q = np.eye(n) - P
+    A_K = geom.area * (G.T @ G) + Q.T @ S @ Q
+    return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=0.5 * (A_K + A_K.T), S_K=S)
 
 
 def boundary_mass_edge(length) -> np.ndarray:
@@ -125,25 +164,38 @@ def boundary_mass_edge(length) -> np.ndarray:
 def triple_norm(mesh: PolygonalMesh, dofs: np.ndarray,
                 spec: StabilizationSpec = StabilizationSpec()) -> float:
     """Discrete energy semi-norm: projected gradient plus stabilized
-    deviation from the boundary mean (the mean, not the projection)."""
+    deviation from the boundary mean (the mean, not the projection).  As
+    d_e^T 1 = 0, the stabilization of the deviation is
+    sum_e w_e (u_{e+1} - u_e)^2."""
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.n_vertices,):
         raise ValueError("dof vector length must equal the vertex count")
     total = 0.0
-    for geom, ops in _grouped_operators(mesh, spec):
-        w = dofs[geom.vertex_ids]
-        grad = np.einsum("cdn,cn->cd", ops.G, w)
-        dev = w - np.einsum("cn,cn->c", ops.mean_row, w)[:, None]
-        total += float(geom.area @ np.sum(grad * grad, axis=1)
-                       + np.einsum("ci,cij,cj->", dev, ops.S_K, dev))
+    for cycles, area, tx, ty, w in _cell_planes(mesh, spec.alpha):
+        u = dofs[cycles]
+        gx, gy = _gradient(area, tx, ty)
+        du_x, du_y = np.sum(gx * u, axis=1), np.sum(gy * u, axis=1)
+        jump = np.roll(u, -1, axis=1) - u
+        total += float(area @ (du_x * du_x + du_y * du_y) + np.sum(w * jump * jump))
     return float(np.sqrt(total))
 
 
-def _scatter(ids: list[np.ndarray], blocks: list[np.ndarray], n: int) -> sps.csr_matrix:
-    """Sum (C, k, k) local blocks at their (C, k) dof ids into one n x n matrix."""
-    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel() for d in ids])
-    cols = np.concatenate([np.tile(d, d.shape[1]).ravel() for d in ids])
-    vals = np.concatenate([b.ravel() for b in blocks])
+def _scatter(parts: list[tuple], n: int) -> sps.csr_matrix:
+    """Sum local ``(C, k, k)`` blocks at their ``(C, k)`` dof ids into one
+    n x n CSR matrix.  ``parts`` lists ``(ids, fill)``; ``fill(out)`` writes
+    the blocks into ``out``, a view of the one value array, so no block is
+    copied.  The COO indices are int32."""
+    total = sum(d.shape[0] * d.shape[1] ** 2 for d, _ in parts)
+    rows, cols = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32)
+    vals = np.empty(total)
+    start = 0
+    for d, fill in parts:
+        c, k = d.shape
+        part = slice(start, start + c * k * k)
+        rows[part].reshape(c, k, k)[...] = d[:, :, None]
+        cols[part].reshape(c, k, k)[...] = d[:, None, :]
+        fill(vals[part].reshape(c, k, k))
+        start = part.stop
     return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -151,11 +203,11 @@ def assemble_global(mesh: PolygonalMesh,
                     spec: StabilizationSpec = StabilizationSpec()) -> GlobalSystem:
     """Scatter local stiffness over cells and edge mass over gamma0 edges."""
     n = mesh.n_vertices
-    groups = _grouped_operators(mesh, spec)
-    A = _scatter([geom.vertex_ids for geom, _ in groups], [ops.A_K for _, ops in groups], n)
+    A = _scatter([(cycles, partial(_stiffness, *planes))
+                  for cycles, *planes in _cell_planes(mesh, spec.alpha)], n)
     edges = np.array(mesh.gamma0_edges(), dtype=int).reshape(-1, 2)
     lengths = np.linalg.norm(np.diff(mesh.vertices[edges], axis=1)[:, 0], axis=1)
-    B = _scatter([edges], [boundary_mass_edge(lengths)], n)
+    B = _scatter([(edges, partial(np.copyto, src=boundary_mass_edge(lengths)))], n)
     return GlobalSystem(A=A, B=B, Ahat=(A + B).tocsr(), n_dofs=n,
                         gamma0_dofs=mesh.gamma0_vertices())
 

@@ -219,6 +219,17 @@ def test_solve_backward_error_above_bound_exits_3(capsys, monkeypatch):
     assert "backward error" in err
 
 
+def test_solve_factorization_out_of_memory_exits_3(capsys, monkeypatch):
+    def failing_splu(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for expanders")
+
+    monkeypatch.setattr(eig.spla, "splu", failing_splu)
+    code, _, err = run_cli(capsys, "solve", "--family", "t1", "--N", "4",
+                           "--k", "1")
+    assert code == 3
+    assert "ran out of memory" in err and "SPD" not in err
+
+
 def test_solve_round_trip_bitwise(capsys, tmp_path):
     path = tmp_path / "m.json"
     run_cli(capsys, "mesh", "--family", "t2", "--N", "8", "-o", str(path))

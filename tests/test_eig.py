@@ -13,7 +13,16 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovem.errors import InvalidN, KTooLarge, NotSPD, RankDeficientGamma0Mass, TooLarge
+from steklovem import eig
+from steklovem.errors import (
+    FactorizationOutOfMemory,
+    InvalidN,
+    KTooLarge,
+    NotSPD,
+    RankDeficientGamma0Mass,
+    SolverError,
+    TooLarge,
+)
 from steklovem.eig import (
     dense_reference_solve,
     eigenfunction_field,
@@ -159,10 +168,12 @@ def unmoved_lambdas(family):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(family=st.sampled_from(sorted(FAMILIES)),
        theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+       shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
 def test_lambdas_invariant_under_rigid_motion(family, theta, shift):
-    # the shoelace area runs on absolute coordinates, so shifts far beyond
-    # the mesh size (1e3) lose digits of |K|; within 10 they do not
+    # the shoelace sums run on coordinates relative to each cell's first
+    # vertex, so a shift by 1e3 costs no digits of |K|; on absolute
+    # coordinates such shifts moved lambda by up to 1.7e-10 here.  Near 1e6
+    # the input coordinates themselves round at about 1e-10 absolute
     mesh = FAMILIES[family](8)
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     moved = build_mesh(mesh.vertices @ rot.T + np.array(shift), mesh.cells,
@@ -173,9 +184,10 @@ def test_lambdas_invariant_under_rigid_motion(family, theta, shift):
 
 def test_solve_allocates_no_dense_n_by_m_block():
     # t5 N=30: n = 4690 dofs, m = 234 gamma0 dofs.  The solver's own arrays
-    # are the CSC copy of Ahat and the L, U copies behind the SPD pivot
-    # check (tens of doubles per dof here), a dozen n x (k + 1) blocks and
-    # a few m x m ones; a dense n x m array alone exceeds that sum.
+    # are the LU factors and the L, U copies behind the SPD pivot check (tens
+    # of doubles per dof here; Ahat goes to SuperLU as the CSC view of its
+    # own CSR arrays), a dozen n x (k + 1) blocks and a few m x m ones; a
+    # dense n x m array alone exceeds that sum.
     system = system_for("t5", 30)
     n, m, k = system.n_dofs, len(system.gamma0_dofs), 6
     bound = 8 * (60 * n + 12 * n * (k + 1) + 4 * m * m)
@@ -233,6 +245,24 @@ def test_indefinite_ahat_rejected():
     indefinite = dataclasses.replace(system, Ahat=system.A - system.B)
     with pytest.raises(NotSPD):
         solve_steklov(indefinite, 3)
+
+
+@pytest.mark.parametrize("error, expected", [
+    (RuntimeError("SUPERLU_MALLOC fails for expanders"), FactorizationOutOfMemory),
+    (RuntimeError("Not enough memory to perform factorization."), FactorizationOutOfMemory),
+    (MemoryError("Out of memory."), FactorizationOutOfMemory),
+    (RuntimeError("Factor is exactly singular"), NotSPD),
+])
+def test_factorization_failure_classified_by_message(monkeypatch, error, expected):
+    # an allocation failure inside SuperLU says nothing about definiteness
+    def failing_splu(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(eig.spla, "splu", failing_splu)
+    with pytest.raises(SolverError) as info:
+        solve_steklov(system_for("t2", 4), 3)
+    assert type(info.value) is expected
+    assert str(error) in str(info.value)
 
 
 def test_singular_gamma0_mass_rejected():

@@ -362,8 +362,8 @@ PINNED_REFINED = {
                  "5bdc196d31017ca54dc0643a44d75e7da326448b706e4e6c45ecdd507633dec9"],
     ("t6", 32): ["cf0750ff8a5a4197360d38f539aed7e354fab3905edf8e6c75faf4f268f9445a",
                  "7227b5e9e19828716d155b67964944e2f6d4d0ab6e05d9bd01f217c6773f1e71"],
-    ("t1", 8): ["ce592cb65ba04a536c8e08d0d4e6a2c89d8f33507dcc21e065433717985fc403",
-                "114962a38fc6a67cfdf269bd701f5c28879cfd7ad735018f800e00431d3a9f25"],
+    ("t1", 8): ["82d4965072d69aff454f0d75823ca1b6a21b0ef2464e5d437a8ed83f7161e311",
+                "51a911c0b6c3984057e62bef0206925a724fbbf351cc712e37380c7a5da7a8ee"],
 }
 
 

@@ -1,0 +1,70 @@
+"""Time and size one large case of the steklovem pipeline in its own process.
+
+Run one case per process, so that ``ru_maxrss`` belongs to that case alone::
+
+    python tools/scale_probe.py FAMILY N [K]
+
+for example ``python tools/scale_probe.py t2 256 6``.  It imports the package
+from the ``src/`` next to this file, generates the mesh, assembles it twice
+(once timed, once under ``tracemalloc`` for the peak of assembly alone, with
+alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
+solve).  It prints one ``name value unit`` row per measurement: the wall
+times of generate, assemble and solve, the traced peak of assembly and the
+bytes of the assembled A, B and Ahat (MiB), the problem size and the
+process's peak resident set size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from steklovem import FAMILIES, assemble_global, solve_steklov  # noqa: E402
+
+
+def _bytes(matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def main(argv: list[str]) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("family", choices=sorted(FAMILIES))
+    parser.add_argument("N", type=int)
+    parser.add_argument("k", type=int, nargs="?", default=6)
+    args = parser.parse_args(argv)
+
+    rows = []
+    t = time.perf_counter()
+    mesh = FAMILIES[args.family](args.N)
+    rows.append(("generate", time.perf_counter() - t, "s"))
+    t = time.perf_counter()
+    assemble_global(mesh)
+    rows.append(("assemble", time.perf_counter() - t, "s"))
+    tracemalloc.start()
+    try:
+        system = assemble_global(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows.append(("assemble_traced_peak", peak / 2**20, "MiB"))
+    rows.append(("matrices", sum(map(_bytes, (system.A, system.B, system.Ahat))) / 2**20, "MiB"))
+    rows.append(("n_dofs", system.n_dofs, "dofs"))
+    rows.append(("cells", mesh.n_cells, "cells"))
+    if args.k > 0:
+        t = time.perf_counter()
+        solve_steklov(system, args.k)
+        rows.append(("solve", time.perf_counter() - t, "s"))
+    # ru_maxrss is in KiB on Linux
+    rows.append(("peak_rss", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"))
+    for name, value, unit in rows:
+        print(f"{name:<22} {value:12.4g} {unit}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
