@@ -18,7 +18,12 @@ iterating on the largest mu never touches the near-zero mu that tiny
 gamma0 edges produce at the other end of the spectrum.  When k + 2 >= m
 leaves ARPACK no room, K is formed densely from one m-column solve and
 handed to eigh; only there is a dense n x m block formed, with
-m <= k + 2.  The constant mode
+m <= k + 2.  SuperLU factors Ahat in single-column panels: its default
+panels serve supernodal partial pivoting, but here every pivot is diagonal
+and the supernodes of these 2-D meshes are small, so wider panels only add
+a dense n x panel work area (the ordering and the fill do not depend on
+the width).  The LU, the L and U copies its pivot check caches and any
+n x m block die before the eigenvectors are packed.  The constant mode
 is dropped by its B-overlap with the constants; everything else is
 returned ascending in lambda, each lambda being the Rayleigh quotient of
 its returned vector.
@@ -109,6 +114,47 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
     )
 
 
+def _dtn_eigenpairs(system: GlobalSystem, R: np.ndarray, k: int):
+    """The k + 1 largest mu of K = R (Ahat^{-1})_gg R' and their lifted
+    vectors u = Ahat^{-1} E_g R' w, as ``(mus, vecs)``.
+
+    Everything that holds the LU lives here, so the factor, the L and U
+    copies that reading ``factor.U`` caches on it and the dense branch's
+    n x m block X are freed on return.
+    """
+    g = system.gamma0_dofs
+    m = len(g)
+    try:
+        # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself
+        factor = spla.splu(system.Ahat.T, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, panel_size=1,
+                           options=dict(SymmetricMode=True))
+    except (RuntimeError, MemoryError) as exc:
+        if isinstance(exc, MemoryError) or _OUT_OF_MEMORY.search(str(exc)):
+            raise FactorizationOutOfMemory(
+                f"factorization of Ahat ran out of memory: {exc}") from exc
+        raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
+    if not (np.array_equal(factor.perm_r, factor.perm_c)
+            and np.all(factor.U.diagonal() > 0.0)):
+        raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
+                     "it is not SPD")
+
+    def lift(Y):                      # Ahat^{-1} E_g R' Y
+        rhs = np.zeros((system.n_dofs,) + Y.shape[1:])
+        rhs[g] = R.T @ Y
+        return factor.solve(rhs)
+
+    if k + 2 >= m:
+        X = lift(np.eye(m))
+        mus, W = sla.eigh(R @ X[g], subset_by_index=[m - k - 1, m - 1])
+        return mus, X @ W
+    K = spla.LinearOperator((m, m), matvec=lambda y: R @ lift(y)[g],
+                            dtype=float)
+    mus, W = spla.eigsh(K, k + 1, which="LA",
+                        v0=np.random.default_rng(0).standard_normal(m))
+    return mus, lift(W)
+
+
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     """First k positive Steklov eigenvalues by Lanczos on the gamma0 traces.
 
@@ -123,7 +169,12 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     k + 1 eigenvectors w are lifted to u = Ahat^{-1} E_g R' w by one
     multi-column solve.  With k + 2 >= m ARPACK has no room for a Krylov
     space; K is then formed densely from one m-column solve, whose columns
-    also lift the eigenvectors of eigh.
+    also lift the eigenvectors of eigh.  The panels of the LU are one column
+    wide: with diagonal pivots and the small supernodes of 2-D meshes the
+    default panels only add a dense work area, and the width moves neither
+    the ordering nor the fill.  The factor, the L and U copies of the pivot
+    check and the dense branch's n x m block belong to one helper, so they
+    are freed before the n x (k + 1) blocks of the pack are allocated.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
@@ -144,37 +195,7 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     except sla.LinAlgError as exc:
         raise RankDeficientGamma0Mass(str(exc)) from exc
 
-    try:
-        # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself
-        factor = spla.splu(system.Ahat.T, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-    except (RuntimeError, MemoryError) as exc:
-        if isinstance(exc, MemoryError) or _OUT_OF_MEMORY.search(str(exc)):
-            raise FactorizationOutOfMemory(
-                f"factorization of Ahat ran out of memory: {exc}") from exc
-        raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
-    if not (np.array_equal(factor.perm_r, factor.perm_c)
-            and np.all(factor.U.diagonal() > 0.0)):
-        raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
-                     "it is not SPD")
-
-    def lift(Y):                      # Ahat^{-1} E_g R' Y
-        rhs = np.zeros((system.n_dofs,) + Y.shape[1:])
-        rhs[g] = R.T @ Y
-        return factor.solve(rhs)
-
-    if k + 2 >= m:
-        X = lift(np.eye(m))
-        mus, W = sla.eigh(R @ X[g], subset_by_index=[m - k - 1, m - 1])
-        vecs = X @ W
-    else:
-        K = spla.LinearOperator((m, m), matvec=lambda y: R @ lift(y)[g],
-                                dtype=float)
-        mus, W = spla.eigsh(K, k + 1, which="LA",
-                            v0=np.random.default_rng(0).standard_normal(m))
-        vecs = lift(W)
-    result = _filter_and_pack(system, mus, vecs, k)
+    result = _filter_and_pack(system, *_dtn_eigenpairs(system, R, k), k)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:
         raise SolverError(f"backward error {worst:.2e} exceeds "

@@ -147,7 +147,7 @@ class PolygonalMesh:
         return [(i, j) for i, j, m in self.boundary_edges if m == GAMMA0]
 
     def gamma0_vertices(self) -> np.ndarray:
-        return np.unique(np.array(self.gamma0_edges(), dtype=int))
+        return _sorted_unique(np.array(self.gamma0_edges(), dtype=int).ravel())
 
     def grouped_geometry(self) -> list[tuple[np.ndarray, ElementGeometry]]:
         """``(cell ids, batched geometry)`` per vertex count, ascending."""
@@ -248,7 +248,7 @@ def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
     vertex count n, ascending."""
     sizes = np.diff(cell_ptr)
     groups = []
-    for n in np.unique(sizes):
+    for n in _sorted_unique(sizes):
         ids = np.flatnonzero(sizes == n)
         groups.append((ids, cell_ptr[ids, None] + np.arange(n)))
     return groups
@@ -411,7 +411,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array, as a sort and a mask of the entries that
     differ from their left neighbour.  On the 250-1400 entry arrays of the
     hanging-node checks of t2, t5 and t6 that takes 11 us per call against
-    np.unique's 49 us (numpy 2.4, 2-vCPU host)."""
+    np.unique's 49 us, and on the 4096 cell sizes of t2 N=32 10 us against
+    108 us (numpy 2.4, 2-vCPU host)."""
     a = np.sort(a)
     first = np.ones(len(a), dtype=bool)
     first[1:] = a[1:] != a[:-1]

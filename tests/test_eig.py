@@ -202,6 +202,22 @@ def test_solve_allocates_no_dense_n_by_m_block():
     assert peak < bound
 
 
+def test_solve_frees_the_lu_before_the_pack():
+    # t2 N=32: 8,321 dofs, nnz(L+U) = 308,214.  The L and U copies that the
+    # SPD pivot check caches on the factor take about 3.5 MiB and packing
+    # the k + 1 vectors peaks near 3.4 MiB.  Freed before the pack, the LU
+    # leaves a tracemalloc peak of 4.5 MiB; held through it, 7.0 MiB.
+    system = system_for("t2", 32)
+    solve_steklov(system, 6)
+    tracemalloc.start()
+    try:
+        solve_steklov(system, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_dense_oracle_counts_rank_of_b():
     system = system_for("t1", 4)
     result = dense_reference_solve(system)

@@ -8,10 +8,11 @@ for example ``python tools/scale_probe.py t2 256 6``.  It imports the package
 from the ``src/`` next to this file, generates the mesh, assembles it twice
 (once timed, once under ``tracemalloc`` for the peak of assembly alone, with
 alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
-solve).  It prints one ``name value unit`` row per measurement: the wall
-times of generate, assemble and solve, the traced peak of assembly and the
-bytes of the assembled A, B and Ahat (MiB), the problem size and the
-process's peak resident set size.
+solve) the same way, timed and then traced.  It prints one ``name value
+unit`` row per measurement: the wall times of generate, assemble and solve,
+the traced peaks of assembly and solve and the bytes of the assembled A, B
+and Ahat (MiB), the problem size and the process's peak resident set size,
+read before the traced solve.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def _bytes(matrix) -> int:
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
 
 
+def _traced(func, *args):
+    """``(func(*args), peak bytes tracemalloc saw during the call)``."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("family", choices=sorted(FAMILIES))
@@ -46,12 +56,7 @@ def main(argv: list[str]) -> None:
     t = time.perf_counter()
     assemble_global(mesh)
     rows.append(("assemble", time.perf_counter() - t, "s"))
-    tracemalloc.start()
-    try:
-        system = assemble_global(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    system, peak = _traced(assemble_global, mesh)
     rows.append(("assemble_traced_peak", peak / 2**20, "MiB"))
     rows.append(("matrices", sum(map(_bytes, (system.A, system.B, system.Ahat))) / 2**20, "MiB"))
     rows.append(("n_dofs", system.n_dofs, "dofs"))
@@ -61,7 +66,11 @@ def main(argv: list[str]) -> None:
         solve_steklov(system, args.k)
         rows.append(("solve", time.perf_counter() - t, "s"))
     # ru_maxrss is in KiB on Linux
-    rows.append(("peak_rss", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"))
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if args.k > 0:
+        _, peak = _traced(solve_steklov, system, args.k)
+        rows.append(("solve_traced_peak", peak / 2**20, "MiB"))
+    rows.append(("peak_rss", peak_rss, "MiB"))
     for name, value, unit in rows:
         print(f"{name:<22} {value:12.4g} {unit}")
 
