@@ -3,30 +3,33 @@
 A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + B
 symmetric positive definite, so mu = 1 / (1 + lambda) lies in (0, 1] and
 the first k positive lambdas are the k + 1 largest mu (the constant mode
-has mu = 1).  B lives on the m gamma0 dofs g: B = E_g R' R E_g' with E_g
-the scatter of a gamma0 vector into all n dofs and R the upper Cholesky
-factor of the gamma0 block B_gg.  So the nonzero mu are the eigenvalues of
-the symmetric positive definite m x m operator
+has mu = 1).  B lives on the m gamma0 dofs g: B = E_g F'F E_g' with E_g
+the scatter of a gamma0 vector into all n dofs and F the sparse p x m
+factor of the gamma0 block B_gg read off its entries (:func:`_gamma0_factor`:
+one row per coupled pair of dofs and one per dof, p = E + m).  So the
+nonzero mu are the eigenvalues of the symmetric positive semidefinite
+p x p operator
 
-    K = R (Ahat^{-1})_gg R',
+    K = F (Ahat^{-1})_gg F',
 
-the discrete Dirichlet-to-Neumann map, and u = Ahat^{-1} E_g R' w lifts an
-eigenvector w of K to the pencil.  Implicitly restarted Lanczos (ARPACK,
-standard mode, Euclidean inner product on length-m vectors) finds the
-k + 1 largest mu with one solve against a single LU of Ahat per step;
+which has rank m and shares its nonzero spectrum with the discrete
+Dirichlet-to-Neumann map, and u = Ahat^{-1} E_g F' w lifts an eigenvector
+w of K to the pencil.  Implicitly restarted Lanczos (ARPACK, standard
+mode, Euclidean inner product on length-p vectors) finds the k + 1
+largest mu with one solve against a single LU of Ahat per step;
 iterating on the largest mu never touches the near-zero mu that tiny
-gamma0 edges produce at the other end of the spectrum.  When k + 2 >= m
-leaves ARPACK no room, K is formed densely from one m-column solve and
-handed to eigh; only there is a dense n x m block formed, with
-m <= k + 2.  SuperLU factors Ahat in single-column panels: its default
-panels serve supernodal partial pivoting, but here every pivot is diagonal
-and the supernodes of these 2-D meshes are small, so wider panels only add
-a dense n x panel work area (the ordering and the fill do not depend on
-the width).  The LU, the L and U copies its pivot check caches and any
-n x m block die before the eigenvectors are packed.  The constant mode
-is dropped by its B-overlap with the constants; everything else is
-returned ascending in lambda, each lambda being the Rayleigh quotient of
-its returned vector.
+gamma0 edges produce at the other end of the spectrum, nor the p - m
+zero ones.  When k + 2 >= m leaves ARPACK no room, K is formed densely
+from one p-column solve and handed to eigh; only there is a dense n x p
+block formed, with m <= k + 2.  SuperLU factors Ahat in
+single-column panels: its default panels serve supernodal partial
+pivoting, but here every pivot is diagonal and the supernodes of these
+2-D meshes are small, so wider panels only add a dense n x panel work
+area (the ordering and the fill do not depend on the width).  The LU,
+the L and U copies its pivot check caches and any n x p block die before
+the eigenvectors are packed.  The constant mode is dropped by its
+B-overlap with the constants; everything else is returned ascending in
+lambda, each lambda being the Rayleigh quotient of its returned vector.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import (FactorizationOutOfMemory, InvalidN, KTooLarge, NotSPD,
@@ -114,16 +118,51 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
     )
 
 
-def _dtn_eigenpairs(system: GlobalSystem, R: np.ndarray, k: int):
-    """The k + 1 largest mu of K = R (Ahat^{-1})_gg R' and their lifted
-    vectors u = Ahat^{-1} E_g R' w, as ``(mus, vecs)``.
+def _gamma0_factor(B_gg) -> sps.csr_matrix:
+    """Sparse F with F'F = B_gg, read off the entries of the gamma0 block.
+
+    One row sqrt(b_ij) (e_i + e_j) per coupled pair i < j and one row
+    sqrt(d_i) e_i per dof, with d_i = b_ii - sum_{j != i} b_ij.  It relies
+    on B being an edge mass: every 2 x 2 edge mass |e|/6 [[2, 1], [1, 2]]
+    couples its ends with a positive entry and adds |e|/6 to each end's
+    d, so the couplings are nonnegative and d_i is |e|/6 summed over the
+    gamma0 edges at dof i.  Nonnegative couplings and d > 0 make F of full
+    column rank, hence B_gg positive definite; that is the rank check.  On
+    the assembled mass it fails exactly when a gamma0 dof lies on no gamma0
+    edge of positive length.
+
+    Raises RankDeficientGamma0Mass when a coupling is negative or some
+    d_i <= 0.
+    """
+    m = B_gg.shape[0]
+    entries = B_gg.tocoo()
+    upper = entries.row < entries.col
+    i, j, b = entries.row[upper], entries.col[upper], entries.data[upper]
+    d = B_gg.diagonal() - np.bincount(i, b, m) - np.bincount(j, b, m)
+    if np.any(b < 0.0) or not np.all(d > 0.0):
+        raise RankDeficientGamma0Mass(
+            "gamma0 mass block is not an edge mass of full rank: smallest "
+            f"diagonal excess {d.min(initial=np.inf):.3e}, smallest coupling "
+            f"{b.min(initial=0.0):.3e}")
+    # CSR rows: one (i, j) pair per coupling, then one diagonal entry per dof
+    pairs = len(b)
+    return sps.csr_matrix(
+        (np.sqrt(np.concatenate((np.repeat(b, 2), d))),
+         np.concatenate((np.column_stack((i, j)).ravel(), np.arange(m))),
+         np.concatenate((np.arange(0, 2 * pairs, 2), 2 * pairs + np.arange(m + 1)))),
+        shape=(pairs + m, m))
+
+
+def _dtn_eigenpairs(system: GlobalSystem, F: sps.csr_matrix, k: int):
+    """The k + 1 largest mu of K = F (Ahat^{-1})_gg F' and their lifted
+    vectors u = Ahat^{-1} E_g F' w, as ``(mus, vecs)``.
 
     Everything that holds the LU lives here, so the factor, the L and U
     copies that reading ``factor.U`` caches on it and the dense branch's
-    n x m block X are freed on return.
+    n x p block X are freed on return.
     """
     g = system.gamma0_dofs
-    m = len(g)
+    p, m = F.shape
     try:
         # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself
         factor = spla.splu(system.Ahat.T, permc_spec="MMD_AT_PLUS_A",
@@ -138,50 +177,56 @@ def _dtn_eigenpairs(system: GlobalSystem, R: np.ndarray, k: int):
             and np.all(factor.U.diagonal() > 0.0)):
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
                      "it is not SPD")
+    Ft = F.T                          # a CSC view made once, not one per step
 
-    def lift(Y):                      # Ahat^{-1} E_g R' Y
+    def lift(Y):                      # Ahat^{-1} E_g F' Y
         rhs = np.zeros((system.n_dofs,) + Y.shape[1:])
-        rhs[g] = R.T @ Y
+        rhs[g] = Ft @ Y
         return factor.solve(rhs)
 
     if k + 2 >= m:
-        X = lift(np.eye(m))
-        mus, W = sla.eigh(R @ X[g], subset_by_index=[m - k - 1, m - 1])
+        X = lift(np.eye(p))
+        mus, W = sla.eigh(F @ X[g], subset_by_index=[p - k - 1, p - 1])
         return mus, X @ W
-    K = spla.LinearOperator((m, m), matvec=lambda y: R @ lift(y)[g],
+    K = spla.LinearOperator((p, p), matvec=lambda y: F @ lift(y)[g],
                             dtype=float)
     mus, W = spla.eigsh(K, k + 1, which="LA",
-                        v0=np.random.default_rng(0).standard_normal(m))
+                        v0=np.random.default_rng(0).standard_normal(p))
     return mus, lift(W)
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     """First k positive Steklov eigenvalues by Lanczos on the gamma0 traces.
 
-    The Cholesky factor R of the gamma0 mass block, B_gg = R'R, doubles as
-    the rank check (rank(B) = m needs B_gg definite).  ARPACK then iterates
-    on K = R (Ahat^{-1})_gg R' with length-m vectors from a fixed start
-    vector, so repeated calls give bit-identical results; each step costs
-    one solve against a single LU of Ahat and two triangular products with
-    R.  The LU uses a symmetric minimum-degree ordering and diagonal pivots
-    only, so Ahat = P' L U P with U = D L', and by Sylvester's law of
-    inertia Ahat is SPD exactly when every pivot diag(U) is positive.  The
-    k + 1 eigenvectors w are lifted to u = Ahat^{-1} E_g R' w by one
+    The sparse factor F of the gamma0 mass block, B_gg = F'F with one row
+    per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
+    doubles as the rank check: rank(B) = m needs B_gg definite, which
+    nonnegative edge couplings and a positive diagonal excess d prove.
+    ARPACK then iterates on the p x p operator K = F (Ahat^{-1})_gg F'
+    (p = E + m rows of F, rank m, the same nonzero mu) with length-p
+    vectors from a fixed start vector, so repeated calls give bit-identical
+    results; each step costs one solve against a single LU of Ahat and two
+    sparse products with F, and no m x m array is formed.  The LU uses a
+    symmetric minimum-degree ordering and diagonal pivots only, so
+    Ahat = P' L U P with U = D L', and by Sylvester's law of inertia Ahat
+    is SPD exactly when every pivot diag(U) is positive.  The k + 1
+    eigenvectors w are lifted to u = Ahat^{-1} E_g F' w by one
     multi-column solve.  With k + 2 >= m ARPACK has no room for a Krylov
-    space; K is then formed densely from one m-column solve, whose columns
+    space; K is then formed densely from one p-column solve, whose columns
     also lift the eigenvectors of eigh.  The panels of the LU are one column
     wide: with diagonal pivots and the small supernodes of 2-D meshes the
     default panels only add a dense work area, and the width moves neither
     the ordering nor the fill.  The factor, the L and U copies of the pivot
-    check and the dense branch's n x m block belong to one helper, so they
+    check and the dense branch's n x p block belong to one helper, so they
     are freed before the n x (k + 1) blocks of the pack are allocated.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
-    positive definite, FactorizationOutOfMemory when the LU cannot allocate
-    its factors (SuperLU's "SUPERLU_MALLOC fails ..." and kin), NotSPD when
-    the LU fails otherwise or Ahat is not SPD, and SolverError when a
-    backward error exceeds 1e-10.
+    shown positive definite (a negative coupling, or a gamma0 dof on no
+    gamma0 edge of positive length), FactorizationOutOfMemory when the LU
+    cannot allocate its factors (SuperLU's "SUPERLU_MALLOC fails ..." and
+    kin), NotSPD when the LU fails otherwise or Ahat is not SPD, and
+    SolverError when a backward error exceeds 1e-10.
     """
     if k < 1:
         raise InvalidN("need at least one eigenvalue")
@@ -190,12 +235,8 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     if k > m - 1:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
-    try:
-        R = sla.cholesky(system.B[g][:, g].toarray())
-    except sla.LinAlgError as exc:
-        raise RankDeficientGamma0Mass(str(exc)) from exc
-
-    result = _filter_and_pack(system, *_dtn_eigenpairs(system, R, k), k)
+    F = _gamma0_factor(system.B[g][:, g])
+    result = _filter_and_pack(system, *_dtn_eigenpairs(system, F, k), k)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:
         raise SolverError(f"backward error {worst:.2e} exceeds "

@@ -366,6 +366,11 @@ def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
         ids, slots = ids[ok], slots[ok]
         flat[slots], flags[2:, ids], spike_at[ids], crossing[ids] = _check_group(
             verts, flat[slots])
+
+    def shortest(c):   # the faulty cell's shortest edge, as _check_group sees it
+        x, y = verts[flat[cell_ptr[c]:cell_ptr[c + 1]]].T
+        return f"shortest edge {_edge_arrays(x, y)[2].min() / _diameter(x, y):.1e} h_K"
+
     raise_first_fault(list(faults) + [
         (np.diff(cell_ptr) < 3, lambda c: NonSimplePolygon(
             f"cell {c}: fewer than 3 vertices")),
@@ -375,9 +380,11 @@ def _validate_csr(verts: np.ndarray, cell_ptr, cell_vertices, boundary_spec,
         (flags[3], lambda c: ZeroLengthEdge(
             f"cell {c}: edge shorter than {ZERO_EDGE_REL_TOL} * h_K")),
         (flags[4], lambda c: NonSimplePolygon(
-            f"cell {c}: edges fold back at local vertex {spike_at[c]}")),
+            f"cell {c}: edges fold back at local vertex {spike_at[c]}; "
+            + shortest(c))),
         (flags[5], lambda c: NonSimplePolygon(
-            "cell {}: edges {} and {} intersect".format(c, *crossing[c]))),
+            "cell {}: edges {} and {} intersect; ".format(c, *crossing[c])
+            + shortest(c))),
     ])
 
     edges, counts = table if table is not None else edge_table(cell_ptr, flat)[:2]

@@ -29,7 +29,7 @@ from steklovem.eig import (
     solve_steklov,
 )
 from steklovem.mesh import GAMMA0, GAMMA1, build_mesh
-from steklovem.meshgen import FAMILIES
+from steklovem.meshgen import FAMILIES, refine_lshape_corner
 from steklovem.vem import StabilizationSpec, assemble_global
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -104,8 +104,8 @@ def test_sparse_matches_dense_oracle(family, N):
 
 
 def test_permuted_t5_matches_dense_oracle():
-    # gamma0 ids in random order: the gamma0 mass block and its Cholesky
-    # factor R are scattered, not banded
+    # gamma0 ids in random order: the gamma0 mass block and its sparse
+    # edge factor F are scattered, not banded
     mesh = sibling_test_module("test_vem.py").permuted_t5_mesh()
     system = assemble_global(mesh, StabilizationSpec())
     fast = solve_steklov(system, 6)
@@ -216,6 +216,61 @@ def test_solve_frees_the_lu_before_the_pack():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_solve_holds_no_dense_gamma0_block():
+    # t5 N=62: 18,722 dofs, m = 474 gamma0 dofs.  A dense m x m Cholesky
+    # factor and the m x m gamma0 block it was taken from are 1.7 MiB each;
+    # with them the traced peak is 12.8 MiB, with the sparse edge factor F
+    # of the gamma0 mass 11.2 MiB.
+    system = system_for("t5", 62)
+    solve_steklov(system, 6)
+    tracemalloc.start()
+    try:
+        solve_steklov(system, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def refined_t6_mesh():
+    """t6 N=32 after two corner-refinement sweeps, the cli-lshape mesh."""
+    mesh = FAMILIES["t6"](32)
+    for level in (1, 2):
+        mesh = refine_lshape_corner(mesh, level, 32)
+    return mesh
+
+
+GAMMA0_FACTOR_MESHES = {
+    **{f"{family}-8": functools.partial(FAMILIES[family], 8) for family in FAMILIES},
+    "t6-32-refined-2": refined_t6_mesh,
+    "t5-8-permuted": lambda: sibling_test_module("test_vem.py").permuted_t5_mesh(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAMMA0_FACTOR_MESHES))
+def test_gamma0_factor_reproduces_the_mass_block(case):
+    # one row per gamma0 edge with its two ends, one row per gamma0 dof
+    mesh = GAMMA0_FACTOR_MESHES[case]()
+    system = assemble_global(mesh, StabilizationSpec())
+    g = system.gamma0_dofs
+    B_gg = system.B[g][:, g]
+    F = eig._gamma0_factor(B_gg)
+    n_edges = len(mesh.gamma0_edges())
+    assert F.shape == (n_edges + len(g), len(g))
+    assert np.array_equal(np.diff(F.indptr), [2] * n_edges + [1] * len(g))
+    error = np.abs((F.T @ F - B_gg).toarray()).max()
+    assert error <= 1e-15 * np.abs(B_gg.data).max()
+
+
+@pytest.mark.parametrize("B_gg", [
+    [[2.0, -1.0], [-1.0, 2.0]],     # positive definite, but a negative coupling
+    [[1.0, 1.0], [1.0, 1.0]],       # a dof whose couplings use up its diagonal
+])
+def test_gamma0_factor_needs_edge_mass_structure(B_gg):
+    with pytest.raises(RankDeficientGamma0Mass):
+        eig._gamma0_factor(sps.csr_matrix(B_gg))
 
 
 def test_dense_oracle_counts_rank_of_b():

@@ -161,6 +161,14 @@ REJECTIONS = {
                         NonSimplePolygon, 1, "fold back at local vertex 1"),
     "bowtie": (*strip_with(c1=BOWTIE), NonSimplePolygon, 1, "edges 0 and 2 intersect"),
     "clockwise_bowtie": (*strip_with(c1=BOWTIE[::-1]), NonSimplePolygon, 1, "intersect"),
+    # a vertex 1e-13 h_K from vertex 0, just below the square: its short edge
+    # back to 0 is above the zero-edge floor, but edge 3 now steps across edge 0
+    "short_edge_crossing": ([[0, 0], [1, 0], [1, 1], [0, 1], [1e-13, -1e-13]],
+                            [[0, 1, 2, 3, 4]],
+                            [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 3, GAMMA0),
+                             (3, 4, GAMMA0), (4, 0, GAMMA0)],
+                            NonSimplePolygon, 0,
+                            "edges 0 and 3 intersect; shortest edge 1.0e-13 h_K"),
     "edge_shared_by_three_cells": (
         SQUARE_VERTS.tolist() + [[0.5, -1], [0.5, -2]],
         [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]],

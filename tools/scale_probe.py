@@ -11,8 +11,8 @@ alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
 solve) the same way, timed and then traced.  It prints one ``name value
 unit`` row per measurement: the wall times of generate, assemble and solve,
 the traced peaks of assembly and solve and the bytes of the assembled A, B
-and Ahat (MiB), the problem size and the process's peak resident set size,
-read before the traced solve.
+and Ahat (MiB), the problem size (dofs, gamma0 dofs m and cells) and the
+process's peak resident set size, read before the traced solve.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ def main(argv: list[str]) -> None:
     rows.append(("assemble_traced_peak", peak / 2**20, "MiB"))
     rows.append(("matrices", sum(map(_bytes, (system.A, system.B, system.Ahat))) / 2**20, "MiB"))
     rows.append(("n_dofs", system.n_dofs, "dofs"))
+    rows.append(("m", len(system.gamma0_dofs), "gamma0 dofs"))
     rows.append(("cells", mesh.n_cells, "cells"))
     if args.k > 0:
         t = time.perf_counter()
