@@ -3,33 +3,44 @@
 A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + B
 symmetric positive definite, so mu = 1 / (1 + lambda) lies in (0, 1] and
 the first k positive lambdas are the k + 1 largest mu (the constant mode
-has mu = 1).  B lives on the m gamma0 dofs g: B = E_g F'F E_g' with E_g
-the scatter of a gamma0 vector into all n dofs and F the sparse p x m
-factor of the gamma0 block B_gg read off its entries (:func:`_gamma0_factor`:
-one row per coupled pair of dofs and one per dof, p = E + m).  So the
-nonzero mu are the eigenvalues of the symmetric positive semidefinite
-p x p operator
+has mu = 1).  B lives on the m gamma0 dofs g, B = E_g B_gg E_g' with E_g
+the scatter of a gamma0 vector into all n dofs, so the nonzero mu are the
+eigenvalues of the m x m pencil
 
-    K = F (Ahat^{-1})_gg F',
+    B_gg x = mu S_g x,    S_g = ((Ahat^{-1})_gg)^{-1},
 
-which has rank m and shares its nonzero spectrum with the discrete
-Dirichlet-to-Neumann map, and u = Ahat^{-1} E_g F' w lifts an eigenvector
-w of K to the pencil.  Implicitly restarted Lanczos (ARPACK, standard
-mode, Euclidean inner product on length-p vectors) finds the k + 1
-largest mu with one solve against a single LU of Ahat per step;
-iterating on the largest mu never touches the near-zero mu that tiny
-gamma0 edges produce at the other end of the spectrum, nor the p - m
-zero ones.  When k + 2 >= m leaves ARPACK no room, K is formed densely
-from one p-column solve and handed to eigh; only there is a dense n x p
-block formed, with m <= k + 2.  SuperLU factors Ahat in
-single-column panels: its default panels serve supernodal partial
-pivoting, but here every pivot is diagonal and the supernodes of these
-2-D meshes are small, so wider panels only add a dense n x panel work
-area (the ordering and the fill do not depend on the width).  The LU,
-the L and U copies its pivot check caches and any n x p block die before
-the eigenvectors are packed.  The constant mode is dropped by its
-B-overlap with the constants; everything else is returned ascending in
-lambda, each lambda being the Rayleigh quotient of its returned vector.
+S_g being the Schur complement of Ahat onto gamma0 (the discrete
+Dirichlet-to-Neumann map), and u = Ahat^{-1} E_g S_g x lifts x to the
+pencil.  One LU of Ahat reaches them along one of three paths, chosen from
+n, m and k before factoring:
+
+- Schur read-off.  When gamma0 is short (m^2 <= 2 n: one side of the
+  square, m ~ sqrt(n)) or k + 2 >= m, SuperLU gets Ahat with explicit
+  zeros filling its gamma0 block.  That clique makes the one
+  minimum-degree ordering put gamma0 in the trailing q dofs, and when
+  q <= 3 m, S_g is condensed from the trailing q x q blocks of L and U and
+  the pencil goes to eigh.  The lift is the only solve.
+- Lanczos.  Otherwise, and when the clique leaves a longer trailing block
+  (a few gamma0 edges), implicitly restarted Lanczos (ARPACK, standard
+  mode) finds the k + 1 largest mu of the p x p operator
+  K = F (Ahat^{-1})_gg F', F the sparse p x m factor of B_gg read off its
+  entries (:func:`_gamma0_factor`: one row per coupled pair of dofs and one
+  per dof, p = E + m), with one solve per step.  K has rank m and the same
+  nonzero mu; iterating on the largest mu never touches the near-zero mu
+  that tiny gamma0 edges produce at the other end, nor the p - m zero ones.
+- m solves.  When the trailing block is longer and k + 2 >= m leaves
+  ARPACK no room, (Ahat^{-1})_gg is taken from m solves whose n x m block
+  also lifts the eigenvectors of eigh.
+
+SuperLU factors in single-column panels: its default panels serve
+supernodal partial pivoting, but here every pivot is diagonal and the
+supernodes of these 2-D meshes are small, so wider panels only add a
+dense n x panel work area (the ordering and the fill do not depend on the
+width).  The LU, the L and U copies its pivot check caches and any n x m
+block die before the eigenvectors are packed.  The constant mode is
+dropped by its B-overlap with the constants; everything else is returned
+ascending in lambda, each lambda being the Rayleigh quotient of its
+returned vector.
 """
 
 from __future__ import annotations
@@ -50,6 +61,17 @@ from .vem import GlobalSystem
 _CONSTANT_OVERLAP = 0.99
 _DENSE_LIMIT = 2000
 _BACKWARD_ERROR_BOUND = 1e-10
+# A mesh factors Ahat with its gamma0 block made a clique when m^2 <= 2 n.
+# Reading S_g off the LU took 0.50-0.64 of the Lanczos time on t2 with gamma0
+# on one side (m^2/n = 0.5), 0.59-0.92 on two (2.0), 0.80-0.91 on three (4.5)
+# and 0.94-1.12 on four (7.9), N = 32, 64, 128, and 1.21 times it on t5 N=130
+# (12.3), medians of 3-5 solves on a 2-vCPU host: past two sides the gain is
+# within run-to-run noise.
+_SCHUR_MAX_M2_PER_N = 2
+# The clique puts one contiguous gamma0 side last (q = 1.75-1.9 m), but a few
+# gamma0 edges leave q near n (8288 of 8321 dofs with 3 gamma0 dofs at t2
+# N=32, a 550 MB dense q x q block), so a longer trailing block is not read.
+_SCHUR_MAX_Q_PER_M = 3
 # SuperLU's allocation failures: "SUPERLU_MALLOC fails for ...", "Malloc fails
 # for ...", "Not enough memory to perform factorization." and "Out of memory."
 _OUT_OF_MEMORY = re.compile(r"malloc|memory", re.IGNORECASE)
@@ -64,6 +86,8 @@ class EigenResult:
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
+    path: str = "dense"      # "schur", "lanczos" or "m-solve", see solve_steklov
+    q: int = 0               # LU positions from the first gamma0 dof on; 0: no clique
 
 
 def _norm_1(matrix) -> float:
@@ -153,72 +177,171 @@ def _gamma0_factor(B_gg) -> sps.csr_matrix:
         shape=(pairs + m, m))
 
 
-def _dtn_eigenpairs(system: GlobalSystem, F: sps.csr_matrix, k: int):
-    """The k + 1 largest mu of K = F (Ahat^{-1})_gg F' and their lifted
-    vectors u = Ahat^{-1} E_g F' w, as ``(mus, vecs)``.
+def _ranges(starts, lens) -> np.ndarray:
+    """The ranges starts[i] + arange(lens[i]), concatenated."""
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
-    Everything that holds the LU lives here, so the factor, the L and U
-    copies that reading ``factor.U`` caches on it and the dense branch's
-    n x p block X are freed on return.
+
+def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
+    """Ahat with explicit zeros filling its gamma0 x gamma0 block, as CSC.
+
+    Ahat is symmetric, so its CSR rows are its columns and the result is
+    built in one pass over them: rows off gamma0 are copied at shifted
+    offsets, and each gamma0 row becomes its entries off gamma0 merged with
+    all m gamma0 columns, whose values come from a dense m x m block that
+    is zero where Ahat has no entry.  The values of Ahat are unchanged.
     """
-    g = system.gamma0_dofs
-    p, m = F.shape
+    n, m = Ahat.shape[0], len(g)
+    g = np.sort(g)
+    indptr, indices, data = Ahat.indptr, Ahat.indices, Ahat.data
+    lens = np.diff(indptr)
+    # the entries of the gamma0 rows, row by row
+    row = np.repeat(np.arange(m), lens[g])
+    entry = _ranges(indptr[g], lens[g])
+    col = indices[entry]
+    below = np.searchsorted(g, col)   # gamma0 columns before col
+    on = g[np.minimum(below, m - 1)] == col
+    off = ~on
+    block = np.zeros((m, m))
+    block[row[on], below[on]] = data[entry[on]]
+    # entries off gamma0 in each gamma0 row before each gamma0 column
+    before = np.bincount(row[off] * (m + 1) + below[off],
+                         minlength=m * (m + 1)).reshape(m, m + 1).cumsum(axis=1)
+    n_off = before[:, -1]
+    new_lens = lens.copy()
+    new_lens[g] = n_off + m
+    new_ptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(new_lens, out=new_ptr[1:])
+    new_indices = np.empty(new_ptr[-1], dtype=indices.dtype)
+    new_data = np.empty(new_ptr[-1])
+    # every row at its new offset; the gamma0 rows are then written whole
+    at = _ranges(new_ptr[:-1], lens)
+    new_indices[at], new_data[at] = indices, data
+    at = new_ptr[g[row[off]]] + _ranges(0, n_off) + below[off]
+    new_indices[at], new_data[at] = col[off], data[entry[off]]
+    at = new_ptr[g][:, None] + np.arange(m) + before[:, :m]
+    new_indices[at], new_data[at] = g, block
+    return sps.csc_matrix((new_data, new_indices, new_ptr), shape=(n, n))
+
+
+def _factor(matrix):
+    """SuperLU factor of the SPD ``matrix`` with diagonal pivots."""
     try:
-        # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself
-        factor = spla.splu(system.Ahat.T, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, panel_size=1,
-                           options=dict(SymmetricMode=True))
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, panel_size=1,
+                         options=dict(SymmetricMode=True))
     except (RuntimeError, MemoryError) as exc:
         if isinstance(exc, MemoryError) or _OUT_OF_MEMORY.search(str(exc)):
             raise FactorizationOutOfMemory(
                 f"factorization of Ahat ran out of memory: {exc}") from exc
         raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
+
+
+def _trailing_schur(factor, g, q) -> np.ndarray:
+    """S_g = ((Ahat^{-1})_gg)^{-1} from the trailing q x q blocks of the LU.
+
+    P Ahat P' = L U, so T = L22 U22 is the Schur complement of Ahat onto
+    the dofs in the last q positions, and condensing T onto the gamma0
+    dofs among them gives S_g, in the order of g.
+    """
+    t = factor.shape[0] - q
+    T = factor.L[t:, t:].toarray() @ factor.U[t:, t:].toarray()
+    at = factor.perm_c[g] - t
+    rest = np.setdiff1d(np.arange(q), at)
+    return T[np.ix_(at, at)] - T[np.ix_(at, rest)] @ sla.solve(
+        T[np.ix_(rest, rest)], T[np.ix_(rest, at)])
+
+
+def _pencil_eigenpairs(B_gg, S_g, k):
+    """The k + 1 largest mu of B_gg x = mu S_g x, as ``(mus, S_g x)``;
+    S_g is symmetrized first."""
+    m = len(S_g)
+    S_g = (S_g + S_g.T) / 2.0
+    mus, x = sla.eigh(B_gg.toarray(), S_g, subset_by_index=[m - k - 1, m - 1])
+    return mus, S_g @ x
+
+
+def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
+    """The k + 1 largest nonzero mu and their vectors u, as
+    ``(mus, vecs, path, q)``; see :func:`solve_steklov` for the paths.
+
+    Everything that holds the LU lives here, so the factor, the L and U
+    copies that reading ``factor.U`` caches on it and the n x m block of
+    the m-solve path are freed on return.
+    """
+    g = system.gamma0_dofs
+    n, (p, m) = system.n_dofs, F.shape
+    schur = m * m <= _SCHUR_MAX_M2_PER_N * n or k + 2 >= m
+    # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself;
+    # the clique is a temporary that dies when splu returns
+    factor = _factor(_with_gamma0_clique(system.Ahat, g) if schur
+                     else system.Ahat.T)
     if not (np.array_equal(factor.perm_r, factor.perm_c)
             and np.all(factor.U.diagonal() > 0.0)):
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
                      "it is not SPD")
+    q = n - int(factor.perm_c[g].min()) if schur else 0
+
+    if schur and q <= _SCHUR_MAX_Q_PER_M * m:
+        S_g = _trailing_schur(factor, g, q)
+        mus, Y = _pencil_eigenpairs(B_gg, S_g, k)
+        rhs = np.zeros((n, k + 1))
+        rhs[g] = Y
+        return mus, factor.solve(rhs), "schur", q
+    if k + 2 >= m:
+        rhs = np.zeros((n, m))
+        rhs[g, np.arange(m)] = 1.0
+        X = factor.solve(rhs)                 # Ahat^{-1} E_g
+        mus, Y = _pencil_eigenpairs(B_gg, sla.inv(X[g]), k)
+        return mus, X @ Y, "m-solve", q
     Ft = F.T                          # a CSC view made once, not one per step
 
     def lift(Y):                      # Ahat^{-1} E_g F' Y
-        rhs = np.zeros((system.n_dofs,) + Y.shape[1:])
+        rhs = np.zeros((n,) + Y.shape[1:])
         rhs[g] = Ft @ Y
         return factor.solve(rhs)
 
-    if k + 2 >= m:
-        X = lift(np.eye(p))
-        mus, W = sla.eigh(F @ X[g], subset_by_index=[p - k - 1, p - 1])
-        return mus, X @ W
     K = spla.LinearOperator((p, p), matvec=lambda y: F @ lift(y)[g],
                             dtype=float)
     mus, W = spla.eigsh(K, k + 1, which="LA",
                         v0=np.random.default_rng(0).standard_normal(p))
-    return mus, lift(W)
+    return mus, lift(W), "lanczos", q
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
-    """First k positive Steklov eigenvalues by Lanczos on the gamma0 traces.
+    """First k positive Steklov eigenvalues from the gamma0 Schur complement.
 
     The sparse factor F of the gamma0 mass block, B_gg = F'F with one row
     per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
     doubles as the rank check: rank(B) = m needs B_gg definite, which
     nonnegative edge couplings and a positive diagonal excess d prove.
-    ARPACK then iterates on the p x p operator K = F (Ahat^{-1})_gg F'
-    (p = E + m rows of F, rank m, the same nonzero mu) with length-p
-    vectors from a fixed start vector, so repeated calls give bit-identical
-    results; each step costs one solve against a single LU of Ahat and two
-    sparse products with F, and no m x m array is formed.  The LU uses a
-    symmetric minimum-degree ordering and diagonal pivots only, so
-    Ahat = P' L U P with U = D L', and by Sylvester's law of inertia Ahat
-    is SPD exactly when every pivot diag(U) is positive.  The k + 1
-    eigenvectors w are lifted to u = Ahat^{-1} E_g F' w by one
-    multi-column solve.  With k + 2 >= m ARPACK has no room for a Krylov
-    space; K is then formed densely from one p-column solve, whose columns
-    also lift the eigenvectors of eigh.  The panels of the LU are one column
-    wide: with diagonal pivots and the small supernodes of 2-D meshes the
-    default panels only add a dense work area, and the width moves neither
-    the ordering nor the fill.  The factor, the L and U copies of the pivot
-    check and the dense branch's n x p block belong to one helper, so they
-    are freed before the n x (k + 1) blocks of the pack are allocated.
+    Ahat is factored once, with a symmetric minimum-degree ordering and
+    diagonal pivots only, so Ahat = P' L U P with U = D L', and by
+    Sylvester's law of inertia Ahat is SPD exactly when every pivot
+    diag(U) is positive.  The panels of the LU are one column wide: with
+    diagonal pivots and the small supernodes of 2-D meshes the default
+    panels only add a dense work area, and the width moves neither the
+    ordering nor the fill.
+
+    ``result.path`` names the path that ran (see the module docstring):
+
+    - ``"schur"`` when m^2 <= 2 n or k + 2 >= m, and the gamma0 clique added
+      to the factored pattern leaves gamma0 in the last q <= 3 m positions
+      (``result.q``) of the ordering.  S_g = L22 U22 condensed onto gamma0,
+      the k + 1 largest mu of (B_gg, S_g) come from eigh, and one
+      n x (k + 1) solve lifts them: u = Ahat^{-1} E_g S_g x.
+    - ``"lanczos"`` when m^2 > 2 n and k + 2 < m, and when q > 3 m and
+      k + 2 < m.  ARPACK iterates on K = F (Ahat^{-1})_gg F' (p = E + m rows
+      of F) with length-p vectors from a fixed start vector, so repeated
+      calls give bit-identical results; each step costs one solve and two
+      sparse products with F, no m x m array is formed, and one
+      multi-column solve lifts the eigenvectors w to u = Ahat^{-1} E_g F' w.
+    - ``"m-solve"`` when q > 3 m and k + 2 >= m: S_g is inverted from the
+      gamma0 rows of the n x m block Ahat^{-1} E_g, which also lifts.
+
+    The factor, the L and U copies of the pivot check and the n x m block
+    belong to one helper, so they are freed before the n x (k + 1) blocks
+    of the pack are allocated.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
@@ -235,8 +358,10 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     if k > m - 1:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
-    F = _gamma0_factor(system.B[g][:, g])
-    result = _filter_and_pack(system, *_dtn_eigenpairs(system, F, k), k)
+    B_gg = system.B[g][:, g]
+    mus, vecs, path, q = _dtn_eigenpairs(system, B_gg, _gamma0_factor(B_gg), k)
+    result = _filter_and_pack(system, mus, vecs, k)
+    result.path, result.q = path, q
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:
         raise SolverError(f"backward error {worst:.2e} exceeds "
@@ -247,24 +372,28 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
 def dense_reference_solve(system: GlobalSystem) -> EigenResult:
     """Oracle: full dense symmetric-definite generalized eigensolve.
 
-    Solves B u = mu Ahat u with every matrix densified; only meant to
-    validate :func:`solve_steklov` on small systems.
+    Solves B u = mu Ahat u with every matrix densified and keeps the m
+    largest mu, m the number of gamma0 dofs; only meant to validate
+    :func:`solve_steklov` on small systems.  rank(B) = m is proven by
+    :func:`_gamma0_factor`, as the production solver does, not counted
+    from the computed mu: on meshes with gamma0 edges near 1e-11 the m-th
+    largest mu of a valid mesh can fall below any fixed cutoff.
+
+    Raises TooLarge beyond 2000 dofs, RankDeficientGamma0Mass when the
+    gamma0 block of B is not shown positive definite and NotSPD when eigh
+    finds Ahat indefinite.
     """
     n = system.n_dofs
     if n > _DENSE_LIMIT:
         raise TooLarge(f"{n} dofs exceeds the dense oracle limit {_DENSE_LIMIT}")
-    Bd = system.B.toarray()
-    Ad = system.Ahat.toarray()
+    g = system.gamma0_dofs
+    m = len(g)
+    _gamma0_factor(system.B[g][:, g])
     try:
-        mus, vecs = sla.eigh(Bd, Ad)
+        mus, vecs = sla.eigh(system.B.toarray(), system.Ahat.toarray())
     except sla.LinAlgError as exc:
         raise NotSPD(str(exc)) from exc
-    pos = mus > 1e-12
-    if int(np.sum(pos)) != len(system.gamma0_dofs):
-        raise RankDeficientGamma0Mass(
-            "rank of B does not match the gamma0 dof count")
-    return _filter_and_pack(system, mus[pos], vecs[:, pos],
-                            k=int(np.sum(pos)) - 1)
+    return _filter_and_pack(system, mus[n - m:], vecs[:, n - m:], k=m - 1)
 
 
 def eigenfunction_field(result: EigenResult, mesh: PolygonalMesh,

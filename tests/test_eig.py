@@ -114,18 +114,113 @@ def test_permuted_t5_matches_dense_oracle():
     assert np.all(fast.residuals <= 1e-12)
 
 
-@pytest.mark.parametrize("family,N", [("t1", 4), ("t2", 4), ("t6", 4)])
+def short_gamma0_mesh(N, x_max):
+    """t2 with gamma0 cut down to the top edges that end at x <= x_max."""
+    mesh = FAMILIES["t2"](N)
+    x = mesh.vertices[:, 0]
+    return build_mesh(mesh.vertices, mesh.cells, [
+        (a, b, GAMMA0 if marker == GAMMA0 and max(x[a], x[b]) <= x_max else GAMMA1)
+        for a, b, marker in mesh.boundary_edges])
+
+
+# the path solve_steklov takes at k = m - 3, m - 2 and m - 1.  Full-boundary
+# gamma0 (t5, t6) runs Lanczos until k + 2 >= m; one short gamma0 side (t1, t2)
+# is read off the LU, except on t1 N=4 and on t2 N=12 with x <= 1/4 (m = 7),
+# where the clique leaves 28 of 37 and 393 of 1201 dofs after the first
+# gamma0 dof, more than 3 m
+ORACLE_PATHS = {
+    "t1-4": ("lanczos", "m-solve", "m-solve"),
+    "t2-4": ("schur",) * 3,
+    "t6-4": ("lanczos", "schur", "schur"),
+    "t1-8": ("schur",) * 3,
+    "t2-8": ("schur",) * 3,
+    "t5-8": ("lanczos", "schur", "schur"),
+    "t6-8": ("lanczos", "schur", "schur"),
+    "t2-12-short": ("lanczos", "m-solve", "m-solve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_PATHS))
 @pytest.mark.parametrize("below_m", [3, 2, 1])
-def test_lanczos_and_dense_branches_agree_with_oracle(family, N, below_m):
-    # k = m - 3 runs ARPACK on the trace space; k + 2 >= m takes eigh
-    system = system_for(family, N)
+def test_lanczos_and_dense_branches_agree_with_oracle(case, below_m):
+    # every eigensolver path against the dense oracle, with Ahat-orthonormal
+    # vectors: the Schur read-off, Lanczos and the m-solve path (the last two
+    # with and without the gamma0 clique in the LU)
+    family, N, *short = case.split("-")
+    mesh = short_gamma0_mesh(int(N), 0.25) if short else FAMILIES[family](int(N))
+    system = assemble_global(mesh, StabilizationSpec())
     k = len(system.gamma0_dofs) - below_m
     result = solve_steklov(system, k)
+    assert result.path == ORACLE_PATHS[case][3 - below_m]
     oracle = dense_reference_solve(system)
     assert result.zero_mode_detected
     np.testing.assert_allclose(result.lambdas, oracle.lambdas[:k], rtol=1e-10)
     np.testing.assert_allclose(
         result.vectors.T @ (system.Ahat @ result.vectors), np.eye(k), atol=1e-10)
+
+
+class CountingFactor:
+    """A SuperLU factor that counts the columns it solves for."""
+
+    def __init__(self, factor):
+        self.factor, self.columns = factor, 0
+
+    def __getattr__(self, name):
+        return getattr(self.factor, name)
+
+    def solve(self, rhs):
+        self.columns += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self.factor.solve(rhs)
+
+
+def test_schur_read_off_solves_only_to_lift(monkeypatch):
+    # t2 N=32 (m = 65): the Lanczos loop took 46 single-column solves here;
+    # reading S_g off the LU leaves the one n x (k + 1) lift
+    factors = []
+    splu = eig.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factors.append(CountingFactor(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(eig.spla, "splu", counting_splu)
+    result = solve_steklov(system_for("t2", 32), 6)
+    assert result.path == "schur"
+    assert [f.columns for f in factors] == [7]
+
+
+def test_gamma0_clique_keeps_the_values_of_ahat():
+    # the clique adds explicit zeros only: Ahat's values, Ahat's pattern
+    # plus every gamma0 x gamma0 pair, sorted columns without duplicates
+    for case in ("t2-8", "t5-8", "t5-8-permuted"):
+        system = assemble_global(GAMMA0_FACTOR_MESHES[case](), StabilizationSpec())
+        g = system.gamma0_dofs
+        clique = eig._with_gamma0_clique(system.Ahat, g)
+        assert clique.format == "csc" and clique.has_canonical_format
+        assert (clique != system.Ahat).nnz == 0
+        pattern = sps.csc_matrix((np.ones(clique.nnz), clique.indices, clique.indptr))
+        m = len(g)
+        expected = abs(system.Ahat) + sps.csr_matrix(
+            (np.ones(m * m), (np.repeat(g, m), np.tile(g, m))), shape=system.Ahat.shape)
+        assert (pattern != (expected != 0)).nnz == 0
+
+
+def test_short_gamma0_reads_no_dense_trailing_block():
+    # t2 N=32 with gamma0 on its first two top edges (m = 3): the clique
+    # leaves 8288 of 8321 dofs after the first gamma0 dof, and a dense
+    # q x q trailing block would take 524 MiB.  The m-solve path peaks near
+    # 4.1 MiB, most of it the L and U copies of the pivot check.
+    system = assemble_global(short_gamma0_mesh(32, 1.0 / 32.0), StabilizationSpec())
+    assert len(system.gamma0_dofs) == 3
+    result = solve_steklov(system, 1)
+    assert result.path == "m-solve" and result.q > system.n_dofs // 2
+    tracemalloc.start()
+    try:
+        solve_steklov(system, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def renumbered(mesh, seed):
@@ -278,6 +373,21 @@ def test_dense_oracle_counts_rank_of_b():
     result = dense_reference_solve(system)
     # one nonzero mu is consumed by the constant mode
     assert len(result.lambdas) == len(system.gamma0_dofs) - 1
+
+
+@pytest.mark.parametrize("n,eps", [(4, 1e-11), (8, 1e-11), (16, 1e-12)])
+def test_dense_oracle_proves_rank_on_tiny_gamma0_edges(n, eps):
+    # valid meshes whose m-th largest mu is near 6e-13 (6e-14 at eps =
+    # 1e-12): counting mu above 1e-12 found 21 of 28, 44 of 60 and 64 of
+    # 124 and raised RankDeficientGamma0Mass.  Both solvers are backward
+    # stable to 1e-16 here, but 1e-11 edges leave lambda conditioned to
+    # about 1e-5 only, so they agree to criterion 8's 1e-4
+    system = assemble_global(uniform_square_mesh(n, eps), StabilizationSpec())
+    oracle = dense_reference_solve(system)
+    assert oracle.zero_mode_detected
+    assert len(oracle.lambdas) == len(system.gamma0_dofs) - 1
+    np.testing.assert_allclose(solve_steklov(system, 6).lambdas,
+                               oracle.lambdas[:6], rtol=1e-4)
 
 
 def test_dense_oracle_rejects_large_systems():

@@ -11,8 +11,11 @@ alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
 solve) the same way, timed and then traced.  It prints one ``name value
 unit`` row per measurement: the wall times of generate, assemble and solve,
 the traced peaks of assembly and solve and the bytes of the assembled A, B
-and Ahat (MiB), the problem size (dofs, gamma0 dofs m and cells) and the
-process's peak resident set size, read before the traced solve.
+and Ahat (MiB), the problem size (dofs, gamma0 dofs m and cells), the
+eigensolver path that ran ("schur", "lanczos" or "m-solve") with q, the
+number of LU positions from the first gamma0 dof on (0 when Ahat was
+factored without the gamma0 clique), and the process's peak resident set
+size, read before the traced solve.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ def main(argv: list[str]) -> None:
     rows.append(("cells", mesh.n_cells, "cells"))
     if args.k > 0:
         t = time.perf_counter()
-        solve_steklov(system, args.k)
+        result = solve_steklov(system, args.k)
         rows.append(("solve", time.perf_counter() - t, "s"))
+        rows.append(("q", result.q, f"dofs ({result.path} path)"))
     # ru_maxrss is in KiB on Linux
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if args.k > 0:
