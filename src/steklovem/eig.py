@@ -1,11 +1,17 @@
 """Generalized eigensolver for the discrete Steklov problem.
 
-A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + B
-symmetric positive definite, so mu = 1 / (1 + lambda) lies in (0, 1] and
-the first k positive lambdas are the k + 1 largest mu (the constant mode
-has mu = 1).  B lives on the m gamma0 dofs g, B = E_g B_gg E_g' with E_g
-the scatter of a gamma0 vector into all n dofs, so the nonzero mu are the
-eigenvalues of the m x m pencil
+A u = lambda B u is shifted to B u = mu Ahat u with Ahat = A + sigma B
+symmetric positive definite, sigma = 1 / |gamma0| the shift that
+:func:`~steklovem.vem.assemble_global` stores with A and B, so
+mu = 1 / (sigma + lambda) lies in (0, 1 / sigma] and the first k positive
+lambdas are the k + 1 largest mu (the constant mode has mu = 1 / sigma).
+As sigma is a reciprocal length like lambda, scaling the mesh scales every
+mu alike and leaves the Lanczos iteration count unchanged.  Ahat is not
+stored: each solve writes it as a new value array on A's index arrays
+(:func:`_shifted`) only as the input of the LU, and it dies when the
+factorization returns.  B lives on the m gamma0 dofs g,
+B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all n dofs,
+so the nonzero mu are the eigenvalues of the m x m pencil
 
     B_gg x = mu S_g x,    S_g = ((Ahat^{-1})_gg)^{-1},
 
@@ -82,7 +88,7 @@ class EigenResult:
     """Positive discrete Steklov eigenvalues with their eigenvectors."""
 
     lambdas: np.ndarray      # ascending, strictly positive
-    mus: np.ndarray          # 1 / (1 + lambda), in (0, 1)
+    mus: np.ndarray          # 1 / (1 + lambda), in (0, 1), whatever the shift
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
@@ -100,11 +106,14 @@ def _norm_1(matrix) -> float:
 def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
     """Drop the constant mode, normalize, sort ascending in lambda.
 
-    Each lambda is the Rayleigh quotient u'Au / u'Bu of its returned
-    vector.  1/mu - 1 would carry the absolute error of mu, which the
-    eigensolvers bound relative to the largest mu = 1, so it loses digits
-    when lambda is very small or very large, as on a scaled mesh; the
-    Rayleigh quotient's error is quadratic in the vector's.
+    The vectors are normalized to u'Ahat u = u'Au + sigma u'Bu = 1, read
+    from the products A U and B U that the Rayleigh quotients and the
+    residuals need anyway.  Each lambda is the Rayleigh quotient
+    u'Au / u'Bu of its returned vector.  1/mu - sigma would carry the
+    absolute error of mu, which the eigensolvers bound relative to the
+    largest mu = 1/sigma, so it loses digits when lambda is very small or
+    very large against sigma; the Rayleigh quotient's error is quadratic in
+    the vector's.
 
     The residual of a pair is its normwise backward error in the 1-norm,
     ||A u - lambda B u|| / ((||A|| + |lambda| ||B||) ||u||), which does
@@ -123,10 +132,11 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
 
     norm_A, norm_B = _norm_1(system.A), _norm_1(system.B)
     U, BU = vecs[:, keep], BV[:, keep]
-    unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", U, system.Ahat @ U))
-    U, BU = U * unit, BU * unit
     AU = system.A @ U
-    lambdas = np.einsum("ij,ij->j", U, AU) / np.einsum("ij,ij->j", U, BU)
+    uAu, uBu = np.einsum("ij,ij->j", U, AU), np.einsum("ij,ij->j", U, BU)
+    unit = 1.0 / np.sqrt(uAu + system.shift * uBu)
+    U, AU, BU = U * unit, AU * unit, BU * unit
+    lambdas = uAu / uBu
     scale = norm_A + np.abs(lambdas) * norm_B
     residuals = (np.abs(AU - BU * lambdas).sum(axis=0)
                  / (scale * np.abs(U).sum(axis=0)))
@@ -180,6 +190,24 @@ def _gamma0_factor(B_gg) -> sps.csr_matrix:
 def _ranges(starts, lens) -> np.ndarray:
     """The ranges starts[i] + arange(lens[i]), concatenated."""
     return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _shifted(system: GlobalSystem) -> sps.csr_matrix:
+    """Ahat = A + sigma B as a new value array on A's index arrays.
+
+    B lives on gamma0 edges, which are cell edges, so its pattern lies in
+    the gamma0 rows of A's: B is sampled at A's entries in those rows (zero
+    where B has no entry) and only the values change.  An entry of B off
+    that pattern would be lost and leave a residual the backward-error gate
+    sees.
+    """
+    A, g = system.A, system.gamma0_dofs
+    lens = np.diff(A.indptr)[g]
+    at = _ranges(A.indptr[g], lens)
+    data = A.data.copy()
+    B_at = system.B[np.repeat(g, lens), A.indices[at]]
+    data[at] += system.shift * np.asarray(B_at).ravel()
+    return sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
 
 def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
@@ -273,9 +301,9 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     n, (p, m) = system.n_dofs, F.shape
     schur = m * m <= _SCHUR_MAX_M2_PER_N * n or k + 2 >= m
     # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself;
-    # the clique is a temporary that dies when splu returns
-    factor = _factor(_with_gamma0_clique(system.Ahat, g) if schur
-                     else system.Ahat.T)
+    # Ahat and the clique are temporaries that die when splu returns
+    factor = _factor(_with_gamma0_clique(_shifted(system), g) if schur
+                     else _shifted(system).T)
     if not (np.array_equal(factor.perm_r, factor.perm_c)
             and np.all(factor.U.diagonal() > 0.0)):
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
@@ -310,6 +338,12 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     """First k positive Steklov eigenvalues from the gamma0 Schur complement.
+
+    Ahat = A + sigma B with the stored shift sigma = 1 / |gamma0|
+    (``system.shift``), so inside the solver mu = 1 / (sigma + lambda);
+    ``result.mus`` still reports 1 / (1 + lambda), and the vectors are
+    normalized to v' Ahat v = 1.  Ahat exists only as the input of the LU,
+    written on A's index arrays, and dies when the factorization returns.
 
     The sparse factor F of the gamma0 mass block, B_gg = F'F with one row
     per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
@@ -372,9 +406,11 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
 def dense_reference_solve(system: GlobalSystem) -> EigenResult:
     """Oracle: full dense symmetric-definite generalized eigensolve.
 
-    Solves B u = mu Ahat u with every matrix densified and keeps the m
-    largest mu, m the number of gamma0 dofs; only meant to validate
-    :func:`solve_steklov` on small systems.  rank(B) = m is proven by
+    Solves B u = mu Ahat u, Ahat = A + sigma B with the stored shift
+    sigma = 1 / |gamma0| (``system.Ahat``), so mu = 1 / (sigma + lambda),
+    with every matrix densified and keeps the m largest mu, m the number
+    of gamma0 dofs; only meant to validate :func:`solve_steklov` on small
+    systems.  rank(B) = m is proven by
     :func:`_gamma0_factor`, as the production solver does, not counted
     from the computed mu: on meshes with gamma0 edges near 1e-11 the m-th
     largest mu of a valid mesh can fall below any fixed cutoff.

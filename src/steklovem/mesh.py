@@ -554,7 +554,7 @@ def _check_conforming_and_boundary(verts, edges, counts, boundary_spec):
 
 def _check_connected(nv: int, edges: np.ndarray, marked) -> None:
     """Every vertex lies on a cell, and every connected piece touches gamma0:
-    otherwise A + B is singular."""
+    otherwise A + sigma B is singular."""
     orphans = np.flatnonzero(np.bincount(edges.ravel(), minlength=nv) == 0)
     if orphans.size:
         raise MeshError(f"vertex {orphans[0]} belongs to no cell")

@@ -189,6 +189,28 @@ def test_schur_read_off_solves_only_to_lift(monkeypatch):
     assert [f.columns for f in factors] == [7]
 
 
+def test_lanczos_cost_does_not_depend_on_the_length_unit(monkeypatch):
+    # t5 N=8 (m = 69) spends 45 Ahat^{-1} columns at unit scale, 38 Lanczos
+    # steps and the 7-column lift.  With the shift fixed at 1 instead of
+    # 1 / |gamma0|, mu = 1 / (1 + lambda) crowded towards 1 on the enlarged
+    # meshes and ARPACK took 452 and 770 columns at 1e3 and 1e6
+    mesh = FAMILIES["t5"](8)
+    factors = []
+    splu = eig.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factors.append(CountingFactor(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(eig.spla, "splu", counting_splu)
+    solve_steklov(assemble_global(mesh), 6)
+    for s in (1e-3, 1e3, 1e6):
+        scaled = build_mesh(s * mesh.vertices, mesh.cells, mesh.boundary_edges)
+        result = solve_steklov(assemble_global(scaled), 6)
+        assert result.path == "lanczos"
+        assert abs(factors[-1].columns - factors[0].columns) <= 2
+
+
 def test_gamma0_clique_keeps_the_values_of_ahat():
     # the clique adds explicit zeros only: Ahat's values, Ahat's pattern
     # plus every gamma0 x gamma0 pair, sorted columns without duplicates
@@ -423,7 +445,7 @@ def test_repeated_solves_bitwise_identical():
 
 def test_indefinite_ahat_rejected():
     system = system_for("t2", 4)
-    indefinite = dataclasses.replace(system, Ahat=system.A - system.B)
+    indefinite = dataclasses.replace(system, A=system.A - 2.0 * system.shift * system.B)
     with pytest.raises(NotSPD):
         solve_steklov(indefinite, 3)
 
@@ -458,17 +480,24 @@ def test_singular_gamma0_mass_rejected():
 
 
 def test_residuals_are_scale_invariant_backward_errors():
-    system = system_for("t5", 8)
+    mesh = FAMILIES["t5"](8)
+    system = assemble_global(mesh, StabilizationSpec())
     result = solve_steklov(system, 6)
     # a power-of-two scale is exact in floating point, so the scaled solve
     # repeats the same arithmetic; ||A u - lambda B u|| / ||u|| would grow
     # by the scale factor, the backward error must not move at all
     c = 2.0 ** 20
     scaled = solve_steklov(dataclasses.replace(
-        system, A=c * system.A, B=c * system.B, Ahat=c * system.Ahat), 6)
+        system, A=c * system.A, B=c * system.B), 6)
     assert np.array_equal(scaled.lambdas, result.lambdas)
     assert np.array_equal(scaled.residuals, result.residuals)
     assert np.all(result.residuals <= 1e-14)
+    # the mesh scaled by c: A is unchanged, B and 1 / shift scale by c
+    # exactly, so Ahat is the same to the bit and c lambda(c) = lambda(1)
+    big = build_mesh(c * mesh.vertices, mesh.cells, mesh.boundary_edges)
+    enlarged = solve_steklov(assemble_global(big, StabilizationSpec()), 6)
+    assert np.array_equal(c * enlarged.lambdas, result.lambdas)
+    assert np.array_equal(enlarged.residuals, result.residuals)
 
 
 def test_constant_mode_always_filtered():

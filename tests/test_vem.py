@@ -427,11 +427,11 @@ def test_degenerate_cell_among_regular_cells(order):
 PINNED_SYSTEMS = {
     ("t1", 8, 0): "7912eb274b610ceeda424c50e430102c795f37fc435260d4b5602bf223fc9cbc",
     ("t2", 16, 0): "303bb2a5689f5a02a53dc13d00ecc164fd0742668971bd1bba06b64e66488cd9",
-    ("t3", 8, 0): "30fb28a0e03fa15be60e336beb5b8e57999c20f399db87a6b9a3f4ebf8bfba9a",
-    ("t4", 8, 0): "a632b773180faaa79c07cbd761509f12e7a82078427f140d1b1c2ea284523c47",
-    ("t5", 8, 0): "dbe3675ecd4de84b091bb02a41c5744e3ca8d69439590d1c490b48317e035f46",
-    ("t6", 8, 0): "17e5fbfe18c30bf0481408a3f478e252c9b554404dfa546426457f4e9499eedb",
-    ("t6", 32, 2): "2bb05633a4592b5fc91dc338bc86f1fbcd585fed2d97092a8bf466fcb8507c19",
+    ("t3", 8, 0): "6e9d688149050d552a92d50f5b6494b8bb101c9be834fb80be780670ecfe9b17",
+    ("t4", 8, 0): "069b306871382992709a4029c98f54b762155ca0cf10d44c4de7fbc50879feba",
+    ("t5", 8, 0): "4c10bf04d971a5db6def7021959306f1fcd90c54602eb00620afa57da03bbc3e",
+    ("t6", 8, 0): "6c25de7499668ddde234e2941745793f471007fccc8f4a471894120df961f4d9",
+    ("t6", 32, 2): "577bbb94aea31bb234b108a0b636da484b4d530e098f9b064cbde194c58d0066",
 }
 
 

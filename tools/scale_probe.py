@@ -10,12 +10,14 @@ from the ``src/`` next to this file, generates the mesh, assembles it twice
 alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
 solve) the same way, timed and then traced.  It prints one ``name value
 unit`` row per measurement: the wall times of generate, assemble and solve,
-the traced peaks of assembly and solve and the bytes of the assembled A, B
-and Ahat (MiB), the problem size (dofs, gamma0 dofs m and cells), the
-eigensolver path that ran ("schur", "lanczos" or "m-solve") with q, the
-number of LU positions from the first gamma0 dof on (0 when Ahat was
-factored without the gamma0 clique), and the process's peak resident set
-size, read before the traced solve.
+the traced peaks of assembly and solve and the bytes of the stored A and B
+(MiB), the problem size (dofs, gamma0 dofs m and cells), the shift sigma =
+1 / |gamma0| of Ahat = A + sigma B, the eigensolver path that ran
+("schur", "lanczos" or "m-solve") with q, the number of LU positions from
+the first gamma0 dof on (0 when Ahat was factored without the gamma0
+clique), the number of Ahat^{-1} columns the solve spent (Lanczos steps
+plus the k + 1 column lift), and the process's peak resident set size,
+read before the traced solve.
 """
 
 from __future__ import annotations
@@ -29,11 +31,37 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from steklovem import FAMILIES, assemble_global, solve_steklov  # noqa: E402
+from steklovem import FAMILIES, assemble_global, eig, solve_steklov  # noqa: E402
 
 
 def _bytes(matrix) -> int:
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+class _CountingFactor:
+    """A SuperLU factor that adds the columns it solves for to ``count[0]``.
+    Nothing else refers to it, so the solver still frees the LU before the
+    pack."""
+
+    def __init__(self, factor, count):
+        self.factor, self.count = factor, count
+
+    def __getattr__(self, name):
+        return getattr(self.factor, name)
+
+    def solve(self, rhs):
+        self.count[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self.factor.solve(rhs)
+
+
+def _counted_solve(system, k):
+    """``(solve_steklov(system, k), Ahat^{-1} columns it solved for)``."""
+    splu, count = eig.spla.splu, [0]
+    eig.spla.splu = lambda *args, **kwargs: _CountingFactor(splu(*args, **kwargs), count)
+    try:
+        return solve_steklov(system, k), count[0]
+    finally:
+        eig.spla.splu = splu
 
 
 def _traced(func, *args):
@@ -61,15 +89,17 @@ def main(argv: list[str]) -> None:
     rows.append(("assemble", time.perf_counter() - t, "s"))
     system, peak = _traced(assemble_global, mesh)
     rows.append(("assemble_traced_peak", peak / 2**20, "MiB"))
-    rows.append(("matrices", sum(map(_bytes, (system.A, system.B, system.Ahat))) / 2**20, "MiB"))
+    rows.append(("matrices", (_bytes(system.A) + _bytes(system.B)) / 2**20, "MiB"))
     rows.append(("n_dofs", system.n_dofs, "dofs"))
     rows.append(("m", len(system.gamma0_dofs), "gamma0 dofs"))
     rows.append(("cells", mesh.n_cells, "cells"))
+    rows.append(("shift", system.shift, "1/length"))
     if args.k > 0:
         t = time.perf_counter()
-        result = solve_steklov(system, args.k)
+        result, columns = _counted_solve(system, args.k)
         rows.append(("solve", time.perf_counter() - t, "s"))
         rows.append(("q", result.q, f"dofs ({result.path} path)"))
+        rows.append(("solve_columns", columns, "Ahat^-1 columns"))
     # ru_maxrss is in KiB on Linux
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if args.k > 0:
