@@ -31,9 +31,12 @@ n, m and k before factoring:
   mode) finds the k + 1 largest mu of the p x p operator
   K = F (Ahat^{-1})_gg F', F the sparse p x m factor of B_gg read off its
   entries (:func:`_gamma0_factor`: one row per coupled pair of dofs and one
-  per dof, p = E + m), with one solve per step.  K has rank m and the same
-  nonzero mu; iterating on the largest mu never touches the near-zero mu
-  that tiny gamma0 edges produce at the other end, nor the p - m zero ones.
+  per dof, p = E + m).  K has rank m and the same nonzero mu; iterating on
+  the largest mu never touches the near-zero mu that tiny gamma0 edges
+  produce at the other end, nor the p - m zero ones.  A step reads
+  (Ahat^{-1})_gg only, so it runs two triangular solves with L_RR, R the
+  gamma0 positions of the LU and their elimination-tree ancestors
+  (:func:`_reach_solver`), not a solve on all n dofs.
 - m solves.  When the trailing block is longer and k + 2 >= m leaves
   ARPACK no room, (Ahat^{-1})_gg is taken from m solves whose n x m block
   also lifts the eigenvectors of eigh.
@@ -42,11 +45,11 @@ SuperLU factors in single-column panels: its default panels serve
 supernodal partial pivoting, but here every pivot is diagonal and the
 supernodes of these 2-D meshes are small, so wider panels only add a
 dense n x panel work area (the ordering and the fill do not depend on the
-width).  The LU, the L and U copies its pivot check caches and any n x m
-block die before the eigenvectors are packed.  The constant mode is
-dropped by its B-overlap with the constants; everything else is returned
-ascending in lambda, each lambda being the Rayleigh quotient of its
-returned vector.
+width).  The LU, the L and U copies its pivot check caches, the factor of
+L_RR and any n x m block die before the eigenvectors are packed.  The
+constant mode is dropped by its B-overlap with the constants; everything
+else is returned ascending in lambda, each lambda being the Rayleigh
+quotient of its returned vector.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ class EigenResult:
     """Positive discrete Steklov eigenvalues with their eigenvectors."""
 
     lambdas: np.ndarray      # ascending, strictly positive
-    mus: np.ndarray          # 1 / (1 + lambda), in (0, 1), whatever the shift
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
     path: str = "dense"      # "schur", "lanczos" or "m-solve", see solve_steklov
     q: int = 0               # LU positions from the first gamma0 dof on; 0: no clique
+    steps: int = 0           # ARPACK operator applications; 0 off the Lanczos path
+    reach: int = 0           # |R|, dofs the Lanczos steps solve on; 0 off that path
 
 
 def _norm_1(matrix) -> float:
@@ -103,8 +107,9 @@ def _norm_1(matrix) -> float:
                              minlength=matrix.shape[1]).max(initial=0.0))
 
 
-def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
-    """Drop the constant mode, normalize, sort ascending in lambda.
+def _filter_and_pack(system: GlobalSystem, mus, vecs, k, **fields) -> EigenResult:
+    """Drop the constant mode, normalize, sort ascending in lambda; ``fields``
+    are the path fields of the result.
 
     The vectors are normalized to u'Ahat u = u'Au + sigma u'Bu = 1, read
     from the products A U and B U that the Rayleigh quotients and the
@@ -145,10 +150,10 @@ def _filter_and_pack(system: GlobalSystem, mus, vecs, k) -> EigenResult:
 
     return EigenResult(
         lambdas=lambdas,
-        mus=1.0 / (1.0 + lambdas),
         vectors=U[:, order],
         zero_mode_detected=bool(zero.size),
         residuals=residuals[order],
+        **fields,
     )
 
 
@@ -252,17 +257,87 @@ def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
     return sps.csc_matrix((new_data, new_indices, new_ptr), shape=(n, n))
 
 
-def _factor(matrix):
-    """SuperLU factor of the SPD ``matrix`` with diagonal pivots."""
+def _factor(matrix, name: str, **options):
+    """SuperLU factor of ``matrix`` with diagonal pivots and one-column panels;
+    ``name`` names the matrix in the error."""
     try:
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0, panel_size=1,
-                         options=dict(SymmetricMode=True))
+        return spla.splu(matrix, diag_pivot_thresh=0.0, panel_size=1, **options)
     except (RuntimeError, MemoryError) as exc:
         if isinstance(exc, MemoryError) or _OUT_OF_MEMORY.search(str(exc)):
             raise FactorizationOutOfMemory(
-                f"factorization of Ahat ran out of memory: {exc}") from exc
-        raise NotSPD(f"factorization of Ahat failed: {exc}") from exc
+                f"factorization of {name} ran out of memory: {exc}") from exc
+        raise NotSPD(f"factorization of {name} failed: {exc}") from exc
+
+
+def _etree_reach(L, start) -> np.ndarray:
+    """The positions ``start`` and their ancestors in the elimination tree of
+    the unit lower triangular CSC ``L``, ascending.
+
+    The parent of column j is the smallest row below the diagonal in
+    column j, taken as a segment minimum because the rows of a column are
+    not sorted; a column with no row below the diagonal is a root.
+    """
+    n = L.shape[0]
+    # rows below the diagonal, n on it: one index and one flag per entry of L
+    key = np.repeat(np.arange(n, dtype=L.indices.dtype), np.diff(L.indptr))
+    below = L.indices > key
+    key.fill(n)
+    np.copyto(key, L.indices, where=below)
+    del below
+    parent = np.minimum.reduceat(key, L.indptr[:-1]).astype(np.intp)
+    del key
+    inside = np.zeros(n + 1, dtype=bool)
+    inside[n] = True                  # the parent of a root
+    front = start.astype(np.intp)
+    inside[front] = True
+    while front.size:
+        front = parent[front]
+        front = front[~inside[front]]
+        inside[front] = True
+    return np.flatnonzero(inside[:n])
+
+
+def _reach_solver(factor, pivots, g):
+    """``(solve, |R|)`` with solve(y) = (Ahat^{-1})_gg y, applied on the
+    elimination-tree reach R of gamma0 in the LU.
+
+    With diagonal pivots P Ahat P' = L D L' (U = D L', D = ``pivots``).  A
+    right-hand side on the gamma0 positions P g fills only their ancestors
+    in the elimination tree of L in the forward solve, and reading the
+    backward solve on P g needs only those ancestors too (Gilbert and
+    Peierls 1988, Liu 1990), so both run on the unit lower triangular
+    L_RR, R the positions P g and their ancestors (:func:`_etree_reach`).
+    SuperLU reproduces L_RR with U = I under the natural ordering, so each
+    application is a solve with L_RR, a division by D_R and a solve with
+    L_RR'.
+
+    The columns of R hold rows in R only, so L_RR is the columns R of L
+    with their rows renumbered.  The renumbering runs in place, n entries
+    at a time, so that no temporary of L_RR's size lives beside it and the
+    L and U copies of the pivot check; L_RR dies once SuperLU holds its
+    own copy.
+    """
+    L, n = factor.L, factor.shape[0]
+    R = _etree_reach(L, factor.perm_c[g])
+    where = np.zeros(n, dtype=L.indices.dtype)
+    where[R] = np.arange(len(R))
+    L_RR = L[:, R]
+    rows = L_RR.indices
+    for start in range(0, len(rows), n):
+        rows[start:start + n] = where[rows[start:start + n]]
+    L_RR = sps.csc_matrix((L_RR.data, rows, L_RR.indptr), shape=(len(R), len(R)))
+    triangle = _factor(L_RR, "L on the gamma0 reach", permc_spec="NATURAL")
+    del L_RR, rows
+    at, d = np.searchsorted(R, factor.perm_c[g]), pivots[R]
+
+    def solve(y):
+        b = np.zeros(len(R))
+        b[at] = y
+        z = triangle.solve(b)
+        z /= d
+        return triangle.solve(z, trans="T")[at]
+
+    return solve, len(R)
 
 
 def _trailing_schur(factor, g, q) -> np.ndarray:
@@ -291,11 +366,13 @@ def _pencil_eigenpairs(B_gg, S_g, k):
 
 def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     """The k + 1 largest nonzero mu and their vectors u, as
-    ``(mus, vecs, path, q)``; see :func:`solve_steklov` for the paths.
+    ``(mus, vecs, fields)``, ``fields`` the path fields of the result (path,
+    q and, on the Lanczos path, steps and reach); see :func:`solve_steklov`
+    for the paths.
 
     Everything that holds the LU lives here, so the factor, the L and U
-    copies that reading ``factor.U`` caches on it and the n x m block of
-    the m-solve path are freed on return.
+    copies that reading ``factor.U`` caches on it, the factor of L_RR and
+    the n x m block of the m-solve path are freed on return.
     """
     g = system.gamma0_dofs
     n, (p, m) = system.n_dofs, F.shape
@@ -303,9 +380,10 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself;
     # Ahat and the clique are temporaries that die when splu returns
     factor = _factor(_with_gamma0_clique(_shifted(system), g) if schur
-                     else _shifted(system).T)
-    if not (np.array_equal(factor.perm_r, factor.perm_c)
-            and np.all(factor.U.diagonal() > 0.0)):
+                     else _shifted(system).T, "Ahat",
+                     permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    pivots = factor.U.diagonal()
+    if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(pivots > 0.0)):
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
                      "it is not SPD")
     q = n - int(factor.perm_c[g].min()) if schur else 0
@@ -315,35 +393,39 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
         mus, Y = _pencil_eigenpairs(B_gg, S_g, k)
         rhs = np.zeros((n, k + 1))
         rhs[g] = Y
-        return mus, factor.solve(rhs), "schur", q
+        return mus, factor.solve(rhs), dict(path="schur", q=q)
     if k + 2 >= m:
         rhs = np.zeros((n, m))
         rhs[g, np.arange(m)] = 1.0
         X = factor.solve(rhs)                 # Ahat^{-1} E_g
         mus, Y = _pencil_eigenpairs(B_gg, sla.inv(X[g]), k)
-        return mus, X @ Y, "m-solve", q
+        return mus, X @ Y, dict(path="m-solve", q=q)
+    solve_gg, reach = _reach_solver(factor, pivots, g)
     Ft = F.T                          # a CSC view made once, not one per step
+    steps = 0
 
-    def lift(Y):                      # Ahat^{-1} E_g F' Y
-        rhs = np.zeros((n,) + Y.shape[1:])
-        rhs[g] = Ft @ Y
-        return factor.solve(rhs)
+    def matvec(y):                    # K y = F (Ahat^{-1})_gg F' y
+        nonlocal steps
+        steps += 1
+        return F @ solve_gg(Ft @ y)
 
-    K = spla.LinearOperator((p, p), matvec=lambda y: F @ lift(y)[g],
-                            dtype=float)
-    mus, W = spla.eigsh(K, k + 1, which="LA",
+    mus, W = spla.eigsh(spla.LinearOperator((p, p), matvec=matvec, dtype=float),
+                        k + 1, which="LA",
                         v0=np.random.default_rng(0).standard_normal(p))
-    return mus, lift(W), "lanczos", q
+    rhs = np.zeros((n, k + 1))
+    rhs[g] = Ft @ W
+    return mus, factor.solve(rhs), dict(path="lanczos", q=q, steps=steps,
+                                        reach=reach)
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     """First k positive Steklov eigenvalues from the gamma0 Schur complement.
 
     Ahat = A + sigma B with the stored shift sigma = 1 / |gamma0|
-    (``system.shift``), so inside the solver mu = 1 / (sigma + lambda);
-    ``result.mus`` still reports 1 / (1 + lambda), and the vectors are
-    normalized to v' Ahat v = 1.  Ahat exists only as the input of the LU,
-    written on A's index arrays, and dies when the factorization returns.
+    (``system.shift``), so inside the solver mu = 1 / (sigma + lambda),
+    and the vectors are normalized to v' Ahat v = 1.  Ahat exists only as
+    the input of the LU, written on A's index arrays, and dies when the
+    factorization returns.
 
     The sparse factor F of the gamma0 mass block, B_gg = F'F with one row
     per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
@@ -367,23 +449,26 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     - ``"lanczos"`` when m^2 > 2 n and k + 2 < m, and when q > 3 m and
       k + 2 < m.  ARPACK iterates on K = F (Ahat^{-1})_gg F' (p = E + m rows
       of F) with length-p vectors from a fixed start vector, so repeated
-      calls give bit-identical results; each step costs one solve and two
-      sparse products with F, no m x m array is formed, and one
-      multi-column solve lifts the eigenvectors w to u = Ahat^{-1} E_g F' w.
+      calls give bit-identical results.  Each step costs two sparse
+      products with F and two triangular solves with L_RR on the
+      elimination-tree reach R of gamma0 in the LU (``result.reach`` = |R|
+      dofs, ``result.steps`` steps), not a solve on all n dofs; no m x m
+      array is formed, and one multi-column solve with the LU lifts the
+      eigenvectors w to u = Ahat^{-1} E_g F' w.
     - ``"m-solve"`` when q > 3 m and k + 2 >= m: S_g is inverted from the
       gamma0 rows of the n x m block Ahat^{-1} E_g, which also lifts.
 
-    The factor, the L and U copies of the pivot check and the n x m block
-    belong to one helper, so they are freed before the n x (k + 1) blocks
-    of the pack are allocated.
+    The factor, the L and U copies of the pivot check, the factor of L_RR
+    and the n x m block belong to one helper, so they are freed before the
+    n x (k + 1) blocks of the pack are allocated.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not
     shown positive definite (a negative coupling, or a gamma0 dof on no
     gamma0 edge of positive length), FactorizationOutOfMemory when the LU
-    cannot allocate its factors (SuperLU's "SUPERLU_MALLOC fails ..." and
-    kin), NotSPD when the LU fails otherwise or Ahat is not SPD, and
-    SolverError when a backward error exceeds 1e-10.
+    or the factor of L_RR cannot allocate its factors (SuperLU's
+    "SUPERLU_MALLOC fails ..." and kin), NotSPD when the LU fails otherwise
+    or Ahat is not SPD, and SolverError when a backward error exceeds 1e-10.
     """
     if k < 1:
         raise InvalidN("need at least one eigenvalue")
@@ -393,9 +478,8 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
     B_gg = system.B[g][:, g]
-    mus, vecs, path, q = _dtn_eigenpairs(system, B_gg, _gamma0_factor(B_gg), k)
-    result = _filter_and_pack(system, mus, vecs, k)
-    result.path, result.q = path, q
+    mus, vecs, fields = _dtn_eigenpairs(system, B_gg, _gamma0_factor(B_gg), k)
+    result = _filter_and_pack(system, mus, vecs, k, **fields)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:
         raise SolverError(f"backward error {worst:.2e} exceeds "

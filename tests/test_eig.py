@@ -189,26 +189,94 @@ def test_schur_read_off_solves_only_to_lift(monkeypatch):
     assert [f.columns for f in factors] == [7]
 
 
-def test_lanczos_cost_does_not_depend_on_the_length_unit(monkeypatch):
-    # t5 N=8 (m = 69) spends 45 Ahat^{-1} columns at unit scale, 38 Lanczos
-    # steps and the 7-column lift.  With the shift fixed at 1 instead of
-    # 1 / |gamma0|, mu = 1 / (1 + lambda) crowded towards 1 on the enlarged
-    # meshes and ARPACK took 452 and 770 columns at 1e3 and 1e6
+def test_lanczos_cost_does_not_depend_on_the_length_unit():
+    # t5 N=8 (m = 69) takes 38 Lanczos steps at unit scale.  With the shift
+    # fixed at 1 instead of 1 / |gamma0|, mu = 1 / (1 + lambda) crowded
+    # towards 1 on the enlarged meshes and ARPACK took 445 and 763 steps at
+    # 1e3 and 1e6
     mesh = FAMILIES["t5"](8)
-    factors = []
-    splu = eig.spla.splu
-
-    def counting_splu(*args, **kwargs):
-        factors.append(CountingFactor(splu(*args, **kwargs)))
-        return factors[-1]
-
-    monkeypatch.setattr(eig.spla, "splu", counting_splu)
-    solve_steklov(assemble_global(mesh), 6)
+    steps = solve_steklov(assemble_global(mesh), 6).steps
     for s in (1e-3, 1e3, 1e6):
         scaled = build_mesh(s * mesh.vertices, mesh.cells, mesh.boundary_edges)
         result = solve_steklov(assemble_global(scaled), 6)
         assert result.path == "lanczos"
-        assert abs(factors[-1].columns - factors[0].columns) <= 2
+        assert abs(result.steps - steps) <= 2
+
+
+REACH_MESHES = {
+    "t5-8": functools.partial(FAMILIES["t5"], 8),
+    "t5-8-renumbered": lambda: renumbered(FAMILIES["t5"](8), 1),
+    "t6-8-refined": lambda: refine_lshape_corner(FAMILIES["t6"](8), 1, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REACH_MESHES))
+def test_reach_solve_matches_the_full_solve(monkeypatch, case):
+    # the Lanczos steps apply (Ahat^{-1})_gg on the elimination-tree reach
+    # R of gamma0; read on gamma0 it is the full LU solve
+    seen = {}
+    reach_solver = eig._reach_solver
+
+    def spy(factor, pivots, g):
+        seen["factor"], seen["g"] = factor, g
+        seen["solve"], seen["reach"] = reach_solver(factor, pivots, g)
+        return seen["solve"], seen["reach"]
+
+    monkeypatch.setattr(eig, "_reach_solver", spy)
+    system = assemble_global(REACH_MESHES[case](), StabilizationSpec())
+    result = solve_steklov(system, 6)
+    assert result.path == "lanczos" and result.reach == seen["reach"]
+    factor, g = seen["factor"], seen["g"]
+    y = np.random.default_rng(7).standard_normal(len(g))
+    rhs = np.zeros(system.n_dofs)
+    rhs[g] = y
+    full = factor.solve(rhs)[g]
+    assert np.abs(seen["solve"](y) - full).max() <= 1e-13 * np.abs(full).max()
+    # R is P g and the parents of its columns, each the smallest row
+    # below the diagonal of its column of L, read column by column here
+    L, start = factor.L, factor.perm_c[g]
+    R = eig._etree_reach(L, start)
+    assert len(R) == result.reach
+    parents = set()
+    for j in R:
+        rows = L.indices[L.indptr[j]:L.indptr[j + 1]]
+        if np.any(rows > j):
+            parents.add(int(rows[rows > j].min()))
+    assert set(R.tolist()) == set(start.tolist()) | parents
+
+
+def test_reach_restricts_the_sweep_mesh():
+    # sweep-t5's permuted t5 N=30: the steps solve on 1,745 of 4,690 dofs
+    mesh = sibling_test_module("test_vem.py").permuted_t5_mesh(30)
+    system = assemble_global(mesh, StabilizationSpec())
+    result = solve_steklov(system, 6)
+    assert result.path == "lanczos"
+    assert 0 < result.reach <= system.n_dofs // 2
+    assert result.steps > 0
+
+
+def test_reach_factorization_out_of_memory_classified(monkeypatch):
+    # the second splu, of L_RR, fails to allocate: classified as the LU's is
+    calls = []
+    splu = eig.spla.splu
+
+    def second_fails(*args, **kwargs):
+        calls.append(kwargs["permc_spec"])
+        if len(calls) == 2:
+            raise RuntimeError("SUPERLU_MALLOC fails for expanders")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eig.spla, "splu", second_fails)
+    with pytest.raises(FactorizationOutOfMemory, match="SUPERLU_MALLOC fails"):
+        solve_steklov(system_for("t5", 8), 6)
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+def test_off_lanczos_paths_record_no_steps():
+    for family, N, path in [("t2", 8, "schur"), ("t1", 4, "m-solve")]:
+        result = solve_steklov(system_for(family, N), 3)
+        assert result.path == path
+        assert result.steps == result.reach == 0
 
 
 def test_gamma0_clique_keeps_the_values_of_ahat():
@@ -423,7 +491,6 @@ def test_lambdas_sorted_positive_and_residuals_small():
     result = solve_steklov(system, 6)
     assert np.all(result.lambdas > 0.0)
     assert np.all(np.diff(result.lambdas) > 0.0)
-    np.testing.assert_allclose(result.mus, 1.0 / (1.0 + result.lambdas))
     assert np.all(result.residuals <= 1e-8 * (1.0 + result.lambdas))
 
 
@@ -519,8 +586,7 @@ def test_eigenfunction_sign_and_scale_convention():
     field = eigenfunction_field(result, mesh, 0)
     assert np.abs(field).max() == pytest.approx(1.0)
     assert field[np.argmax(np.abs(field))] > 0.0
-    flipped = result.__class__(lambdas=result.lambdas, mus=result.mus,
-                               vectors=-result.vectors,
+    flipped = result.__class__(lambdas=result.lambdas, vectors=-result.vectors,
                                zero_mode_detected=result.zero_mode_detected,
                                residuals=result.residuals)
     np.testing.assert_allclose(eigenfunction_field(flipped, mesh, 0), field)

@@ -333,13 +333,14 @@ def test_ahat_positive_definite(family, N):
     np.linalg.cholesky(system.Ahat.toarray())
 
 
-def permuted_t5_mesh():
-    """The benchmark's renumbered, rotated and reordered t5 mesh (seed 1)."""
+def permuted_t5_mesh(N=8):
+    """The benchmark's renumbered, rotated and reordered t5 mesh (seed 1);
+    sweep-t5 runs it at N=30."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    data = mesh_to_dict(FAMILIES["t5"](8))
+    data = mesh_to_dict(FAMILIES["t5"](N))
     return build_mesh(*workloads.permuted_mesh_data(data, 1))
 
 

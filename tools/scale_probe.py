@@ -15,9 +15,9 @@ the traced peaks of assembly and solve and the bytes of the stored A and B
 1 / |gamma0| of Ahat = A + sigma B, the eigensolver path that ran
 ("schur", "lanczos" or "m-solve") with q, the number of LU positions from
 the first gamma0 dof on (0 when Ahat was factored without the gamma0
-clique), the number of Ahat^{-1} columns the solve spent (Lanczos steps
-plus the k + 1 column lift), and the process's peak resident set size,
-read before the traced solve.
+clique), the number of Lanczos steps and the reach |R|, the dofs each step
+solves on (both 0 off the Lanczos path), and the process's peak resident
+set size, read before the traced solve.
 """
 
 from __future__ import annotations
@@ -31,37 +31,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from steklovem import FAMILIES, assemble_global, eig, solve_steklov  # noqa: E402
+from steklovem import FAMILIES, assemble_global, solve_steklov  # noqa: E402
 
 
 def _bytes(matrix) -> int:
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-
-
-class _CountingFactor:
-    """A SuperLU factor that adds the columns it solves for to ``count[0]``.
-    Nothing else refers to it, so the solver still frees the LU before the
-    pack."""
-
-    def __init__(self, factor, count):
-        self.factor, self.count = factor, count
-
-    def __getattr__(self, name):
-        return getattr(self.factor, name)
-
-    def solve(self, rhs):
-        self.count[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return self.factor.solve(rhs)
-
-
-def _counted_solve(system, k):
-    """``(solve_steklov(system, k), Ahat^{-1} columns it solved for)``."""
-    splu, count = eig.spla.splu, [0]
-    eig.spla.splu = lambda *args, **kwargs: _CountingFactor(splu(*args, **kwargs), count)
-    try:
-        return solve_steklov(system, k), count[0]
-    finally:
-        eig.spla.splu = splu
 
 
 def _traced(func, *args):
@@ -96,10 +70,11 @@ def main(argv: list[str]) -> None:
     rows.append(("shift", system.shift, "1/length"))
     if args.k > 0:
         t = time.perf_counter()
-        result, columns = _counted_solve(system, args.k)
+        result = solve_steklov(system, args.k)
         rows.append(("solve", time.perf_counter() - t, "s"))
         rows.append(("q", result.q, f"dofs ({result.path} path)"))
-        rows.append(("solve_columns", columns, "Ahat^-1 columns"))
+        rows.append(("steps", result.steps, "Lanczos steps"))
+        rows.append(("reach", result.reach, "dofs per step"))
     # ru_maxrss is in KiB on Linux
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if args.k > 0:
