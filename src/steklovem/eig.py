@@ -17,7 +17,7 @@ so the nonzero mu are the eigenvalues of the m x m pencil
 
 S_g being the Schur complement of Ahat onto gamma0 (the discrete
 Dirichlet-to-Neumann map), and u = Ahat^{-1} E_g S_g x lifts x to the
-pencil.  One LU of Ahat reaches them along one of three paths, chosen from
+pencil.  One LU of Ahat reaches them along one of two paths, chosen from
 n, m and k before factoring:
 
 - Schur read-off.  When gamma0 is short (m^2 <= 2 n: one side of the
@@ -36,20 +36,18 @@ n, m and k before factoring:
   produce at the other end, nor the p - m zero ones.  A step reads
   (Ahat^{-1})_gg only, so it runs two triangular solves with L_RR, R the
   gamma0 positions of the LU and their elimination-tree ancestors
-  (:func:`_reach_solver`), not a solve on all n dofs.
-- m solves.  When the trailing block is longer and k + 2 >= m leaves
-  ARPACK no room, (Ahat^{-1})_gg is taken from m solves whose n x m block
-  also lifts the eigenvectors of eigh.
+  (:func:`_reach_solver`), not a solve on all n dofs.  As p >= m + 1 >
+  k + 1, ARPACK has room for every k the rank of B allows.
 
 SuperLU factors in single-column panels: its default panels serve
 supernodal partial pivoting, but here every pivot is diagonal and the
 supernodes of these 2-D meshes are small, so wider panels only add a
 dense n x panel work area (the ordering and the fill do not depend on the
-width).  The LU, the L and U copies its pivot check caches, the factor of
-L_RR and any n x m block die before the eigenvectors are packed.  The
-constant mode is dropped by its B-overlap with the constants; everything
-else is returned ascending in lambda, each lambda being the Rayleigh
-quotient of its returned vector.
+width).  The LU, the L and U copies its pivot check caches and the factor
+of L_RR die before the eigenvectors are packed.  The constant mode is
+dropped by its B-overlap with the constants; everything else is returned
+ascending in lambda, each lambda being the Rayleigh quotient of its
+returned vector.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class EigenResult:
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
-    path: str = "dense"      # "schur", "lanczos" or "m-solve", see solve_steklov
+    path: str = "dense"      # "schur" or "lanczos", see solve_steklov
     q: int = 0               # LU positions from the first gamma0 dof on; 0: no clique
     steps: int = 0           # ARPACK operator applications; 0 off the Lanczos path
     reach: int = 0           # |R|, dofs the Lanczos steps solve on; 0 off that path
@@ -355,15 +353,6 @@ def _trailing_schur(factor, g, q) -> np.ndarray:
         T[np.ix_(rest, rest)], T[np.ix_(rest, at)])
 
 
-def _pencil_eigenpairs(B_gg, S_g, k):
-    """The k + 1 largest mu of B_gg x = mu S_g x, as ``(mus, S_g x)``;
-    S_g is symmetrized first."""
-    m = len(S_g)
-    S_g = (S_g + S_g.T) / 2.0
-    mus, x = sla.eigh(B_gg.toarray(), S_g, subset_by_index=[m - k - 1, m - 1])
-    return mus, S_g @ x
-
-
 def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     """The k + 1 largest nonzero mu and their vectors u, as
     ``(mus, vecs, fields)``, ``fields`` the path fields of the result (path,
@@ -371,8 +360,8 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     for the paths.
 
     Everything that holds the LU lives here, so the factor, the L and U
-    copies that reading ``factor.U`` caches on it, the factor of L_RR and
-    the n x m block of the m-solve path are freed on return.
+    copies that reading ``factor.U`` caches on it and the factor of L_RR
+    are freed on return.
     """
     g = system.gamma0_dofs
     n, (p, m) = system.n_dofs, F.shape
@@ -390,16 +379,11 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
 
     if schur and q <= _SCHUR_MAX_Q_PER_M * m:
         S_g = _trailing_schur(factor, g, q)
-        mus, Y = _pencil_eigenpairs(B_gg, S_g, k)
+        S_g = (S_g + S_g.T) / 2.0
+        mus, x = sla.eigh(B_gg.toarray(), S_g, subset_by_index=[m - k - 1, m - 1])
         rhs = np.zeros((n, k + 1))
-        rhs[g] = Y
+        rhs[g] = S_g @ x
         return mus, factor.solve(rhs), dict(path="schur", q=q)
-    if k + 2 >= m:
-        rhs = np.zeros((n, m))
-        rhs[g, np.arange(m)] = 1.0
-        X = factor.solve(rhs)                 # Ahat^{-1} E_g
-        mus, Y = _pencil_eigenpairs(B_gg, sla.inv(X[g]), k)
-        return mus, X @ Y, dict(path="m-solve", q=q)
     solve_gg, reach = _reach_solver(factor, pivots, g)
     Ft = F.T                          # a CSC view made once, not one per step
     steps = 0
@@ -446,21 +430,18 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
       (``result.q``) of the ordering.  S_g = L22 U22 condensed onto gamma0,
       the k + 1 largest mu of (B_gg, S_g) come from eigh, and one
       n x (k + 1) solve lifts them: u = Ahat^{-1} E_g S_g x.
-    - ``"lanczos"`` when m^2 > 2 n and k + 2 < m, and when q > 3 m and
-      k + 2 < m.  ARPACK iterates on K = F (Ahat^{-1})_gg F' (p = E + m rows
-      of F) with length-p vectors from a fixed start vector, so repeated
-      calls give bit-identical results.  Each step costs two sparse
-      products with F and two triangular solves with L_RR on the
-      elimination-tree reach R of gamma0 in the LU (``result.reach`` = |R|
-      dofs, ``result.steps`` steps), not a solve on all n dofs; no m x m
-      array is formed, and one multi-column solve with the LU lifts the
-      eigenvectors w to u = Ahat^{-1} E_g F' w.
-    - ``"m-solve"`` when q > 3 m and k + 2 >= m: S_g is inverted from the
-      gamma0 rows of the n x m block Ahat^{-1} E_g, which also lifts.
+    - ``"lanczos"`` otherwise.  ARPACK iterates on K = F (Ahat^{-1})_gg F'
+      (p = E + m rows of F) with length-p vectors from a fixed start
+      vector, so repeated calls give bit-identical results.  Each step
+      costs two sparse products with F and two triangular solves with L_RR
+      on the elimination-tree reach R of gamma0 in the LU (``result.reach``
+      = |R| dofs, ``result.steps`` steps), not a solve on all n dofs; no
+      m x m array is formed, and one multi-column solve with the LU lifts
+      the eigenvectors w to u = Ahat^{-1} E_g F' w.
 
-    The factor, the L and U copies of the pivot check, the factor of L_RR
-    and the n x m block belong to one helper, so they are freed before the
-    n x (k + 1) blocks of the pack are allocated.
+    The factor, the L and U copies of the pivot check and the factor of
+    L_RR belong to one helper, so they are freed before the n x (k + 1)
+    blocks of the pack are allocated.
 
     Raises InvalidN for k < 1, KTooLarge for k > m - 1 (m gamma0 dofs, the
     rank of B), RankDeficientGamma0Mass when the gamma0 block of B is not

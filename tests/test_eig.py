@@ -123,35 +123,41 @@ def short_gamma0_mesh(N, x_max):
         for a, b, marker in mesh.boundary_edges])
 
 
-# the path solve_steklov takes at k = m - 3, m - 2 and m - 1.  Full-boundary
-# gamma0 (t5, t6) runs Lanczos until k + 2 >= m; one short gamma0 side (t1, t2)
-# is read off the LU, except on t1 N=4 and on t2 N=12 with x <= 1/4 (m = 7),
-# where the clique leaves 28 of 37 and 393 of 1201 dofs after the first
-# gamma0 dof, more than 3 m
+# the path solve_steklov takes at k = m - 3, m - 2 and m - 1, or only at the
+# k that exist.  Full-boundary gamma0 (t5, t6) runs Lanczos until k + 2 >= m;
+# one short gamma0 side (t1, t2) is read off the LU, except on t1 N=4, on t2
+# N=12 with x <= 1/4 (m = 7) and on t2 N=8 with x <= 1/16 (one gamma0 edge,
+# m = 2), where the clique leaves 28 of 37, 393 of 1201 and 536 of 545 dofs
+# after the first gamma0 dof, more than 3 m, and Lanczos runs on the clique's
+# LU.  The last has the smallest Krylov operator, p = 3 rows of F
 ORACLE_PATHS = {
-    "t1-4": ("lanczos", "m-solve", "m-solve"),
+    "t1-4": ("lanczos",) * 3,
     "t2-4": ("schur",) * 3,
     "t6-4": ("lanczos", "schur", "schur"),
     "t1-8": ("schur",) * 3,
     "t2-8": ("schur",) * 3,
     "t5-8": ("lanczos", "schur", "schur"),
     "t6-8": ("lanczos", "schur", "schur"),
-    "t2-12-short": ("lanczos", "m-solve", "m-solve"),
+    "t2-12-short": ("lanczos",) * 3,
+    "t2-8-edge": ("lanczos",),
 }
+SHORT_GAMMA0 = {"short": 0.25, "edge": 1.0 / 16.0}
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_PATHS))
-@pytest.mark.parametrize("below_m", [3, 2, 1])
-def test_lanczos_and_dense_branches_agree_with_oracle(case, below_m):
-    # every eigensolver path against the dense oracle, with Ahat-orthonormal
-    # vectors: the Schur read-off, Lanczos and the m-solve path (the last two
-    # with and without the gamma0 clique in the LU)
+@pytest.mark.parametrize("below_m, case", [
+    (below_m, case) for case, paths in sorted(ORACLE_PATHS.items())
+    for below_m in range(len(paths), 0, -1)])
+def test_lanczos_and_dense_branches_agree_with_oracle(below_m, case):
+    # both eigensolver paths against the dense oracle, with Ahat-orthonormal
+    # vectors: the Schur read-off, and Lanczos with and without the gamma0
+    # clique in the LU
     family, N, *short = case.split("-")
-    mesh = short_gamma0_mesh(int(N), 0.25) if short else FAMILIES[family](int(N))
+    mesh = (short_gamma0_mesh(int(N), SHORT_GAMMA0[short[0]]) if short
+            else FAMILIES[family](int(N)))
     system = assemble_global(mesh, StabilizationSpec())
     k = len(system.gamma0_dofs) - below_m
     result = solve_steklov(system, k)
-    assert result.path == ORACLE_PATHS[case][3 - below_m]
+    assert result.path == ORACLE_PATHS[case][-below_m]
     oracle = dense_reference_solve(system)
     assert result.zero_mode_detected
     np.testing.assert_allclose(result.lambdas, oracle.lambdas[:k], rtol=1e-10)
@@ -273,10 +279,9 @@ def test_reach_factorization_out_of_memory_classified(monkeypatch):
 
 
 def test_off_lanczos_paths_record_no_steps():
-    for family, N, path in [("t2", 8, "schur"), ("t1", 4, "m-solve")]:
-        result = solve_steklov(system_for(family, N), 3)
-        assert result.path == path
-        assert result.steps == result.reach == 0
+    result = solve_steklov(system_for("t2", 8), 3)
+    assert result.path == "schur"
+    assert result.steps == result.reach == 0
 
 
 def test_gamma0_clique_keeps_the_values_of_ahat():
@@ -298,12 +303,12 @@ def test_gamma0_clique_keeps_the_values_of_ahat():
 def test_short_gamma0_reads_no_dense_trailing_block():
     # t2 N=32 with gamma0 on its first two top edges (m = 3): the clique
     # leaves 8288 of 8321 dofs after the first gamma0 dof, and a dense
-    # q x q trailing block would take 524 MiB.  The m-solve path peaks near
-    # 4.1 MiB, most of it the L and U copies of the pivot check.
+    # q x q trailing block would take 524 MiB.  Lanczos on the clique's LU
+    # peaks near 4.4 MiB, most of it the L and U copies of the pivot check.
     system = assemble_global(short_gamma0_mesh(32, 1.0 / 32.0), StabilizationSpec())
     assert len(system.gamma0_dofs) == 3
     result = solve_steklov(system, 1)
-    assert result.path == "m-solve" and result.q > system.n_dofs // 2
+    assert result.path == "lanczos" and result.q > system.n_dofs // 2
     tracemalloc.start()
     try:
         solve_steklov(system, 1)

@@ -13,7 +13,7 @@ unit`` row per measurement: the wall times of generate, assemble and solve,
 the traced peaks of assembly and solve and the bytes of the stored A and B
 (MiB), the problem size (dofs, gamma0 dofs m and cells), the shift sigma =
 1 / |gamma0| of Ahat = A + sigma B, the eigensolver path that ran
-("schur", "lanczos" or "m-solve") with q, the number of LU positions from
+("schur" or "lanczos") with q, the number of LU positions from
 the first gamma0 dof on (0 when Ahat was factored without the gamma0
 clique), the number of Lanczos steps and the reach |R|, the dofs each step
 solves on (both 0 off the Lanczos path), and the process's peak resident
