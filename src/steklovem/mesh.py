@@ -16,12 +16,13 @@ cycle as a flat-angle vertex.
 
 Validation is batched like the geometry and runs on the CSR arrays
 (:func:`_validate_csr`, which the generators call directly).  Raw input to
-:func:`build_mesh` gets one check per cell in Python, that it is a sequence
-of integer indices, and is packed into CSR form.  Grouped by vertex count,
-the cycles are then checked for at least three vertices, indices in range
-and distinct vertices, and each group's orientation, area, edge lengths,
-fold-back spikes and edge crossings are ``(C, n, 2)`` array computations on
-the kernels of :func:`polygon_geometry`.  A cell whose area is at most
+:func:`build_mesh` is checked in Python to be sequences of integer indices,
+once per distinct cell and entry type, and is packed into CSR form.
+Grouped by vertex count, the cycles are then checked for at least three
+vertices, indices in range and distinct vertices, and each group's
+orientation, area, edge lengths, fold-back spikes and edge crossings are
+``(C, n, 2)`` array computations on the kernels of
+:func:`polygon_geometry`.  A cell whose area is at most
 ``VANISHING_AREA_REL_TOL * h_K**2`` is rejected here, with the cutoff
 assembly applies.  The edge table gives every edge count: edges shared by
 more than two cells, hanging nodes, unmarked or phantom boundary edges,
@@ -239,8 +240,12 @@ def raise_first_fault(faults) -> None:
         raise faults[int(np.argmax(masks[:, cell]))][1](cell)
 
 
+def _is_index_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 def _is_index(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return _is_index_type(type(v))
 
 
 def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -263,10 +268,15 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
     spike and the first crossing edge pair ``(i, j)`` in loop order.
     """
     vx, vy = verts[:, 0], verts[:, 1]
-    signed = 0.5 * np.sum(_edge_arrays(vx[cycles], vy[cycles])[-1], axis=-1)
-    cycles = np.where((signed < 0.0)[:, None], cycles[:, ::-1], cycles)
     x, y = vx[cycles], vy[cycles]
-    tx, ty, lengths = _edge_arrays(x, y)[:3]
+    tx, ty, lengths, u, v, cross = _edge_arrays(x, y)
+    signed = 0.5 * np.sum(cross, axis=-1)
+    del u, v, cross   # (C, n) planes the checks below do not read
+    flip = signed < 0.0
+    if flip.any():   # the edge arrays of the CCW copy
+        cycles = np.where(flip[:, None], cycles[:, ::-1], cycles)
+        x, y = vx[cycles], vy[cycles]
+        tx, ty, lengths = _edge_arrays(x, y)[:3]
     h_k = _diameter(x, y)
     vanishing = np.abs(signed) <= VANISHING_AREA_REL_TOL * h_k ** 2
     zero_edge = np.any(lengths < (ZERO_EDGE_REL_TOL * h_k)[:, None], axis=1)
@@ -308,16 +318,25 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     are reversed so every stored cycle is counter-clockwise.
 
     The raw cells get the one check that needs Python objects: each is a
-    sequence of integer vertex indices.  They are then packed into CSR arrays,
-    a cell that fails the check as an empty cycle, and :func:`_validate_csr`
-    runs every other check on the arrays and raises the type faults with its
-    own.  Raises the mesh error matching the first violated invariant: the
-    first faulty cell in cell order, and within it the first failed check.
+    sequence of integer vertex indices.  It runs once per distinct cell type
+    and once per distinct entry type, and cell by cell only when one of those
+    fails.  The cells are then packed into CSR arrays, a cell that fails the
+    check as an empty cycle, and :func:`_validate_csr` runs every other check
+    on the arrays and raises the type faults with its own.  Raises the mesh
+    error matching the first violated invariant: the first faulty cell in
+    cell order, and within it the first failed check.
     """
     verts = np.asarray(vertices, dtype=float)
-    untyped = np.array([not isinstance(cyc, (Sequence, np.ndarray))
-                        or not all(map(_is_index, cyc)) for cyc in cells], dtype=bool)
-    cycles = [() if bad else cyc for cyc, bad in zip(cells, untyped.tolist())]
+    cell_types = (Sequence, np.ndarray)
+    # entries are read only once every cell type has passed: a cell that is
+    # not a sequence need not be iterable
+    if (all(issubclass(t, cell_types) for t in set(map(type, cells)))
+            and all(map(_is_index_type, set(map(type, chain.from_iterable(cells)))))):
+        untyped, cycles = np.zeros(len(cells), dtype=bool), cells
+    else:   # name the first faulty cell
+        untyped = np.array([not isinstance(cyc, cell_types)
+                            or not all(map(_is_index, cyc)) for cyc in cells], dtype=bool)
+        cycles = [() if bad else cyc for cyc, bad in zip(cells, untyped.tolist())]
     ptr = np.concatenate(([0], np.cumsum([len(cyc) for cyc in cycles], dtype=np.intp)))
     try:
         flat = np.fromiter(chain.from_iterable(cycles), dtype=np.intp, count=ptr[-1])

@@ -7,17 +7,27 @@ Every generator runs the same array pipeline, with the cells in CSR form
    vertex coordinates, in cycle order;
 2. one merge numbers the points of all patches (:func:`_merge_points`):
    points within ``_MERGE_TOL`` = 1e-10 of each other are one vertex, which
-   keeps the number and coordinates of its first occurrence;
+   keeps the number and coordinates of its first occurrence.  When no two
+   distinct x coordinates lie within ``_MERGE_TOL``, close points share
+   their x and the merge only compares each point with its successor in
+   (x, y) order; when no pair is close, the sort alone numbers the
+   vertices.  That holds for t1 and t6 at every N, for t2 at N = 2^j and
+   for t3-t5 at some N; elsewhere rounding leaves a few distinct x values
+   within ``_MERGE_TOL`` of each other, and the merge searches grid
+   buckets;
 3. one join makes the composite conforming (:func:`_conformalize`): the
    once-edge endpoints (an edge of a single cell is the only kind that can
    hold a hanging node) lying inside a once-edge, by the on-segment rule of
    :mod:`steklovem.mesh` that the validator checks too, are inserted into
-   their cells as flat-angle vertices by one sort;
-4. the boundary edges of the final edge table are marked, and the CSR
-   validator of :mod:`steklovem.mesh` checks the arrays as they are, with
-   the same edge table and no round trip through Python lists.
+   their cells as flat-angle vertices by one sort.  It returns the edge
+   table of the cells it returns; when it finds no hanging node (t2, and
+   t6 before refinement), those are its input cells and the table is the
+   one it searched;
+4. the boundary edges of that edge table are marked, and the CSR validator
+   of :mod:`steklovem.mesh` checks the arrays as they are, with the same
+   edge table and no round trip through Python lists.
 
-The point merge and the join both sort grid bucket keys
+The bucket search of the merge and the join both sort grid bucket keys
 (:func:`steklovem.mesh._bucket_join`), so generation needs only numpy.
 Points, boxes and edges go through them as x and y planes, under the rule of
 :mod:`steklovem.mesh`: no reduction over an axis of length 2, the two
@@ -117,12 +127,23 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertices are numbered in order of first occurrence and sit at their
     first point.
 
-    One lexsort collapses exact duplicates.  Every distinct point p is then
-    joined (:func:`steklovem.mesh._bucket_join`) with the distinct points in
-    the grid buckets that the box of half-width ``_MERGE_TOL`` around p meets;
-    the buckets are wider than that box, and any point within ``_MERGE_TOL``
-    of p lies in it.  The pairs that pass the distance test are labelled as
-    components (:func:`steklovem.mesh._component_labels`).
+    One lexsort on (x, y) collapses exact duplicates, and the distinct points
+    are then searched for close pairs.  When no step between consecutive
+    sorted x values lies in (0, ``_MERGE_TOL``] (as on structured grids),
+    each distinct point is joined with its successor only, and that finds
+    the same components: the x difference of two distinct points is a sum of
+    the positive x steps between them, so when every positive step exceeds
+    the tolerance, close points share their x coordinate.  The points between
+    two such points in sorted order share it too and lie between them in y,
+    so each consecutive pair on the way is close as well.  Otherwise every
+    distinct point p is joined (:func:`steklovem.mesh._bucket_join`) with the
+    distinct points in the grid buckets that the box of half-width
+    ``_MERGE_TOL`` around p meets; the buckets are wider than that box, and
+    any point within ``_MERGE_TOL`` of p lies in it.  The pairs that pass the
+    distance test are labelled as components
+    (:func:`steklovem.mesh._component_labels`).  When no pair passes, the
+    lexsort numbers the vertices: being stable, it puts the first occurrence
+    of each distinct point first.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     x, y = pts[order, 0], pts[order, 1]
@@ -130,12 +151,19 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uid = np.empty(len(pts), dtype=np.intp)
     uid[order] = np.cumsum(new) - 1
     x, y = x[new], y[new]
-    i, j = _bucket_join((x, y), (x - _MERGE_TOL, y - _MERGE_TOL),
-                        (x + _MERGE_TOL, y + _MERGE_TOL))
+    step = np.diff(x)
+    if np.any((step > 0.0) & (step <= _MERGE_TOL)):
+        i, j = _bucket_join((x, y), (x - _MERGE_TOL, y - _MERGE_TOL),
+                            (x + _MERGE_TOL, y + _MERGE_TOL))
+    else:
+        i, j = np.arange(len(x) - 1), np.arange(1, len(x))
     dx, dy = x[i] - x[j], y[i] - y[j]
     close = (i < j) & (dx * dx + dy * dy <= _MERGE_TOL ** 2)
-    labels = _component_labels(len(x), np.column_stack((i[close], j[close])))
-    _, first, inverse = np.unique(labels[uid], return_index=True, return_inverse=True)
+    if close.any():
+        labels = _component_labels(len(x), np.column_stack((i[close], j[close])))
+        _, first, inverse = np.unique(labels[uid], return_index=True, return_inverse=True)
+    else:
+        first, inverse = order[new], uid
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
     return pts[np.sort(first)], rank[inverse]
@@ -146,15 +174,15 @@ def _finish(patches, gamma0_rule: str) -> PolygonalMesh:
     marked and validated mesh."""
     verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
     sizes = np.concatenate([np.full(len(p), p.shape[1]) for p in patches])
-    ptr, flat = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
-    table = edge_table(ptr, flat)[:2]
+    ptr, flat, table = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
     return _validate_csr(verts, ptr, flat, _mark_boundary(verts, *table, gamma0_rule),
                          table=table)
 
 
 def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     """Insert vertices lying in the interior of a cell edge into that cell;
-    returns the new ``(cell_ptr, cell_vertices)``.
+    returns the new ``(cell_ptr, cell_vertices)`` and their edge table
+    ``(edges, counts)`` of :func:`steklovem.mesh.edge_table`.
 
     Makes glued patches conforming: a hanging node becomes a flat-angle
     vertex of every cell whose edge it sits on.  Only an edge that occurs in
@@ -169,19 +197,23 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     (``ZERO_EDGE_REL_TOL``, 1 - ``ZERO_EDGE_REL_TOL``) along the edge, under
     the rule the validator rejects them by, so a vertex missed here fails
     validation as non-conforming.  One lexsort on (edge slot, t, vertex) puts
-    them after the start vertex of their edge.
+    them after the start vertex of their edge.  When there is none, the
+    input cells come back as they are, with the table built to find them.
     """
     ia, ib = cycle_edges(cell_ptr, cell_vertices).T
-    _, counts, row = edge_table(cell_ptr, cell_vertices)
+    edges, counts, row = edge_table(cell_ptr, cell_vertices)
     once = np.flatnonzero(counts[row] == 1)
     edge, hanging, t = _hanging_nodes(verts, ia[once], ib[once])
+    if not edge.size:
+        return cell_ptr, cell_vertices, (edges, counts)
     slot = np.concatenate((np.arange(len(ia)), once[edge]))
     vertex = np.concatenate((ia, hanging))
     order = np.lexsort((vertex, np.concatenate((np.full(len(ia), -1.0), t)), slot))
     n_cells = len(cell_ptr) - 1
     cell = np.repeat(np.arange(n_cells), np.diff(cell_ptr))[slot]
     sizes = np.bincount(cell, minlength=n_cells)
-    return np.concatenate(([0], np.cumsum(sizes))), vertex[order]
+    ptr, flat = np.concatenate(([0], np.cumsum(sizes))), vertex[order]
+    return ptr, flat, edge_table(ptr, flat)[:2]
 
 
 def _mark_boundary(verts, edges, counts, gamma0_rule: str) -> list[tuple[int, int, str]]:
@@ -360,8 +392,7 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     flat = np.concatenate((ids[mesh.cell_vertices[kept[slot_cell]]], ids[n_head:]))
     flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
     ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
-    ptr, flat = _conformalize(verts, ptr, flat)
-    table = edge_table(ptr, flat)[:2]
+    ptr, flat, table = _conformalize(verts, ptr, flat)
     return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, *table),
                          table=table)
 

@@ -1,5 +1,6 @@
 """Command-line interface: plumbing, round trips, exit codes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -252,6 +253,17 @@ def test_solve_writes_vtk(capsys, tmp_path):
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "POINT_DATA" in text
     assert "SCALARS mode_1 double 1" in text
+
+
+def test_solve_vtk_output_pinned(capsys, tmp_path):
+    # SHA-256 of the whole file: a faster writer must keep every coordinate and
+    # mode value in the same .17g text
+    vtk = tmp_path / "modes.vtk"
+    code, _, _ = run_cli(capsys, "solve", "--family", "t6", "--N", "8",
+                         "--k", "2", "--vtk", str(vtk))
+    assert code == 0
+    assert hashlib.sha256(vtk.read_bytes()).hexdigest() == (
+        "d1f320b31f69701fa082e35acac3cad033a1d53b1d1357033b7342973c962be7")
 
 
 def test_solve_exports_matrices(capsys, tmp_path):

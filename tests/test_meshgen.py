@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from steklovem import meshgen
 from steklovem.errors import InvalidN, MeshError, NonConforming
 from steklovem.mesh import (
     GAMMA0,
+    _bucket_join,
     _validate_csr,
     edge_table,
     element_geometry,
@@ -98,7 +100,7 @@ def test_glued_grids_validate_exactly_when_conformalized(n, n2, rows, rows2):
     ptr = np.arange(0, len(ids) + 1, 4)
     with pytest.raises(NonConforming, match="overlap"):
         validate(ptr, ids)
-    mesh = validate(*_conformalize(verts, ptr, ids))
+    mesh = validate(*_conformalize(verts, ptr, ids)[:2])
     # each side takes the other's interior interface points it lacks
     assert len(mesh.cell_vertices) - len(ids) == n + n2 - 2 * math.gcd(n, n2)
 
@@ -285,6 +287,67 @@ def test_merge_is_transitive():
     verts, ids = _merge_points(pts)
     assert ids.tolist() == [0, 1, 1, 1]
     np.testing.assert_array_equal(verts, pts[:2])
+
+
+def merge_counting_joins(pts):
+    """``(_merge_points(pts), number of bucket joins it ran)``: 0 when it took
+    the successor search."""
+    calls = []
+
+    def join(*args):
+        calls.append(args)
+        return _bucket_join(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "_bucket_join", join)
+        return _merge_points(pts), len(calls)
+
+
+def test_merge_is_transitive_along_y():
+    # a-b and b-c are within 1e-10 along y, a-c is not: one vertex, found by
+    # the successor search, since no two distinct x lie within 1e-10
+    a = np.array([0.3, 0.7])
+    pts = np.array([[1.0, 0.0], a + [0.0, 1.2e-10], a, a + [0.0, 0.6e-10], [0.3, 0.2]])
+    (verts, ids), joins = merge_counting_joins(pts)
+    assert joins == 0
+    assert ids.tolist() == [0, 1, 1, 1, 2]
+    np.testing.assert_array_equal(verts, pts[[0, 1, 4]])
+    np.testing.assert_array_equal(kd_tree_merge(pts)[1], ids)
+
+
+@pytest.mark.parametrize("dy", [0.0, 0.5e-10, 1e-3])
+def test_merge_close_x_values_take_bucket_join(dy):
+    # two distinct x 0.5e-10 apart: the bucket join runs, and the pair merges
+    # exactly when it is close in y too
+    pts = np.array([[1.0, 0.0], [0.3 + 0.5e-10, 0.7 + dy], [0.3, 0.7], [0.3, 0.2]])
+    (verts, ids), joins = merge_counting_joins(pts)
+    assert joins == 1
+    ref_verts, ref_ids = kd_tree_merge(pts)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(verts, ref_verts)
+    assert ids.tolist() == ([0, 1, 1, 2] if dy < 1e-10 else [0, 1, 2, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       planted=st.integers(0, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_merge_y_duplicates_match_kd_tree(seed, n, planted, scale):
+    # a cloud on 20 columns of x, near-duplicates of it displaced along y only
+    # (exact, jittered, chained) and a shuffle: the successor search alone
+    # gives the kd-tree's vertices and ids
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack((0.1 * scale * rng.integers(-10, 10, n),
+                           rng.uniform(-scale, scale, n)))
+    for _ in range(planted):
+        src = pts[rng.integers(len(pts))]
+        step = rng.choice([0.0, 1e-12, 0.7e-10, 0.99e-10]) * rng.choice([-1.0, 1.0])
+        pts = np.vstack((pts, src + [0.0, step]))
+    pts = pts[rng.permutation(len(pts))]
+    (verts, ids), joins = merge_counting_joins(pts)
+    assert joins == 0
+    ref_verts, ref_ids = kd_tree_merge(pts)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(verts, ref_verts)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,19 +5,20 @@ Run one case per process, so that ``ru_maxrss`` belongs to that case alone::
     python tools/scale_probe.py FAMILY N [K]
 
 for example ``python tools/scale_probe.py t2 256 6``.  It imports the package
-from the ``src/`` next to this file, generates the mesh, assembles it twice
-(once timed, once under ``tracemalloc`` for the peak of assembly alone, with
-alpha = 1) and solves for the first K eigenvalues (default 6; K = 0 skips the
-solve) the same way, timed and then traced.  It prints one ``name value
-unit`` row per measurement: the wall times of generate, assemble and solve,
-the traced peaks of assembly and solve and the bytes of the stored A and B
-(MiB), the problem size (dofs, gamma0 dofs m and cells), the shift sigma =
-1 / |gamma0| of Ahat = A + sigma B, the eigensolver path that ran
-("schur" or "lanczos") with q, the number of LU positions from
-the first gamma0 dof on (0 when Ahat was factored without the gamma0
-clique), the number of Lanczos steps and the reach |R|, the dofs each step
-solves on (both 0 off the Lanczos path), and the process's peak resident
-set size, read before the traced solve.
+from the ``src/`` next to this file, generates the mesh twice (once timed,
+once under ``tracemalloc`` for the peak of generation alone), times its
+``quality_report``, assembles it twice (timed, then traced, with alpha = 1)
+and solves for the first K eigenvalues (default 6; K = 0 skips the solve)
+the same way, timed and then traced.  It prints one ``name value unit`` row
+per measurement: the wall times of generate, quality_report, assemble and
+solve, the traced peaks of generation, assembly and solve and the bytes of
+the stored A and B (MiB), the problem size (dofs, gamma0 dofs m and cells),
+the shift sigma = 1 / |gamma0| of Ahat = A + sigma B, the eigensolver path
+that ran ("schur" or "lanczos") with q, the number of LU positions from the
+first gamma0 dof on (0 when Ahat was factored without the gamma0 clique),
+the number of Lanczos steps and the reach |R|, the dofs each step solves on
+(both 0 off the Lanczos path), and the process's peak resident set size,
+read before the traced solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from steklovem import FAMILIES, assemble_global, solve_steklov  # noqa: E402
+from steklovem import (  # noqa: E402
+    FAMILIES,
+    assemble_global,
+    quality_report,
+    solve_steklov,
+)
 
 
 def _bytes(matrix) -> int:
@@ -58,6 +64,11 @@ def main(argv: list[str]) -> None:
     t = time.perf_counter()
     mesh = FAMILIES[args.family](args.N)
     rows.append(("generate", time.perf_counter() - t, "s"))
+    _, peak = _traced(FAMILIES[args.family], args.N)
+    rows.append(("generate_traced_peak", peak / 2**20, "MiB"))
+    t = time.perf_counter()
+    quality_report(mesh)
+    rows.append(("quality_report", time.perf_counter() - t, "s"))
     t = time.perf_counter()
     assemble_global(mesh)
     rows.append(("assemble", time.perf_counter() - t, "s"))
