@@ -7,18 +7,26 @@ mu = 1 / (sigma + lambda) lies in (0, 1 / sigma] and the first k positive
 lambdas are the k + 1 largest mu (the constant mode has mu = 1 / sigma).
 As sigma is a reciprocal length like lambda, scaling the mesh scales every
 mu alike and leaves the Lanczos iteration count unchanged.  Ahat is not
-stored: each solve writes it as a new value array on A's index arrays
-(:func:`_shifted`) only as the input of the LU, and it dies when the
-factorization returns.  B lives on the m gamma0 dofs g,
-B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all n dofs,
-so the nonzero mu are the eigenvalues of the m x m pencil
+stored: each solve writes it (:func:`_shifted`) only as the input of the
+LU, and it dies when the factorization returns.  B lives on the m gamma0
+dofs g, B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all
+n dofs, so the nonzero mu are the eigenvalues of the m x m pencil
 
     B_gg x = mu S_g x,    S_g = ((Ahat^{-1})_gg)^{-1},
 
 S_g being the Schur complement of Ahat onto gamma0 (the discrete
 Dirichlet-to-Neumann map), and u = Ahat^{-1} E_g S_g x lifts x to the
-pencil.  One LU of Ahat reaches them along one of two paths, chosen from
-n, m and k before factoring:
+pencil.  One LU of Ahat reaches them.  SuperLU's minimum-degree ordering
+breaks ties by the numbering it is handed, so the LU factors P Ahat P',
+P the dof order ``GlobalSystem.dof_order`` by vertex (y, x), and g is
+taken in that order too: every numbering of one mesh then gives the same
+ordering, fill, q, reach and Lanczos steps.  On t5 N=30 renumbered at
+random the reach went from 1,720-1,763 dofs to 1,581 (1,544 in the
+generator's numbering), and the LU from 16-17 to 8-10 ms (one BLAS
+thread, 2-vCPU host).  P is applied while Ahat is written, and the lift
+maps the solution back (:func:`_lift`), so A, B and the returned vectors
+keep the vertex numbering.  The LU reaches the mu along one of two paths,
+chosen from n, m and k before factoring:
 
 - Schur read-off.  When gamma0 is short (m^2 <= 2 n: one side of the
   square, m ~ sqrt(n)) or k + 2 >= m, SuperLU gets Ahat with explicit
@@ -43,7 +51,8 @@ SuperLU factors in single-column panels: its default panels serve
 supernodal partial pivoting, but here every pivot is diagonal and the
 supernodes of these 2-D meshes are small, so wider panels only add a
 dense n x panel work area (the ordering and the fill do not depend on the
-width).  The LU, the L and U copies its pivot check caches and the factor
+width).  ``EigenResult.fill`` is nnz(L) + nnz(U), read off the L and U
+copies that the pivot check caches.  The LU, those copies and the factor
 of L_RR die before the eigenvectors are packed.  The constant mode is
 dropped by its B-overlap with the constants; everything else is returned
 ascending in lambda, each lambda being the Rayleigh quotient of its
@@ -96,6 +105,7 @@ class EigenResult:
     q: int = 0               # LU positions from the first gamma0 dof on; 0: no clique
     steps: int = 0           # ARPACK operator applications; 0 off the Lanczos path
     reach: int = 0           # |R|, dofs the Lanczos steps solve on; 0 off that path
+    fill: int = 0            # nnz(L) + nnz(U) of the LU; 0 for the dense oracle
 
 
 def _norm_1(matrix) -> float:
@@ -195,8 +205,11 @@ def _ranges(starts, lens) -> np.ndarray:
     return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
-def _shifted(system: GlobalSystem) -> sps.csr_matrix:
-    """Ahat = A + sigma B as a new value array on A's index arrays.
+def _shifted(system: GlobalSystem, position) -> sps.csr_matrix:
+    """P Ahat P' with Ahat = A + sigma B and P the dof order: row i is the
+    row of dof ``system.dof_order[i]`` and column ``position[j]`` that of
+    dof j.  The rows are gathered from A in that order and the columns
+    renumbered, so the column indices of a row are not sorted.
 
     B lives on gamma0 edges, which are cell edges, so its pattern lies in
     the gamma0 rows of A's: B is sampled at A's entries in those rows (zero
@@ -204,41 +217,40 @@ def _shifted(system: GlobalSystem) -> sps.csr_matrix:
     that pattern would be lost and leave a residual the backward-error gate
     sees.
     """
-    A, g = system.A, system.gamma0_dofs
+    A, B, g = system.A, system.B, system.gamma0_dofs
+    Ahat = A[system.dof_order]
     lens = np.diff(A.indptr)[g]
-    at = _ranges(A.indptr[g], lens)
-    data = A.data.copy()
-    B_at = system.B[np.repeat(g, lens), A.indices[at]]
-    data[at] += system.shift * np.asarray(B_at).ravel()
-    return sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    at = _ranges(Ahat.indptr[position[g]], lens)
+    B_at = B[np.repeat(g, lens), Ahat.indices[at]]
+    Ahat.data[at] += system.shift * np.asarray(B_at).ravel()
+    np.take(position, Ahat.indices, out=Ahat.indices)
+    return Ahat
 
 
 def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
-    """Ahat with explicit zeros filling its gamma0 x gamma0 block, as CSC.
+    """Ahat with explicit zeros filling its gamma0 x gamma0 block, as CSC in
+    canonical form.
 
-    Ahat is symmetric, so its CSR rows are its columns and the result is
-    built in one pass over them: rows off gamma0 are copied at shifted
-    offsets, and each gamma0 row becomes its entries off gamma0 merged with
-    all m gamma0 columns, whose values come from a dense m x m block that
-    is zero where Ahat has no entry.  The values of Ahat are unchanged.
+    Rows off gamma0 are copied at shifted offsets, and each gamma0 row
+    becomes its entries off gamma0 followed by all m gamma0 columns, whose
+    values come from a dense m x m block that is zero where Ahat has no
+    entry.  The column indices of a row need not be sorted: the conversion
+    to CSC sorts them.  The values of Ahat are unchanged.
     """
     n, m = Ahat.shape[0], len(g)
-    g = np.sort(g)
     indptr, indices, data = Ahat.indptr, Ahat.indices, Ahat.data
     lens = np.diff(indptr)
+    slot = np.full(n, -1)
+    slot[g] = np.arange(m)            # the index in g of each gamma0 dof
     # the entries of the gamma0 rows, row by row
     row = np.repeat(np.arange(m), lens[g])
     entry = _ranges(indptr[g], lens[g])
-    col = indices[entry]
-    below = np.searchsorted(g, col)   # gamma0 columns before col
-    on = g[np.minimum(below, m - 1)] == col
-    off = ~on
+    col = slot[indices[entry]]
+    on = col >= 0
     block = np.zeros((m, m))
-    block[row[on], below[on]] = data[entry[on]]
-    # entries off gamma0 in each gamma0 row before each gamma0 column
-    before = np.bincount(row[off] * (m + 1) + below[off],
-                         minlength=m * (m + 1)).reshape(m, m + 1).cumsum(axis=1)
-    n_off = before[:, -1]
+    block[row[on], col[on]] = data[entry[on]]
+    entry = entry[~on]
+    n_off = lens[g] - np.bincount(row[on], minlength=m)
     new_lens = lens.copy()
     new_lens[g] = n_off + m
     new_ptr = np.zeros(n + 1, dtype=indptr.dtype)
@@ -248,11 +260,11 @@ def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
     # every row at its new offset; the gamma0 rows are then written whole
     at = _ranges(new_ptr[:-1], lens)
     new_indices[at], new_data[at] = indices, data
-    at = new_ptr[g[row[off]]] + _ranges(0, n_off) + below[off]
-    new_indices[at], new_data[at] = col[off], data[entry[off]]
-    at = new_ptr[g][:, None] + np.arange(m) + before[:, :m]
+    at = _ranges(new_ptr[g], n_off)
+    new_indices[at], new_data[at] = indices[entry], data[entry]
+    at = (new_ptr[g] + n_off)[:, None] + np.arange(m)
     new_indices[at], new_data[at] = g, block
-    return sps.csc_matrix((new_data, new_indices, new_ptr), shape=(n, n))
+    return sps.csr_matrix((new_data, new_indices, new_ptr), shape=(n, n)).tocsc()
 
 
 def _factor(matrix, name: str, **options):
@@ -353,38 +365,55 @@ def _trailing_schur(factor, g, q) -> np.ndarray:
         T[np.ix_(rest, rest)], T[np.ix_(rest, at)])
 
 
-def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
+def _lift(factor, position, at, values) -> np.ndarray:
+    """Ahat^{-1} E values in vertex numbering, E placing the rows of ``values``
+    at the LU positions ``at``; row j of the result is LU position
+    ``position[j]`` of the solution.  The solution comes back from SuperLU in
+    Fortran order, so its transpose is read row by row into the transpose of
+    the right-hand side, and no third n x (k + 1) block is made."""
+    rhs = np.zeros((len(position), values.shape[1]), order="F")
+    rhs[at] = values
+    np.take(factor.solve(rhs).T, position, axis=1, out=rhs.T, mode="clip")
+    return rhs
+
+
+def _dtn_eigenpairs(system: GlobalSystem, g, B_gg, F: sps.csr_matrix, k: int):
     """The k + 1 largest nonzero mu and their vectors u, as
     ``(mus, vecs, fields)``, ``fields`` the path fields of the result (path,
-    q and, on the Lanczos path, steps and reach); see :func:`solve_steklov`
-    for the paths.
+    q, fill and, on the Lanczos path, steps and reach); see
+    :func:`solve_steklov` for the paths.
 
-    Everything that holds the LU lives here, so the factor, the L and U
-    copies that reading ``factor.U`` caches on it and the factor of L_RR
-    are freed on return.
+    The LU factors Ahat in the dof order ``system.dof_order``, in which
+    ``g`` lists the gamma0 dofs: ``position`` maps each dof to its row
+    there, and the gamma0 positions ``at`` stand for g in everything that
+    reads the LU.  Everything that holds the LU lives here, so the factor,
+    the L and U copies that reading ``factor.U`` caches on it and the
+    factor of L_RR are freed on return.
     """
-    g = system.gamma0_dofs
     n, (p, m) = system.n_dofs, F.shape
+    position = np.empty(n, dtype=system.A.indices.dtype)
+    position[system.dof_order] = np.arange(n)
+    at = position[g]
     schur = m * m <= _SCHUR_MAX_M2_PER_N * n or k + 2 >= m
-    # Ahat is symmetric, so the CSC view of its CSR arrays is Ahat itself;
-    # Ahat and the clique are temporaries that die when splu returns
-    factor = _factor(_with_gamma0_clique(_shifted(system), g) if schur
-                     else _shifted(system).T, "Ahat",
+    # Ahat and the clique are temporaries that die when splu returns; the
+    # conversion to CSC sorts the rows of each column, so splu sorts nothing
+    factor = _factor(_with_gamma0_clique(_shifted(system, position), at) if schur
+                     else _shifted(system, position).tocsc(), "Ahat",
                      permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     pivots = factor.U.diagonal()
     if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(pivots > 0.0)):
         raise NotSPD("Ahat has a non-positive or off-diagonal pivot; "
                      "it is not SPD")
-    q = n - int(factor.perm_c[g].min()) if schur else 0
+    q = n - int(factor.perm_c[at].min()) if schur else 0
+    fill = factor.L.nnz + factor.U.nnz
 
     if schur and q <= _SCHUR_MAX_Q_PER_M * m:
-        S_g = _trailing_schur(factor, g, q)
+        S_g = _trailing_schur(factor, at, q)
         S_g = (S_g + S_g.T) / 2.0
         mus, x = sla.eigh(B_gg.toarray(), S_g, subset_by_index=[m - k - 1, m - 1])
-        rhs = np.zeros((n, k + 1))
-        rhs[g] = S_g @ x
-        return mus, factor.solve(rhs), dict(path="schur", q=q)
-    solve_gg, reach = _reach_solver(factor, pivots, g)
+        return mus, _lift(factor, position, at, S_g @ x), dict(
+            path="schur", q=q, fill=fill)
+    solve_gg, reach = _reach_solver(factor, pivots, at)
     Ft = F.T                          # a CSC view made once, not one per step
     steps = 0
 
@@ -396,10 +425,8 @@ def _dtn_eigenpairs(system: GlobalSystem, B_gg, F: sps.csr_matrix, k: int):
     mus, W = spla.eigsh(spla.LinearOperator((p, p), matvec=matvec, dtype=float),
                         k + 1, which="LA",
                         v0=np.random.default_rng(0).standard_normal(p))
-    rhs = np.zeros((n, k + 1))
-    rhs[g] = Ft @ W
-    return mus, factor.solve(rhs), dict(path="lanczos", q=q, steps=steps,
-                                        reach=reach)
+    return mus, _lift(factor, position, at, Ft @ W), dict(
+        path="lanczos", q=q, fill=fill, steps=steps, reach=reach)
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
@@ -408,8 +435,9 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     Ahat = A + sigma B with the stored shift sigma = 1 / |gamma0|
     (``system.shift``), so inside the solver mu = 1 / (sigma + lambda),
     and the vectors are normalized to v' Ahat v = 1.  Ahat exists only as
-    the input of the LU, written on A's index arrays, and dies when the
-    factorization returns.
+    the input of the LU, written in the dof order ``system.dof_order``
+    (vertices by (y, x)), and dies when the factorization returns; the
+    vectors come back in vertex numbering.
 
     The sparse factor F of the gamma0 mass block, B_gg = F'F with one row
     per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
@@ -453,13 +481,17 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     """
     if k < 1:
         raise InvalidN("need at least one eigenvalue")
-    g = system.gamma0_dofs
-    m = len(g)
+    m = len(system.gamma0_dofs)
     if k > m - 1:
         raise KTooLarge(f"k = {k} exceeds the {m - 1} positive modes "
                         f"supported by {m} gamma0 dofs")
+    # gamma0 in the dof order: then B_gg, F and the start vector, and with
+    # them the Lanczos steps, do not depend on the numbering either
+    on_gamma0 = np.zeros(system.n_dofs, dtype=bool)
+    on_gamma0[system.gamma0_dofs] = True
+    g = system.dof_order[on_gamma0[system.dof_order]]
     B_gg = system.B[g][:, g]
-    mus, vecs, fields = _dtn_eigenpairs(system, B_gg, _gamma0_factor(B_gg), k)
+    mus, vecs, fields = _dtn_eigenpairs(system, g, B_gg, _gamma0_factor(B_gg), k)
     result = _filter_and_pack(system, mus, vecs, k, **fields)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:

@@ -252,7 +252,8 @@ def test_reach_solve_matches_the_full_solve(monkeypatch, case):
 
 
 def test_reach_restricts_the_sweep_mesh():
-    # sweep-t5's permuted t5 N=30: the steps solve on 1,745 of 4,690 dofs
+    # sweep-t5's permuted t5 N=30: the steps solve on 1,581 of 4,690 dofs
+    # (1,745 with the LU in the mesh's own numbering)
     mesh = sibling_test_module("test_vem.py").permuted_t5_mesh(30)
     system = assemble_global(mesh, StabilizationSpec())
     result = solve_steklov(system, 6)
@@ -316,6 +317,88 @@ def test_short_gamma0_reads_no_dense_trailing_block():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+@functools.cache
+def sweep_mesh(N, seed):
+    """t5 at N, renumbered as sweep-t5 does with ``seed``; seed 0 keeps the
+    generator's numbering."""
+    if seed == 0:
+        return FAMILIES["t5"](N)
+    return sibling_test_module("test_vem.py").permuted_t5_mesh(N, seed)
+
+
+@pytest.mark.parametrize("N", [30, 62])
+def test_lu_does_not_depend_on_the_vertex_numbering(N):
+    # the LU factors Ahat in the (y, x) dof order, so minimum degree sees one
+    # pattern for every numbering of the mesh: in the vertex numbering the
+    # reach at N=30 was 1,544 for the generator's and 1,720-1,763 for seeds
+    # 1-3, and the Lanczos steps 40-41
+    results = [solve_steklov(assemble_global(sweep_mesh(N, seed), StabilizationSpec()), 6)
+               for seed in (0, 1, 2, 3)]
+    ref = results[0]
+    assert ref.path == "lanczos" and ref.reach > 0
+    for result in results[1:]:
+        assert (result.path, result.q, result.steps, result.reach, result.fill) == (
+            ref.path, ref.q, ref.steps, ref.reach, ref.fill)
+        np.testing.assert_allclose(result.lambdas, ref.lambdas, rtol=1e-10)
+
+
+def test_schur_trailing_block_does_not_depend_on_the_vertex_numbering():
+    # t2 N=16: gamma0 is the top side (m = 33), and the clique puts it in the
+    # last q positions of the one ordering whatever the numbering
+    mesh = FAMILIES["t2"](16)
+    ref = solve_steklov(assemble_global(mesh, StabilizationSpec()), 6)
+    assert ref.path == "schur" and ref.q > 0
+    for seed in (1, 2, 3):
+        result = solve_steklov(assemble_global(renumbered(mesh, seed), StabilizationSpec()), 6)
+        assert (result.path, result.q, result.fill) == (ref.path, ref.q, ref.fill)
+        np.testing.assert_allclose(result.lambdas, ref.lambdas, rtol=1e-10)
+
+
+@pytest.mark.parametrize("case,path", [("t2-8", "schur"), ("t5-8-permuted", "lanczos")])
+def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, path):
+    # SuperLU gets P Ahat P', P the (y, x) dof order: every entry is the
+    # entry of A + sigma B at its dofs, bit for bit, the indices are sorted so
+    # that splu's sum_duplicates has nothing to sort, and the solver reads
+    # each gamma0 dof at its position in the order
+    seen = {}
+    factor, reach_solver, trailing_schur = eig._factor, eig._reach_solver, eig._trailing_schur
+
+    def factor_spy(matrix, name, **options):
+        # a copy: splu sorts the indices of its input in place
+        seen.setdefault("matrix", matrix.copy())
+        return factor(matrix, name, **options)
+
+    def reach_spy(factor, pivots, g):
+        seen["g"] = g
+        return reach_solver(factor, pivots, g)
+
+    def schur_spy(factor, g, q):
+        seen["g"] = g
+        return trailing_schur(factor, g, q)
+
+    monkeypatch.setattr(eig, "_factor", factor_spy)
+    monkeypatch.setattr(eig, "_reach_solver", reach_spy)
+    monkeypatch.setattr(eig, "_trailing_schur", schur_spy)
+    mesh = GAMMA0_FACTOR_MESHES[case]()
+    system = assemble_global(mesh, StabilizationSpec())
+    assert solve_steklov(system, 3).path == path
+    order = system.dof_order
+    x, y = mesh.vertices.T
+    assert np.array_equal(order, np.lexsort((x, y)))
+    matrix = seen["matrix"]
+    assert matrix.format == "csc"
+    fresh = sps.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    assert fresh.has_canonical_format
+    entries = matrix.tocoo()
+    Ahat = system.Ahat
+    assert np.array_equal(entries.data,
+                          np.asarray(Ahat[order[entries.row], order[entries.col]]).ravel())
+    assert np.count_nonzero(entries.data) == Ahat.count_nonzero()
+    # gamma0 in the dof order: ascending positions, each dof at its own
+    assert np.all(np.diff(seen["g"]) > 0)
+    assert np.array_equal(np.sort(order[seen["g"]]), system.gamma0_dofs)
 
 
 def renumbered(mesh, seed):

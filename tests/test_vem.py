@@ -333,15 +333,15 @@ def test_ahat_positive_definite(family, N):
     np.linalg.cholesky(system.Ahat.toarray())
 
 
-def permuted_t5_mesh(N=8):
-    """The benchmark's renumbered, rotated and reordered t5 mesh (seed 1);
-    sweep-t5 runs it at N=30."""
+def permuted_t5_mesh(N=8, seed=1):
+    """The benchmark's renumbered, rotated and reordered t5 mesh; sweep-t5
+    runs it at N=30 with seed 1."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     data = mesh_to_dict(FAMILIES["t5"](N))
-    return build_mesh(*workloads.permuted_mesh_data(data, 1))
+    return build_mesh(*workloads.permuted_mesh_data(data, seed))
 
 
 def test_assembly_order_independent():

@@ -16,9 +16,9 @@ the stored A and B (MiB), the problem size (dofs, gamma0 dofs m and cells),
 the shift sigma = 1 / |gamma0| of Ahat = A + sigma B, the eigensolver path
 that ran ("schur" or "lanczos") with q, the number of LU positions from the
 first gamma0 dof on (0 when Ahat was factored without the gamma0 clique),
-the number of Lanczos steps and the reach |R|, the dofs each step solves on
-(both 0 off the Lanczos path), and the process's peak resident set size,
-read before the traced solve.
+the fill nnz(L) + nnz(U) of the LU, the number of Lanczos steps and the
+reach |R|, the dofs each step solves on (both 0 off the Lanczos path), and
+the process's peak resident set size, read before the traced solve.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ def main(argv: list[str]) -> None:
         result = solve_steklov(system, args.k)
         rows.append(("solve", time.perf_counter() - t, "s"))
         rows.append(("q", result.q, f"dofs ({result.path} path)"))
+        rows.append(("fill", result.fill, "nnz(L) + nnz(U)"))
         rows.append(("steps", result.steps, "Lanczos steps"))
         rows.append(("reach", result.reach, "dofs per step"))
     # ru_maxrss is in KiB on Linux
