@@ -7,10 +7,11 @@ mu = 1 / (sigma + lambda) lies in (0, 1 / sigma] and the first k positive
 lambdas are the k + 1 largest mu (the constant mode has mu = 1 / sigma).
 As sigma is a reciprocal length like lambda, scaling the mesh scales every
 mu alike and leaves the Lanczos iteration count unchanged.  Ahat is not
-stored: each solve writes it (:func:`_shifted`) only as the input of the
-LU, and it dies when the factorization returns.  B lives on the m gamma0
-dofs g, B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all
-n dofs, so the nonzero mu are the eigenvalues of the m x m pencil
+stored: each solve writes it (:func:`_shifted` or
+:func:`_with_gamma0_clique`) only as the input of the LU, and it dies
+when the factorization returns.  B lives on the m gamma0 dofs g,
+B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all n
+dofs, so the nonzero mu are the eigenvalues of the m x m pencil
 
     B_gg x = mu S_g x,    S_g = ((Ahat^{-1})_gg)^{-1},
 
@@ -30,10 +31,15 @@ chosen from n, m and k before factoring:
 
 - Schur read-off.  When gamma0 is short (m^2 <= 2 n: one side of the
   square, m ~ sqrt(n)) or k + 2 >= m, SuperLU gets Ahat with explicit
-  zeros filling its gamma0 block.  That clique makes the one
-  minimum-degree ordering put gamma0 in the trailing q dofs, and when
-  q <= 3 m, S_g is condensed from the trailing q x q blocks of L and U and
-  the pencil goes to eigh.  The lift is the only solve.
+  zeros filling its gamma0 block, written by one COO conversion of A,
+  sigma B and the m^2 zeros at their positions.  (The Lanczos input keeps
+  the row gather of :func:`_shifted`: its conversion to CSC is a
+  transposition that leaves every column sorted, where a COO conversion
+  sorts each column, about three times as long on ``sweep-t5``'s mesh.)
+  The clique makes the one minimum-degree ordering put gamma0 in the
+  trailing q dofs, and when q <= 3 m, S_g is condensed from the trailing
+  q x q blocks of L and U and the pencil goes to eigh.  The lift is the
+  only solve.
 - Lanczos.  Otherwise, and when the clique leaves a longer trailing block
   (a few gamma0 edges), implicitly restarted Lanczos (ARPACK, standard
   mode) finds the k + 1 largest mu of the p x p operator
@@ -206,10 +212,11 @@ def _ranges(starts, lens) -> np.ndarray:
 
 
 def _shifted(system: GlobalSystem, position) -> sps.csr_matrix:
-    """P Ahat P' with Ahat = A + sigma B and P the dof order: row i is the
-    row of dof ``system.dof_order[i]`` and column ``position[j]`` that of
-    dof j.  The rows are gathered from A in that order and the columns
-    renumbered, so the column indices of a row are not sorted.
+    """P Ahat P' with Ahat = A + sigma B and P the dof order, the input of the
+    Lanczos path's LU: row i is the row of dof ``system.dof_order[i]`` and
+    column ``position[j]`` that of dof j.  The rows are gathered from A in
+    that order and the columns renumbered, so the column indices of a row
+    are not sorted, but the conversion to CSC sorts them.
 
     B lives on gamma0 edges, which are cell edges, so its pattern lies in
     the gamma0 rows of A's: B is sampled at A's entries in those rows (zero
@@ -227,44 +234,21 @@ def _shifted(system: GlobalSystem, position) -> sps.csr_matrix:
     return Ahat
 
 
-def _with_gamma0_clique(Ahat, g) -> sps.csc_matrix:
-    """Ahat with explicit zeros filling its gamma0 x gamma0 block, as CSC in
-    canonical form.
+def _with_gamma0_clique(system: GlobalSystem, position, at) -> sps.csc_matrix:
+    """P Ahat P' as :func:`_shifted` writes it, with explicit zeros filling
+    the gamma0 x gamma0 block at the positions ``at``, as CSC in canonical
+    form.
 
-    Rows off gamma0 are copied at shifted offsets, and each gamma0 row
-    becomes its entries off gamma0 followed by all m gamma0 columns, whose
-    values come from a dense m x m block that is zero where Ahat has no
-    entry.  The column indices of a row need not be sorted: the conversion
-    to CSC sorts them.  The values of Ahat are unchanged.
+    The entries of A and of sigma B at their positions and m^2 zeros at the
+    clique pairs go into one COO conversion, which sorts each column and
+    sums the duplicates.  Adding an exact zero is exact, so the values are
+    those of Ahat, and A's own explicit zeros are kept.
     """
-    n, m = Ahat.shape[0], len(g)
-    indptr, indices, data = Ahat.indptr, Ahat.indices, Ahat.data
-    lens = np.diff(indptr)
-    slot = np.full(n, -1)
-    slot[g] = np.arange(m)            # the index in g of each gamma0 dof
-    # the entries of the gamma0 rows, row by row
-    row = np.repeat(np.arange(m), lens[g])
-    entry = _ranges(indptr[g], lens[g])
-    col = slot[indices[entry]]
-    on = col >= 0
-    block = np.zeros((m, m))
-    block[row[on], col[on]] = data[entry[on]]
-    entry = entry[~on]
-    n_off = lens[g] - np.bincount(row[on], minlength=m)
-    new_lens = lens.copy()
-    new_lens[g] = n_off + m
-    new_ptr = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(new_lens, out=new_ptr[1:])
-    new_indices = np.empty(new_ptr[-1], dtype=indices.dtype)
-    new_data = np.empty(new_ptr[-1])
-    # every row at its new offset; the gamma0 rows are then written whole
-    at = _ranges(new_ptr[:-1], lens)
-    new_indices[at], new_data[at] = indices, data
-    at = _ranges(new_ptr[g], n_off)
-    new_indices[at], new_data[at] = indices[entry], data[entry]
-    at = (new_ptr[g] + n_off)[:, None] + np.arange(m)
-    new_indices[at], new_data[at] = g, block
-    return sps.csr_matrix((new_data, new_indices, new_ptr), shape=(n, n)).tocsc()
+    A, B, m = system.A.tocoo(), system.B.tocoo(), len(at)
+    rows = np.concatenate((position[A.row], position[B.row], np.repeat(at, m)))
+    cols = np.concatenate((position[A.col], position[B.col], np.tile(at, m)))
+    values = np.concatenate((A.data, system.shift * B.data, np.zeros(m * m)))
+    return sps.csc_matrix((values, (rows, cols)), shape=A.shape)
 
 
 def _factor(matrix, name: str, **options):
@@ -395,9 +379,10 @@ def _dtn_eigenpairs(system: GlobalSystem, g, B_gg, F: sps.csr_matrix, k: int):
     position[system.dof_order] = np.arange(n)
     at = position[g]
     schur = m * m <= _SCHUR_MAX_M2_PER_N * n or k + 2 >= m
-    # Ahat and the clique are temporaries that die when splu returns; the
-    # conversion to CSC sorts the rows of each column, so splu sorts nothing
-    factor = _factor(_with_gamma0_clique(_shifted(system, position), at) if schur
+    # either input is a temporary that dies when splu returns, and reaches
+    # it as CSC in canonical form (sorted rows, no duplicates), so splu
+    # sorts nothing
+    factor = _factor(_with_gamma0_clique(system, position, at) if schur
                      else _shifted(system, position).tocsc(), "Ahat",
                      permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     pivots = factor.U.diagonal()

@@ -285,20 +285,40 @@ def test_off_lanczos_paths_record_no_steps():
     assert result.steps == result.reach == 0
 
 
+def stored_pattern(rows, cols, n):
+    """The (row, col) pairs as sorted unique keys row * n + col."""
+    return np.unique(np.asarray(rows, dtype=np.int64) * n + cols)
+
+
 def test_gamma0_clique_keeps_the_values_of_ahat():
-    # the clique adds explicit zeros only: Ahat's values, Ahat's pattern
-    # plus every gamma0 x gamma0 pair, sorted columns without duplicates
-    for case in ("t2-8", "t5-8", "t5-8-permuted"):
+    # the clique adds explicit zeros only: Ahat's values, the stored pattern
+    # of A (explicit zeros included) and B plus every gamma0 x gamma0 pair,
+    # sorted columns without duplicates
+    for case in ("t2-8", "t5-8", "t5-8-permuted", "t5-10"):
         system = assemble_global(GAMMA0_FACTOR_MESHES[case](), StabilizationSpec())
-        g = system.gamma0_dofs
-        clique = eig._with_gamma0_clique(system.Ahat, g)
+        n, g = system.n_dofs, system.gamma0_dofs
+        identity = np.arange(n, dtype=system.A.indices.dtype)
+        clique = eig._with_gamma0_clique(system, identity, g)
         assert clique.format == "csc" and clique.has_canonical_format
         assert (clique != system.Ahat).nnz == 0
-        pattern = sps.csc_matrix((np.ones(clique.nnz), clique.indices, clique.indptr))
-        m = len(g)
-        expected = abs(system.Ahat) + sps.csr_matrix(
-            (np.ones(m * m), (np.repeat(g, m), np.tile(g, m))), shape=system.Ahat.shape)
-        assert (pattern != (expected != 0)).nnz == 0
+        A, B, m = system.A.tocoo(), system.B.tocoo(), len(g)
+        expected = stored_pattern(np.concatenate((A.row, B.row, np.repeat(g, m))),
+                                  np.concatenate((A.col, B.col, np.tile(g, m))), n)
+        entries = clique.tocoo()
+        assert np.array_equal(stored_pattern(entries.row, entries.col, n), expected)
+
+
+@pytest.mark.parametrize("case", ["t2-8", "t5-10", "t5-8-permuted"])
+def test_clique_builder_without_gamma0_is_the_lanczos_input(case):
+    # the two paths write P Ahat P' in separate code: with no clique pairs
+    # the Schur path's builder must hand SuperLU exactly the Lanczos input
+    system = assemble_global(GAMMA0_FACTOR_MESHES[case](), StabilizationSpec())
+    position = np.argsort(system.dof_order).astype(system.A.indices.dtype)
+    clique = eig._with_gamma0_clique(system, position, position[:0])
+    shifted = eig._shifted(system, position).tocsc()
+    assert np.array_equal(clique.indptr, shifted.indptr)
+    assert np.array_equal(clique.indices, shifted.indices)
+    assert np.array_equal(clique.data.view(np.uint64), shifted.data.view(np.uint64))
 
 
 def test_short_gamma0_reads_no_dense_trailing_block():
@@ -356,12 +376,18 @@ def test_schur_trailing_block_does_not_depend_on_the_vertex_numbering():
         np.testing.assert_allclose(result.lambdas, ref.lambdas, rtol=1e-10)
 
 
-@pytest.mark.parametrize("case,path", [("t2-8", "schur"), ("t5-8-permuted", "lanczos")])
-def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, path):
+@pytest.mark.parametrize("case,k,path", [
+    ("t2-8", 3, "schur"), ("t5-8-permuted", 3, "lanczos"),
+    ("t5-10", 3, "lanczos"), ("t5-10", 83, "schur")],
+    ids=["t2-8-schur", "t5-8-permuted-lanczos", "t5-10-lanczos", "t5-10-schur"])
+def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, k, path):
     # SuperLU gets P Ahat P', P the (y, x) dof order: every entry is the
-    # entry of A + sigma B at its dofs, bit for bit, the indices are sorted so
-    # that splu's sum_duplicates has nothing to sort, and the solver reads
-    # each gamma0 dof at its position in the order
+    # entry of A + sigma B at its dofs, bit for bit, the pattern is A's
+    # stored one (explicit zeros included) plus, on the Schur path, the
+    # gamma0 clique, the indices are sorted so that splu's sum_duplicates
+    # has nothing to sort, and the solver reads each gamma0 dof at its
+    # position in the order.  t5 N=10 holds exact zeros in A, which
+    # system.Ahat drops.
     seen = {}
     factor, reach_solver, trailing_schur = eig._factor, eig._reach_solver, eig._trailing_schur
 
@@ -383,7 +409,9 @@ def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, path):
     monkeypatch.setattr(eig, "_trailing_schur", schur_spy)
     mesh = GAMMA0_FACTOR_MESHES[case]()
     system = assemble_global(mesh, StabilizationSpec())
-    assert solve_steklov(system, 3).path == path
+    if case == "t5-10":
+        assert system.A.nnz > system.A.count_nonzero()
+    assert solve_steklov(system, k).path == path
     order = system.dof_order
     x, y = mesh.vertices.T
     assert np.array_equal(order, np.lexsort((x, y)))
@@ -396,6 +424,12 @@ def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, path):
     assert np.array_equal(entries.data,
                           np.asarray(Ahat[order[entries.row], order[entries.col]]).ravel())
     assert np.count_nonzero(entries.data) == Ahat.count_nonzero()
+    n, g = system.n_dofs, system.gamma0_dofs
+    A, m = system.A.tocoo(), len(g) if path == "schur" else 0
+    expected = stored_pattern(np.concatenate((A.row, np.repeat(g, m))),
+                              np.concatenate((A.col, np.tile(g, m))), n)
+    assert np.array_equal(stored_pattern(order[entries.row], order[entries.col], n),
+                          expected)
     # gamma0 in the dof order: ascending positions, each dof at its own
     assert np.all(np.diff(seen["g"]) > 0)
     assert np.array_equal(np.sort(order[seen["g"]]), system.gamma0_dofs)
@@ -519,6 +553,8 @@ GAMMA0_FACTOR_MESHES = {
     **{f"{family}-8": functools.partial(FAMILIES[family], 8) for family in FAMILIES},
     "t6-32-refined-2": refined_t6_mesh,
     "t5-8-permuted": lambda: sibling_test_module("test_vem.py").permuted_t5_mesh(),
+    # n = 675, m = 84, and 4 exact-zero couplings stored in A
+    "t5-10": functools.partial(FAMILIES["t5"], 10),
 }
 
 
