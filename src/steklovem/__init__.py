@@ -18,9 +18,8 @@ _EXPORTS = {
                  "fit_order", "run_study"),
     "eig": ("EigenResult", "dense_reference_solve", "eigenfunction_field",
             "solve_steklov"),
-    "mesh": ("GAMMA0", "GAMMA1", "ElementGeometry", "MeshQualityReport",
-             "PolygonalMesh", "build_mesh", "element_geometry", "load_mesh_json",
-             "quality_report", "save_mesh_json"),
+    "mesh": ("GAMMA0", "GAMMA1", "MeshQualityReport", "PolygonalMesh", "build_mesh",
+             "load_mesh_json", "quality_report", "save_mesh_json"),
     "meshgen": ("FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
                 "gen_square_perturbed_triangles", "refine_lshape_corner"),
     "vem": ("GlobalSystem", "LocalOperators", "StabilizationSpec", "assemble_global",

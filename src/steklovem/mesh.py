@@ -1,4 +1,4 @@
-"""Polygonal mesh representation, validation and per-element geometry.
+"""Polygonal mesh representation, validation and cell geometry.
 
 A mesh is an array of vertices, its cells as counter-clockwise vertex
 cycles in compressed sparse row form and a list of marked boundary edges:
@@ -6,13 +6,12 @@ cycles in compressed sparse row form and a list of marked boundary edges:
 ``cell_vertices[cell_ptr[c]:cell_ptr[c + 1]]``.  Everything reads the flat
 arrays: the cells of one vertex count are one ``(C, n)`` gather
 (:func:`_size_groups`), the edges pair each cycle entry with its successor
-(:func:`cycle_edges`), one edge table counts them (:func:`edge_table`), and
-one cell's geometry is a slice.  The list-of-lists ``cells`` is derived on
-demand for the JSON and VTK writers.  Hanging nodes are always stored
-explicitly in both incident cells, so a valid mesh is conforming by
-construction: an edge shared by two cells is identical as a vertex pair,
-and a vertex sitting on a neighbour's edge shows up in that neighbour's
-cycle as a flat-angle vertex.
+(:func:`cycle_edges`) and one edge table counts them (:func:`edge_table`).
+The list-of-lists ``cells`` is derived on demand for the JSON and VTK
+writers.  Hanging nodes are always stored explicitly in both incident cells,
+so a valid mesh is conforming by construction: an edge shared by two cells
+is identical as a vertex pair, and a vertex sitting on a neighbour's edge
+shows up in that neighbour's cycle as a flat-angle vertex.
 
 Validation is batched like the geometry and runs on the CSR arrays
 (:func:`_validate_csr`, which the generators call directly).  Raw input to
@@ -21,8 +20,8 @@ once per distinct cell and entry type, and is packed into CSR form.
 Grouped by vertex count, the cycles are then checked for at least three
 vertices, indices in range and distinct vertices, and each group's
 orientation, area, edge lengths, fold-back spikes and edge crossings are
-``(C, n, 2)`` array computations on the kernels of
-:func:`polygon_geometry`.  A cell whose area is at most
+array computations on the group's coordinate planes, with the geometry
+kernels below.  A cell whose area is at most
 ``VANISHING_AREA_REL_TOL * h_K**2`` is rejected here, with the cutoff
 assembly applies.  The edge table gives every edge count: edges shared by
 more than two cells, hanging nodes, unmarked or phantom boundary edges,
@@ -35,16 +34,23 @@ boundary markers by.  A faulty mesh raises for its first faulty cell in cell
 order, and within that cell for the first failed check
 (:func:`raise_first_fault`).
 
-The batched kernels work on coordinate planes: the x and y of a group are
-two ``(C, n)`` arrays (an edge list is two endpoint columns), and anything
-with two components is written out, ``dx * dx + dy * dy``, never a sum,
-sort, ``norm``, ``ptp`` or ``all``/``any`` over an axis of length 2.  numpy
-runs such a reduction as one short inner loop per row: on a 2-vCPU host the
-squared lengths of ``(4096, 6, 2)`` take 505 us as a sum and 47 us written
-out on planes, and ``ptp`` over the vertex axis takes 570 us against 41 us
-for the same extremes taken one vertex column at a time.  The written-out
-forms are bit-identical: a two-term reduction is ``a[..., 0] + a[..., 1]``,
-and ``np.linalg.norm`` over x/y is ``np.sqrt(x * x + y * y)`` (``np.hypot``
+All geometry reads coordinate planes: the x and y of a group of cells are
+two ``(C, n)`` arrays (an edge list is two endpoint columns).  Validation
+gathers them from the raw cycles.  On a mesh,
+:meth:`PolygonalMesh.grouped_planes` hands out the cell ids, the cycles and
+their planes per vertex count, and :func:`quality_report`, the diameter and
+area of the mesh, corner refinement and assembly all read it.  Each derives
+what it needs from the same kernels: :func:`_edge_arrays` (tangents, lengths
+and the shoelace terms of the area), :func:`_diameter` and, for refinement,
+:func:`_area_centroid`.  Anything with two components is written out,
+``dx * dx + dy * dy``, never a sum, sort, ``norm``, ``ptp`` or
+``all``/``any`` over an axis of length 2.  numpy runs such a reduction as
+one short inner loop per row: on a 2-vCPU host the squared lengths of
+``(4096, 6, 2)`` take 505 us as a sum and 47 us written out on planes, and
+``ptp`` over the vertex axis takes 570 us against 41 us for the same
+extremes taken one vertex column at a time.  The written-out forms are
+bit-identical: a two-term reduction is ``a[..., 0] + a[..., 1]``, and
+``np.linalg.norm`` over x/y is ``np.sqrt(x * x + y * y)`` (``np.hypot``
 is not).  Sums over the vertex axis must keep numpy's order: a reduction over
 axis -2 of ``(..., n, 2)`` adds from the first vertex on, which
 :func:`_vertex_sum` writes out, while the last-axis sums (area, perimeter)
@@ -102,25 +108,6 @@ _KERNEL_CHUNK = 1 << 16
 _ON_SEGMENT_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometric data of one polygonal cell, or of a batch (leading cell axis)."""
-
-    vertex_ids: np.ndarray          # global vertex indices, CCW
-    coords: np.ndarray              # (n, 2) vertex coordinates, CCW
-    area: float
-    diameter: float
-    centroid: np.ndarray            # area centroid
-    boundary_length: float
-    boundary_centroid: np.ndarray   # edge-length weighted mean of vertices
-    edge_lengths: np.ndarray        # (n,)
-    edge_normals: np.ndarray        # (n, 2) outward unit normals
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertex_ids.shape[-1]
-
-
 @dataclass
 class PolygonalMesh:
     """Validated conforming polygonal mesh with marked boundary."""
@@ -150,18 +137,19 @@ class PolygonalMesh:
     def gamma0_vertices(self) -> np.ndarray:
         return _sorted_unique(np.array(self.gamma0_edges(), dtype=int).ravel())
 
-    def grouped_geometry(self) -> list[tuple[np.ndarray, ElementGeometry]]:
-        """``(cell ids, batched geometry)`` per vertex count, ascending."""
-        return [(ids, polygon_geometry(self.vertices, self.cell_vertices[slots]))
-                for ids, slots in _size_groups(self.cell_ptr)]
+    def grouped_planes(self) -> list[tuple[np.ndarray, ...]]:
+        """``(cell ids, cycles, x, y)`` per vertex count n, ascending: the
+        ``(C, n)`` CCW vertex cycles and their coordinate planes."""
+        vx, vy = self.vertices[:, 0], self.vertices[:, 1]
+        groups = [(ids, self.cell_vertices[slots]) for ids, slots in _size_groups(self.cell_ptr)]
+        return [(ids, cycles, vx[cycles], vy[cycles]) for ids, cycles in groups]
 
     def max_diameter(self) -> float:
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        cycles = [self.cell_vertices[slots] for _, slots in _size_groups(self.cell_ptr)]
-        return max(float(_diameter(x[c], y[c]).max()) for c in cycles)
+        return max(float(_diameter(x, y).max()) for *_, x, y in self.grouped_planes())
 
     def total_area(self) -> float:
-        return float(sum(g.area.sum() for _, g in self.grouped_geometry()))
+        return float(sum((0.5 * np.sum(_edge_arrays(x, y)[-1], axis=-1)).sum()
+                         for *_, x, y in self.grouped_planes()))
 
 
 @dataclass
@@ -211,6 +199,16 @@ def _vertex_sum(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, np.moveaxis(a, -1, 0))
 
 
+def _area_centroid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the area centroids of CCW ``(..., n)`` cycles given as
+    coordinate planes: shoelace moments on the planes relative to each
+    cycle's first vertex (:func:`_edge_arrays`), which is added back last."""
+    u, v, cross = _edge_arrays(x, y)[3:]
+    six_area = 6.0 * (0.5 * np.sum(cross, axis=-1))
+    return tuple(c[..., 0] + _vertex_sum((r + np.roll(r, -1, axis=-1)) * cross) / six_area
+                 for c, r in ((x, u), (y, v)))
+
+
 def _turn_sign(a, b):
     """Elementwise sign of the cross product a - b of two edge vectors, given
     its two products; 0 (no turn) where it is at most ``ZERO_EDGE_REL_TOL``
@@ -246,6 +244,14 @@ def _is_index_type(t: type) -> bool:
 
 def _is_index(v) -> bool:
     return _is_index_type(type(v))
+
+
+def _is_point(v) -> bool:
+    """Whether ``v`` converts to two floats, as :func:`build_mesh` reads a vertex."""
+    try:
+        return np.shape(np.asarray(v, dtype=float)) == (2,)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _size_groups(cell_ptr) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -317,16 +323,24 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     marker ``"gamma0"`` or ``"gamma1"``.  Cells with negative signed area
     are reversed so every stored cycle is counter-clockwise.
 
-    The raw cells get the one check that needs Python objects: each is a
-    sequence of integer vertex indices.  It runs once per distinct cell type
-    and once per distinct entry type, and cell by cell only when one of those
-    fails.  The cells are then packed into CSR arrays, a cell that fails the
-    check as an empty cycle, and :func:`_validate_csr` runs every other check
-    on the arrays and raises the type faults with its own.  Raises the mesh
-    error matching the first violated invariant: the first faulty cell in
-    cell order, and within it the first failed check.
+    The vertices are converted to a float array in one call; only when that
+    fails are they read one by one, to name the first that is not two real
+    numbers.  The raw cells get the one check that needs Python objects: each
+    is a sequence of integer vertex indices.  That check runs once per
+    distinct cell type and once per distinct entry type, and cell by cell
+    only when one of those fails.  The cells are then packed into CSR
+    arrays, a cell that fails the check as an empty cycle, and
+    :func:`_validate_csr` runs every other check on the arrays and raises the
+    type faults with its own.  Raises the mesh error matching the first
+    violated invariant: the first faulty cell in cell order, and within it
+    the first failed check.
     """
-    verts = np.asarray(vertices, dtype=float)
+    try:
+        verts = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        bad = next((k for k, v in enumerate(vertices) if not _is_point(v)), None)
+        raise MeshError("vertices must be a non-empty (n, 2) array" if bad is None
+                        else f"vertex {bad}: not two real numbers") from None
     cell_types = (Sequence, np.ndarray)
     # entries are read only once every cell type has passed: a cell that is
     # not a sequence need not be iterable
@@ -611,72 +625,43 @@ def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
-def polygon_geometry(vertices: np.ndarray, cycles: np.ndarray) -> ElementGeometry:
-    """Geometry of CCW ``(..., n)`` vertex cycles: one cell, or a batch of
-    same-size cells as one array computation.  The boundary centroid is the
-    edge-trapezoid mean of the coordinates, exact for linear traces.  Both
-    centroids are sums over the planes relative to the first vertex
-    (:func:`_edge_arrays`), which is added back last."""
-    x, y = vertices[:, 0][cycles], vertices[:, 1][cycles]
-    tx, ty, lengths, u, v, cross = _edge_arrays(x, y)
-    area = 0.5 * np.sum(cross, axis=-1)
-    normals = np.stack((ty, -tx), axis=-1) / lengths[..., None]
-    # (..., 2, n): u_k + u_{k+1} and v_k + v_{k+1}
-    ends = np.stack((u + np.roll(u, -1, axis=-1), v + np.roll(v, -1, axis=-1)), axis=-2)
-    origin = np.stack((x[..., 0], y[..., 0]), axis=-1)
-    centroid = origin + _vertex_sum(ends * cross[..., None, :]) / (6.0 * area)[..., None]
-    boundary_length = np.sum(lengths, axis=-1)
-    boundary_centroid = origin + (_vertex_sum(0.5 * ends * lengths[..., None, :])
-                                  / boundary_length[..., None])
-
-    return ElementGeometry(
-        vertex_ids=cycles,
-        coords=np.stack((x, y), axis=-1),
-        area=area,
-        diameter=_diameter(x, y),
-        centroid=centroid,
-        boundary_length=boundary_length,
-        boundary_centroid=boundary_centroid,
-        edge_lengths=lengths,
-        edge_normals=normals,
-    )
-
-
-def element_geometry(mesh: PolygonalMesh, cell: int) -> ElementGeometry:
-    ptr = mesh.cell_ptr
-    return polygon_geometry(mesh.vertices, mesh.cell_vertices[ptr[cell]:ptr[cell + 1]])
-
-
-def _chebyshev_radius(coords: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Radius of the largest disk in the kernel of each of the CCW ``(C, n, 2)``
-    cycles with outward unit edge normals ``(C, n, 2)``; negative where the
-    kernel is empty.
+def _chebyshev_radius(x, y, nx, ny) -> np.ndarray:
+    """Radius of the largest disk in the kernel of each of the CCW ``(C, n)``
+    cycles given as coordinate planes, with the planes ``nx, ny`` of their
+    outward unit edge normals; negative where the kernel is empty.
 
     The disk's center x maximises r subject to n_e . x + r <= n_e . v_e on
     every edge e, and three of these constraints are active at the optimum.
     Each edge triple gives a candidate center (singular triples are skipped),
     scored by its clearance from all n edge lines.  No candidate scores above
     the optimum and the optimal triple attains it, so the best score is the
-    radius with no feasibility tolerance.  Cells go in chunks of at most
-    ``_KERNEL_CHUNK`` (cell, triple, edge) entries.
+    radius with no feasibility tolerance.  No chunk holds more than
+    ``_KERNEL_CHUNK`` (cell, triple, edge) entries: cells go in chunks, and
+    when one cell's C(n, 3) n entries exceed that, its triples do too, and
+    the radius is the running maximum over them, which is exact.
     """
-    n = coords.shape[-2]
+    n = x.shape[-1]
     triples = np.array(list(combinations(range(n), 3)))
-    offsets = normals[..., 0] * coords[..., 0] + normals[..., 1] * coords[..., 1]   # n_e . v_e
-    radius = np.empty(len(coords))
+    normals = np.stack((nx, ny), axis=-1)                  # (C, n, 2)
+    offsets = nx * x + ny * y                              # n_e . v_e
+    radius = np.full(len(x), -np.inf)
     step = max(1, _KERNEL_CHUNK // (len(triples) * n))
-    for lo in range(0, len(coords), step):
+    per = max(1, _KERNEL_CHUNK // (step * n))              # triples per chunk
+    for lo in range(0, len(x), step):
         nrm, off = normals[lo:lo + step], offsets[lo:lo + step]
-        rows = nrm[:, triples]                             # (c, T, 3, 2)
-        d, e = rows[:, :, 1] - rows[:, :, 0], rows[:, :, 2] - rows[:, :, 0]
-        singular = np.abs(d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]) \
-            <= _SINGULAR_TRIPLE_TOL
-        system = np.concatenate((rows, np.ones(rows.shape[:-1] + (1,))), axis=-1)
-        system[singular] = np.eye(3)
-        center = np.linalg.solve(system, off[:, triples, None])[..., :2, 0]
-        clearance = np.min(off[:, None, :] - center @ nrm.transpose(0, 2, 1), axis=-1)
-        clearance[singular] = -np.inf
-        radius[lo:lo + step] = clearance.max(axis=1)
+        for t in range(0, len(triples), per):
+            tri = triples[t:t + per]
+            rows = nrm[:, tri]                             # (c, T, 3, 2)
+            d, e = rows[:, :, 1] - rows[:, :, 0], rows[:, :, 2] - rows[:, :, 0]
+            singular = np.abs(d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]) \
+                <= _SINGULAR_TRIPLE_TOL
+            system = np.concatenate((rows, np.ones(rows.shape[:-1] + (1,))), axis=-1)
+            system[singular] = np.eye(3)
+            center = np.linalg.solve(system, off[:, tri, None])[..., :2, 0]
+            clearance = np.min(off[:, None, :] - center @ nrm.transpose(0, 2, 1), axis=-1)
+            clearance[singular] = -np.inf
+            np.maximum(radius[lo:lo + step], clearance.max(axis=1),
+                       out=radius[lo:lo + step])
     return radius
 
 
@@ -691,11 +676,11 @@ def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
     star-shapedness is reported, never enforced.
     """
     star, edge_ratio = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
-    for cells, geom in mesh.grouped_geometry():
-        edge_ratio[cells] = geom.edge_lengths.min(axis=-1) / geom.diameter
-        rho = _chebyshev_radius(geom.coords, geom.edge_normals)
-        star[cells] = np.where(rho > EMPTY_KERNEL_REL_TOL * geom.diameter,
-                               rho / geom.diameter, np.nan)
+    for cells, _, x, y in mesh.grouped_planes():
+        (tx, ty, lengths), diameter = _edge_arrays(x, y)[:3], _diameter(x, y)
+        edge_ratio[cells] = lengths.min(axis=-1) / diameter
+        rho = _chebyshev_radius(x, y, ty / lengths, -tx / lengths)
+        star[cells] = np.where(rho > EMPTY_KERNEL_REL_TOL * diameter, rho / diameter, np.nan)
     finite = star[np.isfinite(star)]
     return MeshQualityReport(
         star_ratio=star,

@@ -57,8 +57,10 @@ from .mesh import (
     GAMMA0,
     GAMMA1,
     PolygonalMesh,
+    _area_centroid,
     _bucket_join,
     _component_labels,
+    _diameter,
     _hanging_nodes,
     _near_segment,
     _validate_csr,
@@ -349,8 +351,8 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
         raise InvalidN("refinement level must be >= 1")
     w = _refinement_halfwidth(level, N)
     bary, h = np.empty((mesh.n_cells, 2)), np.empty(mesh.n_cells)
-    for cells, geom in mesh.grouped_geometry():
-        bary[cells], h[cells] = geom.centroid, geom.diameter
+    for cells, _, x, y in mesh.grouped_planes():
+        bary[cells], h[cells] = np.column_stack(_area_centroid(x, y)), _diameter(x, y)
     inside = np.logical_and(*(np.abs(bary - 0.5) <= w + 1e-12).T)
 
     # corners = patch cell vertices where the boundary actually turns

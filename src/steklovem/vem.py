@@ -24,8 +24,9 @@ the group's edge vectors, each a ``(C, n)`` array, and writes A_K as
 G^T h + h^T G with h = M G / 2 - c, two rank-2 outer products, plus the
 cyclic tridiagonal S_K: no ``(C, n, n)`` P, I - P or S_K and no batched
 matrix product.  All stiffness and all gamma0 edge-mass entries go to CSR once
-each, with int32 indices.  :func:`local_operators` keeps the projector form
-for one cell; it is the reference the tests hold assembly to.
+each, with int32 indices.  :func:`local_operators` takes one cell's
+counter-clockwise ``(n, 2)`` vertex coordinates and keeps the projector form;
+it is the reference the tests hold assembly to.
 
 :func:`assemble_global` returns A, B and the shift sigma = 1 / |gamma0| of
 the definite matrix Ahat = A + sigma B that the eigensolver factors; Ahat
@@ -42,8 +43,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import DegenerateElement, ZeroLengthEdge
-from .mesh import (VANISHING_AREA_REL_TOL, ElementGeometry, PolygonalMesh, _diameter,
-                   _edge_arrays, _size_groups, raise_first_fault)
+from .mesh import (VANISHING_AREA_REL_TOL, PolygonalMesh, _diameter, _edge_arrays,
+                   raise_first_fault)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,8 @@ def _cell_planes(mesh: PolygonalMesh, alpha: float) -> list[tuple]:
     """``(cycles, |K|, tx, ty, w)`` per vertex-count group, ascending: the
     ``(C, n)`` vertex cycles, the areas, the x/y planes of the edge vectors and
     the edge weights w_e = h_K^alpha / |e|; cells checked in cell order."""
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
     stats, groups = np.empty((3, mesh.n_cells)), []
-    for ids, slots in _size_groups(mesh.cell_ptr):
-        cycles = mesh.cell_vertices[slots]
-        x, y = vx[cycles], vy[cycles]
+    for ids, cycles, x, y in mesh.grouped_planes():
         tx, ty, lengths, *_, cross = _edge_arrays(x, y)
         area, diameter = 0.5 * np.sum(cross, axis=-1), _diameter(x, y)
         stats[:, ids] = area, diameter, lengths.min(axis=-1)
@@ -171,22 +169,29 @@ def _stiffness(area, tx, ty, w, out: np.ndarray) -> None:
     flat[:, [n - 1, n * (n - 1)]] -= w[:, -1:]       # (0, n - 1), (n - 1, 0)
 
 
-def local_operators(geom: ElementGeometry,
-                    spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
-    """Projector, stabilization and stiffness of one cell in the projector form;
+def local_operators(coords, spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
+    """Projector, stabilization and stiffness in the projector form of the
+    cell with the counter-clockwise ``(n, 2)`` vertex coordinates ``coords``;
     the reference the closed-form assembly of :func:`assemble_global` is
-    tested against.  Edge e joins vertices e and e + 1."""
-    raise_first_fault(_element_faults(geom.area, geom.diameter, geom.edge_lengths.min()))
-    n = geom.n_vertices
-    half = 0.5 * geom.edge_lengths
-    flux = half[:, None] * geom.edge_normals
-    G = (flux + np.roll(flux, 1, axis=0)).T / geom.area
-    mean_row = (half + np.roll(half, 1)) / geom.boundary_length
-    P = mean_row + (geom.coords - geom.boundary_centroid) @ G
+    tested against.  Edge e joins vertices e and e + 1.  The area, edge
+    lengths, outward unit normals and diameter come from the kernels of
+    :mod:`steklovem.mesh`, and the boundary centroid is ``mean_row @
+    coords``."""
+    coords = np.asarray(coords, dtype=float)
+    x, y = coords[:, 0], coords[:, 1]
+    tx, ty, lengths, *_, cross = _edge_arrays(x, y)
+    area, diameter = 0.5 * np.sum(cross), _diameter(x, y)
+    raise_first_fault(_element_faults(area, diameter, lengths.min()))
+    n = len(coords)
+    half, normals = 0.5 * lengths, np.column_stack((ty, -tx)) / lengths[:, None]
+    flux = half[:, None] * normals
+    G = (flux + np.roll(flux, 1, axis=0)).T / area
+    mean_row = (half + np.roll(half, 1)) / np.sum(lengths)
+    P = mean_row + (coords - mean_row @ coords) @ G
     D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)       # row e: d_e
-    S = D.T @ ((geom.diameter ** spec.alpha / geom.edge_lengths)[:, None] * D)
+    S = D.T @ ((diameter ** spec.alpha / lengths)[:, None] * D)
     Q = np.eye(n) - P
-    A_K = geom.area * (G.T @ G) + Q.T @ S @ Q
+    A_K = area * (G.T @ G) + Q.T @ S @ Q
     return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=0.5 * (A_K + A_K.T), S_K=S)
 
 

@@ -19,7 +19,7 @@ from steklovem.analysis import (
     run_study,
 )
 from steklovem.eig import dense_reference_solve, solve_steklov
-from steklovem.mesh import GAMMA0, build_mesh, element_geometry
+from steklovem.mesh import GAMMA0, _edge_arrays, build_mesh
 from steklovem.meshgen import FAMILIES, gen_lshape_uniform, refine_lshape_corner
 from steklovem.vem import (
     StabilizationSpec,
@@ -191,31 +191,32 @@ def test_criterion_7_property_suite():
     verts = np.array([[0, 0], [1.3, -0.1], [1.5, 0.9], [0.7, 1.4],
                       [-0.2, 0.8]])
     bnd = [(i, (i + 1) % 5, GAMMA0) for i in range(5)]
-    g = element_geometry(build_mesh(verts, [[0, 1, 2, 3, 4]], bnd), 0)
-    ops = local_operators(g, StabilizationSpec())
+    pentagon = build_mesh(verts, [[0, 1, 2, 3, 4]], bnd)
+    coords, area = pentagon.vertices[pentagon.cells[0]], pentagon.total_area()
+    ops = local_operators(coords, StabilizationSpec())
     G, P = ops.G, ops.P
-    w = 0.7 + 1.1 * g.coords[:, 0] - 2.3 * g.coords[:, 1]
+    w = 0.7 + 1.1 * coords[:, 0] - 2.3 * coords[:, 1]
     if not (np.allclose(G @ w, [1.1, -2.3], atol=1e-13)
             and np.allclose(P @ w, w, atol=1e-13)):
         problems.append("P1 reproduction")
 
     # patch test
     A = ops.A_K
-    wl = 0.5 * g.coords[:, 0] + 2.0 * g.coords[:, 1]
-    if abs(wl @ A @ wl - g.area * (0.25 + 4.0)) > 1e-12 * g.area * 4.25:
+    wl = 0.5 * coords[:, 0] + 2.0 * coords[:, 1]
+    if abs(wl @ A @ wl - area * (0.25 + 4.0)) > 1e-12 * area * 4.25:
         problems.append("patch test")
 
     # triangle = P1 FEM (cot formula)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
     bnd3 = [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)]
-    gt = element_geometry(build_mesh(tri, [[0, 1, 2]], bnd3), 0)
-    At = local_operators(gt, StabilizationSpec()).A_K
+    triangle = build_mesh(tri, [[0, 1, 2]], bnd3)
+    At = local_operators(triangle.vertices[triangle.cells[0]], StabilizationSpec()).A_K
     fem = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
             ei = tri[(i + 2) % 3] - tri[(i + 1) % 3]
             ej = tri[(j + 2) % 3] - tri[(j + 1) % 3]
-            fem[i, j] = np.dot(ei, ej) / (4.0 * gt.area)
+            fem[i, j] = np.dot(ei, ej) / (4.0 * triangle.total_area())
     if not np.allclose(At, fem, atol=1e-12):
         problems.append("triangle FEM equivalence")
 
@@ -342,13 +343,13 @@ def test_criterion_8_small_edge_robustness():
         np.linalg.cholesky(system.Ahat.toarray())
     except np.linalg.LinAlgError:
         problems.append("Ahat Cholesky on perturbed mesh")
-    for cell in range(mesh.n_cells):
-        g = element_geometry(mesh, cell)
-        if g.n_vertices == 4:
+    for cell, ids in enumerate(mesh.cells):
+        if len(ids) == 4:
             continue
-        ops = local_operators(g, StabilizationSpec())
+        coords = mesh.vertices[ids]
+        ops = local_operators(coords, StabilizationSpec())
         G, P = ops.G, ops.P
-        w = 1.0 + 2.0 * g.coords[:, 0] - 0.5 * g.coords[:, 1]
+        w = 1.0 + 2.0 * coords[:, 0] - 0.5 * coords[:, 1]
         if not (np.allclose(G @ w, [2.0, -0.5], atol=1e-10)
                 and np.allclose(P @ w, w, atol=1e-10)):
             problems.append(f"P1 reproduction on tiny-edge cell {cell}")
@@ -356,7 +357,8 @@ def test_criterion_8_small_edge_robustness():
         A = ops.A_K
         energy = w @ A @ w
         noise = np.abs(A).max() * np.abs(w).max() ** 2 * 1e-14
-        if abs(energy - g.area * 4.25) > 1e-9 + noise:
+        area = 0.5 * np.sum(_edge_arrays(*coords.T)[-1])
+        if abs(energy - area * 4.25) > 1e-9 + noise:
             problems.append(f"patch test on tiny-edge cell {cell}")
             break
 

@@ -136,6 +136,18 @@ def test_invalid_mesh_file_exits_2(capsys, tmp_path, case):
     assert "lambda" not in out
 
 
+def test_malformed_coordinate_exits_2_without_traceback(tmp_path):
+    # numpy's float conversion raises TypeError on a coordinate {}; the
+    # command must turn it into an error line and exit 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, {}], [1, 1], [0, 1]],
+                                "cells": [[0, 1, 2, 3]], "boundary": SQUARE_BOUNDARY}))
+    child = run_child("-m", "steklovem.cli", "check-mesh", str(path), check=False)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: ")
+    assert "Traceback" not in child.stderr
+
+
 @pytest.mark.parametrize("argv", [["--family", "t2", "--N", "8", "--refine-level", "1"],
                                   ["--family", "t6", "--N", "8", "--refine-level", "-2"],
                                   ["--family", "t1", "--N", "4", "--refine-level", "-1"]])
@@ -323,13 +335,18 @@ def test_study_bad_levels_exit_2(capsys):
 # import cost
 
 
-def run_probe(code):
-    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+def run_child(*argv, check=True):
+    """``python *argv`` run in a fresh interpreter that imports this package."""
     package = Path(steklovem.__file__).parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(package.parent), os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, check=check, timeout=120)
+
+
+def run_probe(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+    return run_child("-c", code).stdout
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
@@ -388,9 +405,8 @@ EXPORTS = {
     "analysis": ["ConvergenceStudy", "exact_square_eigenvalue", "extrapolate", "fit_order",
                  "run_study"],
     "eig": ["EigenResult", "dense_reference_solve", "eigenfunction_field", "solve_steklov"],
-    "mesh": ["GAMMA0", "GAMMA1", "ElementGeometry", "MeshQualityReport", "PolygonalMesh",
-             "build_mesh", "element_geometry", "load_mesh_json", "quality_report",
-             "save_mesh_json"],
+    "mesh": ["GAMMA0", "GAMMA1", "MeshQualityReport", "PolygonalMesh", "build_mesh",
+             "load_mesh_json", "quality_report", "save_mesh_json"],
     "meshgen": ["FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
                 "gen_square_perturbed_triangles", "refine_lshape_corner"],
     "vem": ["GlobalSystem", "LocalOperators", "StabilizationSpec", "assemble_global",

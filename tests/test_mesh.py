@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,12 +31,12 @@ from steklovem.mesh import (
     ZERO_EDGE_REL_TOL,
     build_mesh,
     edge_table,
-    element_geometry,
     load_mesh_json,
     quality_report,
     save_mesh_json,
 )
 from steklovem.meshgen import FAMILIES
+from steklovem.vem import local_operators
 
 SQUARE_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_BND = [(0, 1, GAMMA1), (1, 2, GAMMA1), (2, 3, GAMMA0), (3, 0, GAMMA1)]
@@ -43,6 +44,18 @@ SQUARE_BND = [(0, 1, GAMMA1), (1, 2, GAMMA1), (2, 3, GAMMA0), (3, 0, GAMMA1)]
 
 def unit_square_mesh():
     return build_mesh(SQUARE_VERTS, [[0, 1, 2, 3]], SQUARE_BND)
+
+
+def cell_planes(mesh, c):
+    """The x and y planes of cell c's CCW vertex cycle."""
+    return mesh.vertices[mesh.cells[c]].T
+
+
+def edge_geometry(x, y):
+    """Area, edge lengths and outward unit edge normals (ty, -tx) / |e| of one
+    CCW cell, by the shoelace and edge kernel, as quality_report takes them."""
+    tx, ty, lengths, *_, cross = mesh_module._edge_arrays(x, y)
+    return 0.5 * np.sum(cross), lengths, np.column_stack((ty, -tx)) / lengths[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +80,7 @@ def test_two_triangles_share_diagonal():
 
 def test_clockwise_cycle_is_reoriented():
     mesh = build_mesh(SQUARE_VERTS, [[3, 2, 1, 0]], SQUARE_BND)
-    assert element_geometry(mesh, 0).area == pytest.approx(1.0)
+    assert edge_geometry(*cell_planes(mesh, 0))[0] == pytest.approx(1.0)
 
 
 def test_hanging_node_in_one_cycle_only_is_nonconforming():
@@ -281,6 +294,30 @@ def test_rejection_table(case):
     assert type(info.value) is kind, info.value
     assert cell_named(info.value) == cell, info.value
     assert fragment in str(info.value)
+
+
+# vertex lists that numpy cannot read as one float array, or reads with the
+# wrong shape; kept out of REJECTIONS, whose CSR-validator twin converts the
+# vertices itself
+MALFORMED_VERTICES = {
+    "dict_coordinate": ([[0, 0], [1, {}], [1, 1], [0, 1]], "vertex 1: not two real numbers"),
+    "empty_coordinate": ([[0, 0], [1, []], [1, 1], [0, 1]], "vertex 1: not two real numbers"),
+    "string_coordinate": ([[0, 0], [1, 0], [1, "x"], [0, {}]],
+                          "vertex 2: not two real numbers"),
+    "nested_coordinate": ([[0, 0], [1, [2]], [1, 1], [0, 1]], "vertex 1: not two real numbers"),
+    "three_columns": ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+                      "vertices must be a non-empty (n, 2) array"),
+    "no_vertices": ([], "vertices must be a non-empty (n, 2) array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VERTICES))
+def test_malformed_vertices_rejected(case):
+    verts, message = MALFORMED_VERTICES[case]
+    with pytest.raises(MeshError) as info:
+        build_mesh(verts, [[0, 1, 2, 3]], SQUARE_BND)
+    assert type(info.value) is MeshError, info.value
+    assert str(info.value) == message
 
 
 def csr(cells):
@@ -663,20 +700,23 @@ def test_bucket_join_finds_every_point_of_every_box_once(seed, scale):
 
 
 def test_square_geometry():
-    g = element_geometry(unit_square_mesh(), 0)
-    assert g.area == pytest.approx(1.0)
-    assert g.diameter == pytest.approx(math.sqrt(2.0))
-    assert g.boundary_length == pytest.approx(4.0)
-    assert g.boundary_centroid == pytest.approx((0.5, 0.5))
+    mesh = unit_square_mesh()
+    area, lengths, _ = edge_geometry(*cell_planes(mesh, 0))
+    coords = mesh.vertices[mesh.cells[0]]
+    assert area == pytest.approx(1.0)
+    assert mesh.max_diameter() == pytest.approx(math.sqrt(2.0))
+    assert np.sum(lengths) == pytest.approx(4.0)
+    assert local_operators(coords).mean_row @ coords == pytest.approx((0.5, 0.5))
 
 
 def test_triangle_geometry():
     verts = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
     bnd = [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 0, GAMMA0)]
-    g = element_geometry(build_mesh(verts, [[0, 1, 2]], bnd), 0)
-    assert g.area == pytest.approx(0.5)
-    assert g.diameter == pytest.approx(math.sqrt(2.0))
-    assert g.boundary_length == pytest.approx(2.0 + math.sqrt(2.0))
+    mesh = build_mesh(verts, [[0, 1, 2]], bnd)
+    area, lengths, _ = edge_geometry(*cell_planes(mesh, 0))
+    assert area == pytest.approx(0.5)
+    assert mesh.max_diameter() == pytest.approx(math.sqrt(2.0))
+    assert np.sum(lengths) == pytest.approx(2.0 + math.sqrt(2.0))
 
 
 def test_flat_vertex_does_not_change_geometry():
@@ -684,11 +724,12 @@ def test_flat_vertex_does_not_change_geometry():
     verts = np.array([[0, 0], [t, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     bnd = [(0, 1, GAMMA0), (1, 2, GAMMA0), (2, 3, GAMMA0), (3, 4, GAMMA0),
            (4, 0, GAMMA0)]
-    g = element_geometry(build_mesh(verts, [[0, 1, 2, 3, 4]], bnd), 0)
-    assert g.area == pytest.approx(1.0)
-    assert g.diameter == pytest.approx(math.sqrt(2.0))
-    assert len(g.edge_lengths) == 5
-    assert g.edge_lengths.min() == pytest.approx(t)
+    mesh = build_mesh(verts, [[0, 1, 2, 3, 4]], bnd)
+    area, lengths, _ = edge_geometry(*cell_planes(mesh, 0))
+    assert area == pytest.approx(1.0)
+    assert mesh.max_diameter() == pytest.approx(math.sqrt(2.0))
+    assert len(lengths) == 5
+    assert lengths.min() == pytest.approx(t)
 
 
 def test_geometry_translation_invariance():
@@ -696,24 +737,27 @@ def test_geometry_translation_invariance():
     shifted = build_mesh(mesh.vertices + np.array([3.0, -7.0]),
                          mesh.cells, mesh.boundary_edges)
     for c in range(mesh.n_cells):
-        a, b = element_geometry(mesh, c), element_geometry(shifted, c)
-        assert a.area == pytest.approx(b.area, rel=1e-12)
-        assert a.diameter == pytest.approx(b.diameter, rel=1e-12)
-        np.testing.assert_allclose(a.edge_lengths, b.edge_lengths, rtol=1e-12)
+        a, b = cell_planes(mesh, c), cell_planes(shifted, c)
+        (area_a, lengths_a, _), (area_b, lengths_b, _) = edge_geometry(*a), edge_geometry(*b)
+        assert area_a == pytest.approx(area_b, rel=1e-12)
+        assert mesh_module._diameter(*a) == pytest.approx(mesh_module._diameter(*b), rel=1e-12)
+        np.testing.assert_allclose(lengths_a, lengths_b, rtol=1e-12)
         np.testing.assert_allclose(
-            np.asarray(b.centroid) - np.asarray(a.centroid), [3.0, -7.0],
-            atol=1e-12)
+            np.subtract(mesh_module._area_centroid(*b), mesh_module._area_centroid(*a)),
+            [3.0, -7.0], atol=1e-12)
 
 
 def test_outward_normals_point_away_from_centroid():
     mesh = FAMILIES["t6"](4)
     for c in range(mesh.n_cells):
-        g = element_geometry(mesh, c)
-        n = g.n_vertices
+        x, y = cell_planes(mesh, c)
+        coords, normals = np.column_stack((x, y)), edge_geometry(x, y)[2]
+        centroid = np.array(mesh_module._area_centroid(x, y))
+        n = len(coords)
         for e in range(n):
             i, j = e, (e + 1) % n
-            mid = 0.5 * (g.coords[i] + g.coords[j])
-            assert np.dot(g.edge_normals[e], mid - g.centroid) > 0.0
+            mid = 0.5 * (coords[i] + coords[j])
+            assert np.dot(normals[e], mid - centroid) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +790,12 @@ def single_cell_mesh(verts):
 def grid_search_clearance(mesh, xs, ys):
     """Brute force: the largest clearance from all edge lines of the single
     cell over the grid points ``xs x ys``."""
-    g = element_geometry(mesh, 0)
+    x, y = cell_planes(mesh, 0)
+    normals = edge_geometry(x, y)[2]
     cx, cy = np.meshgrid(xs, ys, indexing="ij")
-    offsets = np.sum(g.edge_normals * g.coords, axis=1)
-    clearance = np.min(offsets - cx[..., None] * g.edge_normals[:, 0]
-                       - cy[..., None] * g.edge_normals[:, 1], axis=-1)
+    offsets = np.sum(normals * np.column_stack((x, y)), axis=1)
+    clearance = np.min(offsets - cx[..., None] * normals[:, 0]
+                       - cy[..., None] * normals[:, 1], axis=-1)
     return float(clearance.max())
 
 
@@ -764,8 +809,7 @@ def test_star_ratio_lshaped_hexagon_vs_grid_search():
     # inner half-planes of all six edges)
     xs = np.linspace(0.0, 2.0, 401)
     best = grid_search_clearance(mesh, xs, xs)
-    g = element_geometry(mesh, 0)
-    assert star_ratio(mesh) == pytest.approx(best / g.diameter, abs=1e-3)
+    assert star_ratio(mesh) == pytest.approx(best / mesh.max_diameter(), abs=1e-3)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -778,6 +822,23 @@ def test_star_ratio_regular_polygon_closed_form(n):
     assert star_ratio(mesh) == pytest.approx(inradius / diameter, rel=1e-13)
 
 
+def test_star_ratio_many_sided_cell_in_bounded_memory():
+    # one regular 64-gon holds C(64, 3) * 64 = 2.7 million (triple, edge)
+    # entries; its triples go in chunks of at most _KERNEL_CHUNK entries, so
+    # the report's traced peak stays at a few MiB (48.9 MiB unchunked)
+    n = 64
+    theta = 0.3 + 2.0 * math.pi * np.arange(n) / n
+    mesh = single_cell_mesh(1.7 * np.column_stack((np.cos(theta), np.sin(theta))))
+    tracemalloc.start()
+    try:
+        ratio = star_ratio(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratio == pytest.approx(0.5 * math.cos(math.pi / n), rel=1e-13)
+    assert peak < 12 * 2**20
+
+
 # the edges on y = 0, y = x and y = -x confine the kernel to the origin
 POINT_KERNEL = [[1, 0], [3, 0], [3, 3], [2, 2], [-2, 2], [-3, 3], [-3, -3]]
 # staircase octagon: one wall demands x >= 2, another x <= 1
@@ -786,11 +847,12 @@ STAIRCASE = [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 2], [0, 2]]
 
 def test_star_ratio_invariant_under_rigid_motion_and_scale():
     rng = np.random.default_rng(7)
+    t5 = FAMILIES["t5"](4)
     polygons = [
         L_HEXAGON,
         # a square with a hanging node on every edge: flat-angle vertices
         [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1]],
-        element_geometry(FAMILIES["t5"](4), 5).coords,
+        t5.vertices[t5.cells[5]],
     ]
     for verts in map(np.asarray, polygons):
         base = star_ratio(single_cell_mesh(verts))
@@ -811,7 +873,7 @@ def test_star_ratio_random_polygons_vs_grid_search():
         radii = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, n)
         mesh = single_cell_mesh(radii[:, None] * np.column_stack((np.cos(theta),
                                                                   np.sin(theta))))
-        rho = star_ratio(mesh) * element_geometry(mesh, 0).diameter
+        rho = star_ratio(mesh) * mesh.max_diameter()
         xs = np.linspace(-1.5, 1.5, 301)
         best = grid_search_clearance(mesh, xs, xs)
         # clearance is 1-Lipschitz: the optimum lies within half a grid
@@ -861,7 +923,7 @@ def test_quality_small_edges_decay_linearly():
 def test_quality_smallest_edge_matches_he_squared():
     for N in (4, 8):
         mesh = FAMILIES["t2"](N)
-        shortest = min(element_geometry(mesh, c).edge_lengths.min()
+        shortest = min(edge_geometry(*cell_planes(mesh, c))[1].min()
                        for c in range(mesh.n_cells))
         he = math.sqrt(2.0) / (2.0 * N)   # half-diagonal sub-edge length
         assert shortest == pytest.approx(he ** 2, rel=1e-12)

@@ -16,10 +16,11 @@ from steklovem import meshgen
 from steklovem.errors import InvalidN, MeshError, NonConforming
 from steklovem.mesh import (
     GAMMA0,
+    _area_centroid,
     _bucket_join,
+    _edge_arrays,
     _validate_csr,
     edge_table,
-    element_geometry,
     mesh_to_dict,
     quality_report,
 )
@@ -69,11 +70,10 @@ def test_glued_square_interface_cells_have_small_edges():
     minima = []
     for N in (8, 16):
         mesh = gen_square_glued(N)
+        edge_ratio = quality_report(mesh).min_edge_ratio   # min_e |e| / h_K
         interface, interior = [], []
-        for c in range(mesh.n_cells):
-            g = element_geometry(mesh, c)
-            ratio = g.edge_lengths.min() / g.diameter
-            touches = np.any(np.abs(g.coords[:, 1] - 0.6) < 1e-12)
+        for ids, ratio in zip(mesh.cells, edge_ratio):
+            touches = np.any(np.abs(mesh.vertices[ids, 1] - 0.6) < 1e-12)
             (interface if touches else interior).append(ratio)
         assert min(interface) < 0.2 * np.median(interior)
         minima.append(min(interface))
@@ -133,8 +133,7 @@ def test_hexagon_family_edge_point_placement():
     # distance h_e^2 from the lexicographically smaller endpoint
     N = 4
     mesh = gen_square_perturbed_triangles(N)
-    lengths = np.concatenate([element_geometry(mesh, c).edge_lengths
-                              for c in range(mesh.n_cells)])
+    lengths = np.concatenate([_edge_arrays(*mesh.vertices[ids].T)[2] for ids in mesh.cells])
     short = sorted(set(np.round(lengths, 12)))[:2]
     he_diag = math.sqrt(2.0) / (2.0 * N)
     he_axis = 1.0 / N
@@ -163,11 +162,7 @@ def test_rotated_t_area_and_full_gamma0(variant):
 
 def test_rotated_t_interface_small_edges():
     mesh = gen_rotated_t(16, 3)
-    ratios = []
-    for c in range(mesh.n_cells):
-        g = element_geometry(mesh, c)
-        ratios.append(g.edge_lengths.min() / g.diameter)
-    ratios = np.array(ratios)
+    ratios = quality_report(mesh).min_edge_ratio   # min_e |e| / h_K per cell
     assert ratios.min() < 0.1 * np.median(ratios)
 
 
@@ -220,12 +215,13 @@ def test_corner_refinement_localized():
     base = gen_lshape_uniform(32)
     refined = refine_lshape_corner(base, 1, 32)
     half = 6.0 / 32.0   # refinement half-width at level 1
-    for c in range(refined.n_cells):
-        g = element_geometry(refined, c)
-        bary = np.asarray(g.centroid)
+    for ids in refined.cells:
+        x, y = refined.vertices[ids].T
+        bary = np.array(_area_centroid(x, y))
         if np.max(np.abs(bary - 0.5)) > half + 0.1:
             # far away from the corner region the original cell sizes survive
-            assert g.area == pytest.approx((1.0 / 32.0) ** 2, rel=1e-9)
+            area = 0.5 * np.sum(_edge_arrays(x, y)[-1])
+            assert area == pytest.approx((1.0 / 32.0) ** 2, rel=1e-9)
 
 
 def test_corner_refinement_rejects_flat_vertices_no_other_cell_keeps():

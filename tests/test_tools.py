@@ -18,12 +18,13 @@ def test_scale_probe_prints_every_row(capsys):
     load_tool("scale_probe").main(["t5", "8"])
     rows = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
     assert list(rows) == [
-        "generate", "generate_traced_peak", "quality_report", "assemble",
-        "assemble_traced_peak", "matrices", "n_dofs",
+        "generate", "generate_traced_peak", "quality_report", "quality_report_traced_peak",
+        "assemble", "assemble_traced_peak", "matrices", "n_dofs",
         "m", "cells", "shift", "solve", "q", "fill", "steps", "reach",
         "solve_traced_peak", "peak_rss"]
     assert float(rows["generate_traced_peak"]) > 0.0
     assert float(rows["quality_report"]) > 0.0
+    assert float(rows["quality_report_traced_peak"]) > 0.0
     assert float(rows["fill"]) > float(rows["n_dofs"])
     assert int(rows["steps"]) > 0
     assert 0 < int(rows["reach"]) <= int(rows["n_dofs"])

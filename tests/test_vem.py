@@ -14,10 +14,10 @@ from steklovem.mesh import (
     GAMMA0,
     GAMMA1,
     PolygonalMesh,
+    _diameter,
+    _edge_arrays,
     build_mesh,
-    element_geometry,
     mesh_to_dict,
-    polygon_geometry,
     quality_report,
 )
 from steklovem.meshgen import FAMILIES, refine_lshape_corner
@@ -42,8 +42,17 @@ def single_cell(verts, gamma0_edges=()):
     return build_mesh(verts, [list(range(n))], bnd)
 
 
-def geom_of(verts):
-    return element_geometry(single_cell(verts), 0)
+def coords_of(verts):
+    """The CCW vertex coordinates of ``verts`` validated as a single cell."""
+    mesh = single_cell(verts)
+    return mesh.vertices[mesh.cells[0]]
+
+
+def edge_geometry(coords):
+    """Area, edge lengths and outward unit edge normals (ty, -tx) / |e| of one
+    CCW cell, by the shoelace and edge kernel of the mesh module."""
+    tx, ty, lengths, *_, cross = _edge_arrays(coords[:, 0], coords[:, 1])
+    return 0.5 * np.sum(cross), lengths, np.column_stack((ty, -tx)) / lengths[:, None]
 
 
 UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
@@ -54,8 +63,7 @@ UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
 def test_projector_reproduces_x_on_square():
-    g = geom_of(UNIT_SQUARE)
-    ops = local_operators(g)
+    ops = local_operators(coords_of(UNIT_SQUARE))
     G, mean_row, P = ops.G, ops.mean_row, ops.P
     w = np.array([0.0, 1.0, 1.0, 0.0])       # dofs of v(x, y) = x
     np.testing.assert_allclose(G @ w, [1.0, 0.0], atol=1e-14)
@@ -64,8 +72,7 @@ def test_projector_reproduces_x_on_square():
 
 
 def test_projector_kills_gradient_of_constants():
-    g = geom_of([[0, 0], [2, 0.3], [1.7, 1.9], [0.2, 1.4]])
-    ops = local_operators(g)
+    ops = local_operators(coords_of([[0, 0], [2, 0.3], [1.7, 1.9], [0.2, 1.4]]))
     G, P = ops.G, ops.P
     w = 3.25 * np.ones(4)
     np.testing.assert_allclose(G @ w, [0.0, 0.0], atol=1e-13)
@@ -73,11 +80,11 @@ def test_projector_kills_gradient_of_constants():
 
 
 def test_projector_p1_reproduction_general_polygon():
-    g = geom_of([[0, 0], [1.3, -0.1], [1.5, 0.9], [0.7, 1.4], [-0.2, 0.8]])
-    ops = local_operators(g)
+    coords = coords_of([[0, 0], [1.3, -0.1], [1.5, 0.9], [0.7, 1.4], [-0.2, 0.8]])
+    ops = local_operators(coords)
     G, P = ops.G, ops.P
     for a, b, c in [(1.0, 2.0, -0.5), (0.0, -1.0, 3.0)]:
-        w = a + b * g.coords[:, 0] + c * g.coords[:, 1]
+        w = a + b * coords[:, 0] + c * coords[:, 1]
         np.testing.assert_allclose(G @ w, [b, c], atol=1e-13)
         np.testing.assert_allclose(P @ w, w, atol=1e-13)
 
@@ -88,38 +95,42 @@ def test_projector_matches_quadrature_oracle():
     mesh = FAMILIES["t2"](2)
     rng = np.random.default_rng(7)
     for cell in range(0, mesh.n_cells, 3):
-        g = element_geometry(mesh, cell)
-        w = rng.standard_normal(g.n_vertices)
+        coords = mesh.vertices[mesh.cells[cell]]
+        area, lengths, normals = edge_geometry(coords)
+        n = len(coords)
+        w = rng.standard_normal(n)
 
         nq = 2000
         pts, vals, wts = [], [], []
-        n = g.n_vertices
         for e in range(n):
             i, j = e, (e + 1) % n
             t = (np.arange(nq) + 0.5) / nq
-            pts.append(g.coords[i][None, :] * (1 - t[:, None])
-                       + g.coords[j][None, :] * t[:, None])
+            pts.append(coords[i][None, :] * (1 - t[:, None])
+                       + coords[j][None, :] * t[:, None])
             vals.append(w[i] * (1 - t) + w[j] * t)
-            wts.append(np.full(nq, g.edge_lengths[e] / nq))
+            wts.append(np.full(nq, lengths[e] / nq))
         pts = np.vstack(pts)
         vals = np.concatenate(vals)
         wts = np.concatenate(wts)
+        boundary_length = np.sum(lengths)
+        # the boundary centroid by the same quadrature, exact for linear traces
+        boundary_centroid = wts @ pts / np.sum(wts)
 
         # gradient: a(v, q) = ∮ v ∂_n q for harmonic q in P1
         grad = np.zeros(2)
         for e in range(n):
             i, j = e, (e + 1) % n
-            grad += g.edge_normals[e] * g.edge_lengths[e] * 0.5 * (w[i] + w[j])
-        grad /= g.area
-        vbar = np.sum(wts * vals) / g.boundary_length
+            grad += normals[e] * lengths[e] * 0.5 * (w[i] + w[j])
+        grad /= area
+        vbar = np.sum(wts * vals) / boundary_length
 
-        ops = local_operators(g)
+        ops = local_operators(coords)
         G, mean_row, P = ops.G, ops.mean_row, ops.P
         np.testing.assert_allclose(G @ w, grad, atol=1e-12)
         assert mean_row @ w == pytest.approx(vbar, abs=1e-9)
         proj_bar = np.sum(
-            wts * (vbar + (pts - np.array(g.boundary_centroid)) @ grad)
-        ) / g.boundary_length
+            wts * (vbar + (pts - boundary_centroid) @ grad)
+        ) / boundary_length
         assert proj_bar == pytest.approx(vbar, abs=1e-9)
 
 
@@ -128,7 +139,7 @@ def test_projector_matches_quadrature_oracle():
 
 
 def test_stability_matrix_unit_square_closed_form():
-    S = local_operators(geom_of(UNIT_SQUARE), StabilizationSpec(alpha=1.0)).S_K
+    S = local_operators(coords_of(UNIT_SQUARE), StabilizationSpec(alpha=1.0)).S_K
     expected = SQRT2 * np.array([[2, -1, 0, -1],
                                  [-1, 2, -1, 0],
                                  [0, -1, 2, -1],
@@ -137,15 +148,15 @@ def test_stability_matrix_unit_square_closed_form():
 
 
 def test_stability_annihilates_constants():
-    g = geom_of([[0, 0], [2, 0], [2.4, 1.1], [0.5, 1.7]])
-    S = local_operators(g, StabilizationSpec(alpha=1.5)).S_K
+    coords = coords_of([[0, 0], [2, 0], [2.4, 1.1], [0.5, 1.7]])
+    S = local_operators(coords, StabilizationSpec(alpha=1.5)).S_K
     np.testing.assert_allclose(S @ np.ones(4), 0.0, atol=1e-12)
 
 
 def test_stability_small_edge_psd():
     eps = 1e-8
-    g = geom_of([[0, 0], [eps, 0], [1, 0], [1, 1], [0, 1]])
-    S = local_operators(g, StabilizationSpec()).S_K
+    coords = coords_of([[0, 0], [eps, 0], [1, 0], [1, 1], [0, 1]])
+    S = local_operators(coords, StabilizationSpec()).S_K
     assert S[0, 1] == pytest.approx(-SQRT2 / eps, rel=1e-12)
     eigs = np.linalg.eigvalsh(S)
     assert eigs.min() >= -1e-10 * np.abs(eigs).max()
@@ -180,21 +191,22 @@ def fem_p1_stiffness(tri):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_triangle_equals_p1_fem(alpha):
     tri = [[0.1, -0.2], [1.4, 0.3], [0.5, 1.2]]
-    A = local_operators(geom_of(tri), StabilizationSpec(alpha=alpha)).A_K
+    A = local_operators(coords_of(tri), StabilizationSpec(alpha=alpha)).A_K
     np.testing.assert_allclose(A, fem_p1_stiffness(tri), atol=1e-12)
 
 
 def test_patch_test_energy_of_linears():
-    g = geom_of([[0, 0], [1.1, 0.1], [1.3, 0.9], [0.4, 1.2], [-0.1, 0.6]])
-    A = local_operators(g, StabilizationSpec()).A_K
+    coords = coords_of([[0, 0], [1.1, 0.1], [1.3, 0.9], [0.4, 1.2], [-0.1, 0.6]])
+    A = local_operators(coords, StabilizationSpec()).A_K
+    area = edge_geometry(coords)[0]
     for b, c in [(1.0, 0.0), (0.3, -2.0), (1.5, 1.5)]:
-        w = b * g.coords[:, 0] + c * g.coords[:, 1]
-        assert w @ A @ w == pytest.approx(g.area * (b * b + c * c), rel=1e-12)
+        w = b * coords[:, 0] + c * coords[:, 1]
+        assert w @ A @ w == pytest.approx(area * (b * b + c * c), rel=1e-12)
 
 
 def test_local_stiffness_symmetric_psd_kernel_constants():
-    g = geom_of([[0, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 1]])
-    A = local_operators(g, StabilizationSpec()).A_K
+    A = local_operators(coords_of([[0, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 1]]),
+                        StabilizationSpec()).A_K
     np.testing.assert_allclose(A, A.T, atol=1e-13)
     np.testing.assert_allclose(A @ np.ones(5), 0.0, atol=1e-12)
     eigs = np.linalg.eigvalsh(A)
@@ -205,9 +217,9 @@ def test_local_stiffness_symmetric_psd_kernel_constants():
 def test_local_stiffness_unit_square_symbolic():
     # |K| G^T G has rank 2; on the unit square G maps to the average of
     # opposite-edge differences, and (I - P) S (I - P) supplies the rest
-    g = geom_of(UNIT_SQUARE)
-    ops = local_operators(g, StabilizationSpec())
-    consistency = g.area * ops.G.T @ ops.G
+    coords = coords_of(UNIT_SQUARE)
+    ops = local_operators(coords, StabilizationSpec())
+    consistency = edge_geometry(coords)[0] * ops.G.T @ ops.G
     IP = np.eye(4) - ops.P
     np.testing.assert_allclose(
         ops.A_K, consistency + IP.T @ ops.S_K @ IP, atol=1e-13)
@@ -248,13 +260,13 @@ def test_triple_norm_constants_and_homogeneity():
                                                                  rel=1e-12)
         # per-cell loop over the single-cell operators as the reference
         total = 0.0
-        for c in range(mesh.n_cells):
-            g = element_geometry(mesh, c)
-            ops = local_operators(g, StabilizationSpec())
-            w = v[g.vertex_ids]
+        for ids in mesh.cells:
+            coords = mesh.vertices[ids]
+            ops = local_operators(coords, StabilizationSpec())
+            w = v[ids]
             grad = ops.G @ w
             dev = w - ops.mean_row @ w
-            total += g.area * (grad @ grad) + dev @ ops.S_K @ dev
+            total += edge_geometry(coords)[0] * (grad @ grad) + dev @ ops.S_K @ dev
         assert base == pytest.approx(math.sqrt(total), rel=1e-13, abs=0)
 
 
@@ -263,7 +275,7 @@ def test_triple_norm_of_x_on_unit_square():
     w = mesh.vertices[:, 0].copy()
     # consistency part: |K| |grad x|^2 = 1; mean-deviation part:
     # S(x - 1/2, x - 1/2) with the closed-form square S of the tests above
-    S = local_operators(element_geometry(mesh, 0), StabilizationSpec()).S_K
+    S = local_operators(mesh.vertices[mesh.cells[0]], StabilizationSpec()).S_K
     dev = w - 0.5
     expected = math.sqrt(1.0 + dev @ S @ dev)
     assert triple_norm(mesh, w, StabilizationSpec()) == pytest.approx(
@@ -281,7 +293,7 @@ def test_assemble_single_square_cell():
     system = assemble_global(mesh, StabilizationSpec())
     np.testing.assert_allclose(
         system.A.toarray(),
-        local_operators(element_geometry(mesh, 0), StabilizationSpec()).A_K,
+        local_operators(mesh.vertices[mesh.cells[0]], StabilizationSpec()).A_K,
         atol=1e-13)
     B = system.B.toarray()
     np.testing.assert_allclose(B[np.ix_([2, 3], [2, 3])],
@@ -295,9 +307,8 @@ def per_cell_assembly(mesh, spec):
     """Reference scatter: one local matrix per cell, one mass per gamma0 edge."""
     n = mesh.n_vertices
     A, B = np.zeros((n, n)), np.zeros((n, n))
-    for c in range(mesh.n_cells):
-        g = element_geometry(mesh, c)
-        A[np.ix_(g.vertex_ids, g.vertex_ids)] += local_operators(g, spec).A_K
+    for ids in mesh.cells:
+        A[np.ix_(ids, ids)] += local_operators(mesh.vertices[ids], spec).A_K
     for i, j in mesh.gamma0_edges():
         length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
         B[np.ix_([i, j], [i, j])] += boundary_mass_edge(length)
@@ -321,9 +332,10 @@ def test_assembly_invariants(family):
                      for i, j, m in mesh.boundary_edges if m == GAMMA0)
     assert ones @ (system.B @ ones) == pytest.approx(gamma0_len, rel=1e-12)
     assert_matches_per_cell(mesh, system, StabilizationSpec())
-    geoms = [element_geometry(mesh, c) for c in range(mesh.n_cells)]
-    assert mesh.max_diameter() == max(g.diameter for g in geoms)
-    assert mesh.total_area() == pytest.approx(sum(g.area for g in geoms), rel=1e-13, abs=0)
+    cells = [mesh.vertices[ids] for ids in mesh.cells]
+    assert mesh.max_diameter() == max(_diameter(*coords.T) for coords in cells)
+    assert mesh.total_area() == pytest.approx(sum(edge_geometry(coords)[0] for coords in cells),
+                                              rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -384,9 +396,8 @@ def test_sliver_triangle_rejected_by_validation_and_assembly():
     # area 5e-16 is below 1e-14 h^2, the one cutoff of build_mesh and assembly
     with pytest.raises(NonSimplePolygon, match="vanishing area"):
         single_cell(SLIVER)
-    geom = polygon_geometry(np.asarray(SLIVER, dtype=float), np.arange(3))
     with pytest.raises(DegenerateElement):
-        local_operators(geom, StabilizationSpec())
+        local_operators(SLIVER, StabilizationSpec())
 
 
 def sliver_sandwich(order):
@@ -417,13 +428,14 @@ def test_degenerate_cell_among_regular_cells(order):
     with pytest.raises(DegenerateElement) as info:
         assemble_global(mesh, StabilizationSpec())
     reported = float(str(info.value).split()[2])
-    assert reported == pytest.approx(element_geometry(mesh, first).area, rel=1e-12, abs=0)
+    area = edge_geometry(mesh.vertices[mesh.cells[first]])[0]
+    assert reported == pytest.approx(area, rel=1e-12, abs=0)
 
 
 # SHA-256 of the assembled matrices (data, indices and indptr of A, B and Ahat,
 # in that order) and of quality_report's star_ratio and min_edge_ratio, per
 # mesh: the geometry kernels and assembly are pinned to the bit, so a rewrite
-# of polygon_geometry cannot move a rounding unnoticed.  ("t6", 32, 2) is t6
+# of the plane kernels cannot move a rounding unnoticed.  ("t6", 32, 2) is t6
 # N=32 after two corner-refinement sweeps
 PINNED_SYSTEMS = {
     ("t1", 8, 0): "7912eb274b610ceeda424c50e430102c795f37fc435260d4b5602bf223fc9cbc",

@@ -6,19 +6,20 @@ Run one case per process, so that ``ru_maxrss`` belongs to that case alone::
 
 for example ``python tools/scale_probe.py t2 256 6``.  It imports the package
 from the ``src/`` next to this file, generates the mesh twice (once timed,
-once under ``tracemalloc`` for the peak of generation alone), times its
-``quality_report``, assembles it twice (timed, then traced, with alpha = 1)
-and solves for the first K eigenvalues (default 6; K = 0 skips the solve)
-the same way, timed and then traced.  It prints one ``name value unit`` row
-per measurement: the wall times of generate, quality_report, assemble and
-solve, the traced peaks of generation, assembly and solve and the bytes of
-the stored A and B (MiB), the problem size (dofs, gamma0 dofs m and cells),
-the shift sigma = 1 / |gamma0| of Ahat = A + sigma B, the eigensolver path
-that ran ("schur" or "lanczos") with q, the number of LU positions from the
-first gamma0 dof on (0 when Ahat was factored without the gamma0 clique),
-the fill nnz(L) + nnz(U) of the LU, the number of Lanczos steps and the
-reach |R|, the dofs each step solves on (both 0 off the Lanczos path), and
-the process's peak resident set size, read before the traced solve.
+once under ``tracemalloc`` for the peak of generation alone), runs its
+``quality_report`` twice (timed, then traced), assembles it twice (timed,
+then traced, with alpha = 1) and solves for the first K eigenvalues (default
+6; K = 0 skips the solve) the same way, timed and then traced.  It prints
+one ``name value unit`` row per measurement: the wall times of generate,
+quality_report, assemble and solve, the traced peaks of generation,
+quality_report, assembly and solve and the bytes of the stored A and B
+(MiB), the problem size (dofs, gamma0 dofs m and cells), the shift sigma =
+1 / |gamma0| of Ahat = A + sigma B, the eigensolver path that ran ("schur"
+or "lanczos") with q, the number of LU positions from the first gamma0 dof
+on (0 when Ahat was factored without the gamma0 clique), the fill nnz(L) +
+nnz(U) of the LU, the number of Lanczos steps and the reach |R|, the dofs
+each step solves on (both 0 off the Lanczos path), and the process's peak
+resident set size, read before the traced solve.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def main(argv: list[str]) -> None:
     t = time.perf_counter()
     quality_report(mesh)
     rows.append(("quality_report", time.perf_counter() - t, "s"))
+    _, peak = _traced(quality_report, mesh)
+    rows.append(("quality_report_traced_peak", peak / 2**20, "MiB"))
     t = time.perf_counter()
     assemble_global(mesh)
     rows.append(("assemble", time.perf_counter() - t, "s"))
@@ -94,7 +97,7 @@ def main(argv: list[str]) -> None:
         rows.append(("solve_traced_peak", peak / 2**20, "MiB"))
     rows.append(("peak_rss", peak_rss, "MiB"))
     for name, value, unit in rows:
-        print(f"{name:<22} {value:12.4g} {unit}")
+        print(f"{name:<26} {value:12.4g} {unit}")
 
 
 if __name__ == "__main__":
