@@ -151,14 +151,12 @@ def run_study(family: str, Ns, k: int,
         refs = np.array([exact_square_eigenvalue(i + 1) for i in range(k)])
     else:
         extrapolated = []
-        refs = np.empty(k)
-        for i in range(k):
+        for column in eigenvalues.T:
             try:
-                lam, c, a = extrapolate(hs, eigenvalues[:, i])
+                extrapolated.append(extrapolate(hs, column))
             except (FitDiverged, InsufficientLevels):
-                lam, c, a = float(eigenvalues[-1, i]), float("nan"), float("nan")
-            extrapolated.append((lam, c, a))
-            refs[i] = lam
+                extrapolated.append((float(column[-1]), float("nan"), float("nan")))
+        refs = np.array([fit[0] for fit in extrapolated])
 
     errors = np.abs(eigenvalues - refs[None, :])
     orders = None
@@ -173,32 +171,27 @@ def run_study(family: str, Ns, k: int,
 # ---------------------------------------------------------------------------
 # table emitters
 
-def study_to_markdown(study: ConvergenceStudy) -> str:
-    k = study.k
-    header = ["N", "h", "dofs"] + [f"lambda_{i + 1}" for i in range(k)]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
-    for row, N in enumerate(study.Ns):
-        cells = [str(N), f"{study.hs[row]:.6g}", str(study.n_dofs[row])]
-        cells += [f"{v:.4f}" for v in study.eigenvalues[row]]
-        lines.append("| " + " | ".join(cells) + " |")
+def _table_rows(study: ConvergenceStudy, h_format: str, lambda_format: str,
+                order_format: str, extrap_label: str) -> list[list[str]]:
+    """The study table's cells row by row: the header, one row per level, the
+    order row when there are two levels or more, and the reference row."""
+    rows = [["N", "h", "dofs"] + [f"lambda_{i + 1}" for i in range(study.k)]]
+    rows += [[str(N), format(h, h_format), str(dofs)] + [format(v, lambda_format) for v in lams]
+             for N, h, dofs, lams in zip(study.Ns, study.hs, study.n_dofs, study.eigenvalues)]
     if study.orders is not None:
-        lines.append("| Order |  |  | "
-                     + " | ".join(f"{o:.2f}" for o in study.orders) + " |")
-    label = "Extrap." if study.extrapolated is not None else "Exact"
-    lines.append(f"| {label} |  |  | "
-                 + " | ".join(f"{r:.4f}" for r in study.references) + " |")
+        rows.append(["Order", "", ""] + [format(o, order_format) for o in study.orders])
+    label = extrap_label if study.extrapolated is not None else "Exact"
+    rows.append([label, "", ""] + [format(r, lambda_format) for r in study.references])
+    return rows
+
+
+def study_to_markdown(study: ConvergenceStudy) -> str:
+    lines = ["| " + " | ".join(cells) + " |"
+             for cells in _table_rows(study, ".6g", ".4f", ".2f", "Extrap.")]
+    lines.insert(1, "|" + "---|" * (study.k + 3))
     return "\n".join(lines) + "\n"
 
 
 def study_to_csv(study: ConvergenceStudy) -> str:
-    k = study.k
-    out = ["N,h,dofs," + ",".join(f"lambda_{i + 1}" for i in range(k))]
-    for row, N in enumerate(study.Ns):
-        vals = ",".join(f"{v:.17g}" for v in study.eigenvalues[row])
-        out.append(f"{N},{study.hs[row]:.17g},{study.n_dofs[row]},{vals}")
-    if study.orders is not None:
-        out.append("Order,,," + ",".join(f"{o:.17g}" for o in study.orders))
-    label = "Extrap" if study.extrapolated is not None else "Exact"
-    out.append(f"{label},,," + ",".join(f"{r:.17g}" for r in study.references))
-    return "\n".join(out) + "\n"
+    return "".join(",".join(cells) + "\n"
+                   for cells in _table_rows(study, ".17g", ".17g", ".17g", "Extrap"))

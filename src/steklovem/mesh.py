@@ -246,10 +246,14 @@ def _is_index(v) -> bool:
     return _is_index_type(type(v))
 
 
+def _is_real_type(t: type) -> bool:
+    return _is_index_type(t) or issubclass(t, (float, np.floating))
+
+
 def _is_point(v) -> bool:
-    """Whether ``v`` converts to two floats, as :func:`build_mesh` reads a vertex."""
+    """Whether ``v`` is two real numbers, as :func:`build_mesh` reads a vertex."""
     try:
-        return np.shape(np.asarray(v, dtype=float)) == (2,)
+        return all(map(_is_real_type, map(type, v))) and np.asarray(v, dtype=float).shape == (2,)
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -323,10 +327,13 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     marker ``"gamma0"`` or ``"gamma1"``.  Cells with negative signed area
     are reversed so every stored cycle is counter-clockwise.
 
-    The vertices are converted to a float array in one call; only when that
-    fails are they read one by one, to name the first that is not two real
-    numbers.  The raw cells get the one check that needs Python objects: each
-    is a sequence of integer vertex indices.  That check runs once per
+    The vertices and the cells are sequences.  The coordinates are real
+    numbers, never ``bool`` or ``str``: their types are checked once per
+    distinct type (not at all in a numeric array), and the vertices are
+    converted to a float array in one call; only when either fails are they
+    read one by one, to name the first that is not two real numbers.  The
+    raw cells get the one check that needs Python objects: each is a
+    sequence of integer vertex indices.  That check runs once per
     distinct cell type and once per distinct entry type, and cell by cell
     only when one of those fails.  The cells are then packed into CSR
     arrays, a cell that fails the check as an empty cycle, and
@@ -335,13 +342,19 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     violated invariant: the first faulty cell in cell order, and within it
     the first failed check.
     """
+    cell_types = (Sequence, np.ndarray)
+    if not (isinstance(vertices, cell_types) and isinstance(cells, cell_types)):
+        raise MeshError("vertices and cells must be sequences")
     try:
+        real = (isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iuf"
+                or all(map(_is_real_type, set(map(type, chain.from_iterable(vertices))))))
         verts = np.asarray(vertices, dtype=float)
     except (TypeError, ValueError, OverflowError):
+        real = False
+    if not real:
         bad = next((k for k, v in enumerate(vertices) if not _is_point(v)), None)
         raise MeshError("vertices must be a non-empty (n, 2) array" if bad is None
-                        else f"vertex {bad}: not two real numbers") from None
-    cell_types = (Sequence, np.ndarray)
+                        else f"vertex {bad}: not two real numbers")
     # entries are read only once every cell type has passed: a cell that is
     # not a sequence need not be iterable
     if (all(issubclass(t, cell_types) for t in set(map(type, cells)))
@@ -641,7 +654,8 @@ def _chebyshev_radius(x, y, nx, ny) -> np.ndarray:
     the radius is the running maximum over them, which is exact.
     """
     n = x.shape[-1]
-    triples = np.array(list(combinations(range(n), 3)))
+    triples = np.fromiter(chain.from_iterable(combinations(range(n), 3)), np.intp,
+                          n * (n - 1) * (n - 2) // 2).reshape(-1, 3)   # 3 C(n, 3) entries
     normals = np.stack((nx, ny), axis=-1)                  # (C, n, 2)
     offsets = nx * x + ny * y                              # n_e . v_e
     radius = np.full(len(x), -np.inf)
@@ -703,12 +717,15 @@ def mesh_to_dict(mesh: PolygonalMesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> PolygonalMesh:
+    """Build the mesh of a parsed JSON mesh file; each boundary entry is
+    exactly ``[i, j, marker]``."""
     try:
-        vertices = data["vertices"]
-        cells = data["cells"]
-        boundary = [(e[0], e[1], e[2]) for e in data["boundary"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        vertices, cells, boundary = data["vertices"], data["cells"], list(data["boundary"])
+    except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh file: {exc}") from exc
+    for k, entry in enumerate(boundary):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise MeshError(f"boundary entry {k}: not [i, j, marker]")
     return build_mesh(vertices, cells, boundary)
 
 

@@ -190,3 +190,69 @@ def test_csv_table_full_precision():
     assert lines[0] == "N,h,dofs,lambda_1,lambda_2"
     first = lines[1].split(",")
     assert float(first[3]) == study.eigenvalues[0, 0]   # round-trips exactly
+
+
+# the emitters' text, byte for byte: exact references, an extrapolated study
+# whose fits fall back to the finest level (orders nan), a converging
+# extrapolation, and a single level (no order row)
+PINNED_TABLES = {
+    ("t1", (4, 8), 2): (
+        "| N | h | dofs | lambda_1 | lambda_2 |\n"
+        "|---|---|---|---|---|\n"
+        "| 4 | 0.320156 | 37 | 4.1264 | 14.1731 |\n"
+        "| 8 | 0.163541 | 103 | 3.3984 | 8.3926 |\n"
+        "| Order |  |  | 1.95 | 1.96 |\n"
+        "| Exact |  |  | 3.1299 | 6.2831 |\n",
+        "N,h,dofs,lambda_1,lambda_2\n"
+        "4,0.3201562118716425,37,4.1263563797635889,14.173121630372004\n"
+        "8,0.1635410621597698,103,3.3983808459856277,8.3926373196882214\n"
+        "Order,,,1.9521906610700854,1.9637582225416212\n"
+        "Exact,,,3.1298810356317586,6.2831414840959052\n"),
+    ("t3", (4, 5, 6), 2): (
+        "| N | h | dofs | lambda_1 | lambda_2 |\n"
+        "|---|---|---|---|---|\n"
+        "| 4 | 0.353553 | 47 | 0.5484 | 1.4178 |\n"
+        "| 5 | 0.23585 | 64 | 0.5413 | 1.3746 |\n"
+        "| 6 | 0.235702 | 79 | 0.5380 | 1.3564 |\n"
+        "| Order |  |  | nan | nan |\n"
+        "| Extrap. |  |  | 0.5380 | 1.3564 |\n",
+        "N,h,dofs,lambda_1,lambda_2\n"
+        "4,0.35355339059327379,47,0.54841886204260959,1.4177784479449154\n"
+        "5,0.23584952830141515,64,0.54132740036918303,1.3745714228144443\n"
+        "6,0.23570226039551587,79,0.53800791829559391,1.356418064584338\n"
+        "Order,,,nan,nan\n"
+        "Extrap,,,0.53800791829559391,1.356418064584338\n"),
+    ("t6", (4, 6, 8, 10), 2): (
+        "| N | h | dofs | lambda_1 | lambda_2 |\n"
+        "|---|---|---|---|---|\n"
+        "| 4 | 0.353553 | 21 | 0.8821 | 1.7475 |\n"
+        "| 6 | 0.235702 | 40 | 0.8447 | 1.6824 |\n"
+        "| 8 | 0.176777 | 65 | 0.8241 | 1.6493 |\n"
+        "| 10 | 0.141421 | 96 | 0.8118 | 1.6311 |\n"
+        "| Order |  |  | 0.80 | 1.05 |\n"
+        "| Extrap. |  |  | 0.7463 | 1.5589 |\n",
+        "N,h,dofs,lambda_1,lambda_2\n"
+        "4,0.35355339059327379,21,0.88206708633315767,1.74748653104486\n"
+        "6,0.23570226039551592,40,0.84474021552322087,1.6823849161798585\n"
+        "8,0.17677669529663689,65,0.82412242352054998,1.6492982225418642\n"
+        "10,0.14142135623730959,96,0.81180001366019772,1.6311159630567538\n"
+        "Order,,,0.79797919283501539,1.0511883157111863\n"
+        "Extrap,,,0.74632471584042481,1.5588579389718284\n"),
+    ("t2", (8,), 3): (
+        "| N | h | dofs | lambda_1 | lambda_2 | lambda_3 |\n"
+        "|---|---|---|---|---|---|\n"
+        "| 8 | 0.125 | 545 | 3.1850 | 6.7324 | 10.9972 |\n"
+        "| Exact |  |  | 3.1299 | 6.2831 | 9.4248 |\n",
+        "N,h,dofs,lambda_1,lambda_2,lambda_3\n"
+        "8,0.125,545,3.1849527359118248,6.7324347340184048,10.997221200451165\n"
+        "Exact,,,3.1298810356317586,6.2831414840959052,9.4247778380133038\n"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_TABLES, ids=lambda c: f"{c[0]}-{len(c[1])}-levels")
+def test_study_tables_pinned(case):
+    family, Ns, k = case
+    study = run_study(family, Ns, k)
+    markdown, csv = PINNED_TABLES[case]
+    assert study_to_markdown(study) == markdown
+    assert study_to_csv(study) == csv

@@ -1,9 +1,14 @@
 """Command-line interface: plumbing, round trips, exit codes."""
 
+import copy
+import functools
 import hashlib
 import importlib
 import json
+import math
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +21,7 @@ import scipy.sparse as sps
 import steklovem
 from steklovem import eig
 from steklovem.cli import main
-from steklovem.mesh import load_mesh_json, save_mesh_json
+from steklovem.mesh import load_mesh_json, mesh_from_dict, mesh_to_dict, save_mesh_json
 from steklovem.meshgen import FAMILIES
 from steklovem.vem import StabilizationSpec, assemble_global
 
@@ -106,6 +111,15 @@ INVALID_INPUTS = {
                            "cells": [[0, 1, 2]],
                            "boundary": [[0, 1, "gamma0"], [1, 2, "gamma0"],
                                         [2, 0, "gamma0"]]},
+    "boundary_entry_with_fourth_field": {
+        "vertices": SQUARE, "cells": [[0, 1, 2, 3]],
+        "boundary": SQUARE_BOUNDARY[:3] + [[3, 0, "gamma1", "gamma0"]]},
+    "boundary_entry_with_two_fields": {"vertices": SQUARE, "cells": [[0, 1, 2, 3]],
+                                       "boundary": [[0, 1]] + SQUARE_BOUNDARY[1:]},
+    # not iterable: a number for the cells once escaped as a TypeError
+    "number_for_the_cells": {"vertices": SQUARE, "cells": 0.5, "boundary": SQUARE_BOUNDARY},
+    "null_for_the_vertices": {"vertices": None, "cells": [[0, 1, 2, 3]],
+                              "boundary": SQUARE_BOUNDARY},
     "orphan_vertex": {"vertices": SQUARE + [[5, 5]], "cells": [[0, 1, 2, 3]],
                       "boundary": SQUARE_BOUNDARY},
     # a hanging node in one incident cell only, its interface declared boundary
@@ -146,6 +160,63 @@ def test_malformed_coordinate_exits_2_without_traceback(tmp_path):
     assert child.returncode == 2
     assert child.stderr.startswith("error: ")
     assert "Traceback" not in child.stderr
+
+
+# what a mutation may write in place of a JSON node
+MUTANTS = [None, True, False, math.inf, -math.inf, math.nan, 10**400, -(10**400), 2**63, -1, 0,
+           1, 0.25, 0.5, 3.7, "", "1", "x", "gamma0", "gamma1", [], {}, [0], [0, 1, 2]]
+
+
+def json_paths(tree, path=()):
+    """The path of every node below the root of a JSON tree, depth first."""
+    items = enumerate(tree) if isinstance(tree, list) else (
+        tree.items() if isinstance(tree, dict) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(tree, rng):
+    """A copy of ``tree`` with 1-3 nodes replaced, deleted or duplicated."""
+    tree = copy.deepcopy(tree)
+    for _ in range(rng.randint(1, 3)):
+        paths = list(json_paths(tree))
+        if not paths:
+            break
+        *up, key = rng.choice(paths)
+        parent = functools.reduce(operator.getitem, up, tree)
+        op = rng.choice(("replace", "delete", "duplicate"))
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = copy.deepcopy(rng.choice(MUTANTS))
+    return tree
+
+
+def test_mutated_mesh_files_exit_0_or_2(capsys, tmp_path):
+    # 300 seeded mutations of two small meshes through both file commands
+    rng = random.Random(14)
+    path = tmp_path / "mutant.json"
+    for family in ("t1", "t6"):
+        base = mesh_to_dict(FAMILIES[family](2))
+        for index in range(150):
+            text = json.dumps(mutate(base, rng))
+            path.write_text(text)
+            codes = []
+            for argv in (["check-mesh", str(path)],
+                         ["solve", "--mesh-file", str(path), "--k", "1"]):
+                code, _, err = run_cli(capsys, *argv)
+                assert code in (0, 2), (family, index, argv[0], text, err)
+                assert code == 0 or err.startswith("error:"), (family, index, text, err)
+                codes.append(code)
+            if codes[0] == 0:
+                mesh = load_mesh_json(path)
+                again = mesh_from_dict(mesh_to_dict(mesh))
+                assert np.array_equal(mesh.vertices, again.vertices), text
+                assert mesh.cells == again.cells, text
+                assert mesh.boundary_edges == again.boundary_edges, text
 
 
 @pytest.mark.parametrize("argv", [["--family", "t2", "--N", "8", "--refine-level", "1"],

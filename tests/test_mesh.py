@@ -305,6 +305,10 @@ MALFORMED_VERTICES = {
     "string_coordinate": ([[0, 0], [1, 0], [1, "x"], [0, {}]],
                           "vertex 2: not two real numbers"),
     "nested_coordinate": ([[0, 0], [1, [2]], [1, 1], [0, 1]], "vertex 1: not two real numbers"),
+    # numpy reads "1" and True as 1.0, but a coordinate is a real number
+    "numeric_string_coordinate": ([[0, 0], [1, 0], ["1", 1], [0, 1]],
+                                  "vertex 2: not two real numbers"),
+    "boolean_coordinate": ([[0, 0], [1, 0], [1, 1], [0, True]], "vertex 3: not two real numbers"),
     "three_columns": ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
                       "vertices must be a non-empty (n, 2) array"),
     "no_vertices": ([], "vertices must be a non-empty (n, 2) array"),
@@ -825,18 +829,20 @@ def test_star_ratio_regular_polygon_closed_form(n):
 def test_star_ratio_many_sided_cell_in_bounded_memory():
     # one regular 64-gon holds C(64, 3) * 64 = 2.7 million (triple, edge)
     # entries; its triples go in chunks of at most _KERNEL_CHUNK entries, so
-    # the report's traced peak stays at a few MiB (48.9 MiB unchunked)
-    n = 64
-    theta = 0.3 + 2.0 * math.pi * np.arange(n) / n
-    mesh = single_cell_mesh(1.7 * np.column_stack((np.cos(theta), np.sin(theta))))
-    tracemalloc.start()
-    try:
-        ratio = star_ratio(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ratio == pytest.approx(0.5 * math.cos(math.pi / n), rel=1e-13)
-    assert peak < 12 * 2**20
+    # the report's traced peak stays at a few MiB (48.9 MiB unchunked).  The
+    # 96-gon's C(96, 3) triple table takes 3.3 MiB as one integer array; with
+    # a Python tuple per triple the report peaked at 17.5 MiB.
+    for n, bound_mib in ((64, 12), (96, 8)):
+        theta = 0.3 + 2.0 * math.pi * np.arange(n) / n
+        mesh = single_cell_mesh(1.7 * np.column_stack((np.cos(theta), np.sin(theta))))
+        tracemalloc.start()
+        try:
+            ratio = star_ratio(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ratio == pytest.approx(0.5 * math.cos(math.pi / n), rel=1e-13), n
+        assert peak < bound_mib * 2**20, (n, peak)
 
 
 # the edges on y = 0, y = x and y = -x confine the kernel to the origin
@@ -951,6 +957,16 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_allclose(back.vertices, mesh.vertices)
     assert back.cells == mesh.cells
     assert back.boundary_edges == mesh.boundary_edges
+
+
+@pytest.mark.parametrize("entry", [[2, 3, GAMMA0, "extra"], [2, 3]])
+def test_json_boundary_entry_has_exactly_three_fields(entry):
+    data = {"vertices": SQUARE_VERTS.tolist(), "cells": [[0, 1, 2, 3]],
+            "boundary": [list(e) for e in SQUARE_BND]}
+    data["boundary"][2] = entry
+    with pytest.raises(MeshError) as info:
+        mesh_module.mesh_from_dict(data)
+    assert str(info.value) == "boundary entry 2: not [i, j, marker]"
 
 
 def test_json_rejects_invalid_file(tmp_path):
