@@ -50,8 +50,9 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
     that lowers the residual is taken and divides the damping mu by 10; any
     other step multiplies it by 10.  The fit ends once a step is below
     ``_FIT_XTOL`` relative to the parameters.  Raises :class:`FitDiverged`
-    when the model cannot represent the data, e.g. a constant sequence, or
-    when the iteration does not converge within ``_FIT_MAX_STEPS`` steps.
+    when the model cannot represent the data, e.g. a constant sequence or two
+    of the three finest levels with the same h, or when the iteration does
+    not converge within ``_FIT_MAX_STEPS`` steps.
     """
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -59,6 +60,8 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
         raise InsufficientLevels("extrapolation needs at least three levels")
     order = np.argsort(-hs)          # coarse to fine
     hs, values = hs[order], values[order]
+    if not hs[-3] > hs[-2] > hs[-1]:
+        raise FitDiverged("the three finest levels need distinct mesh sizes")
     diffs = np.diff(values)
     if np.any(diffs > 0.0) and np.any(diffs < 0.0):
         warnings.warn("eigenvalue sequence is not monotone in h; "

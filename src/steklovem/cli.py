@@ -1,7 +1,10 @@
 """Command-line interface: mesh generation, solving, convergence studies.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid input or mesh validation
-failure, 3 solver failure.
+Exit codes: 0 success, 1 I/O failure (``OSError``), 2 invalid input or mesh
+validation failure (``MeshError``, ``ValueError``), 3 solver or study failure
+(``SolverError``, ``AnalysisError``).  The commands run straight through:
+:func:`main` alone turns an exception into its exit code and a message on
+stderr.
 
 Only the numpy layers are imported at the top: ``mesh`` and ``check-mesh``
 never load scipy, which ``solve`` and ``study`` import with the assembly and
@@ -37,18 +40,19 @@ def _generate(args):
     return mesh
 
 
-def _load_or_generate(args):
-    if getattr(args, "mesh_file", None):
-        return load_mesh_json(args.mesh_file)
-    return _generate(args)
+def _print_quality(mesh, header):
+    """Print ``header`` and the two quality ratios of ``mesh``; return its
+    quality report."""
+    report = quality_report(mesh)
+    print(header)
+    print(f"min star ratio: {report.min_star_ratio:.6g}")
+    print(f"min edge ratio: {report.global_min_edge_ratio:.6g}")
+    return report
 
 
 def cmd_mesh(args) -> int:
     mesh = _generate(args)
-    report = quality_report(mesh)
-    print(f"vertices: {mesh.n_vertices}  cells: {mesh.n_cells}")
-    print(f"min star ratio: {report.min_star_ratio:.6g}")
-    print(f"min edge ratio: {report.global_min_edge_ratio:.6g}")
+    _print_quality(mesh, f"vertices: {mesh.n_vertices}  cells: {mesh.n_cells}")
     if args.output:
         save_mesh_json(mesh, args.output)
         print(f"wrote {args.output}")
@@ -57,10 +61,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_check_mesh(args) -> int:
     mesh = load_mesh_json(args.mesh_file)
-    report = quality_report(mesh)
-    print(f"valid mesh: {mesh.n_vertices} vertices, {mesh.n_cells} cells")
-    print(f"min star ratio: {report.min_star_ratio:.6g}")
-    print(f"min edge ratio: {report.global_min_edge_ratio:.6g}")
+    report = _print_quality(mesh, f"valid mesh: {mesh.n_vertices} vertices, {mesh.n_cells} cells")
     if report.empty_kernel_cells:
         print(f"non-star-shaped cells: {report.empty_kernel_cells}")
     return 0
@@ -70,17 +71,12 @@ def cmd_solve(args) -> int:
     from .eig import eigenfunction_field, solve_steklov
     from .vem import StabilizationSpec, assemble_global, export_coo
 
-    mesh = _load_or_generate(args)
-    spec = StabilizationSpec(alpha=args.alpha)
-    try:
-        system = assemble_global(mesh, spec)
-        if args.export_matrices:
-            export_coo(system.A, args.export_matrices + ".A.txt")
-            export_coo(system.B, args.export_matrices + ".B.txt")
-        result = solve_steklov(system, args.k)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    mesh = load_mesh_json(args.mesh_file) if args.mesh_file else _generate(args)
+    system = assemble_global(mesh, StabilizationSpec(alpha=args.alpha))
+    if args.export_matrices:
+        export_coo(system.A, args.export_matrices + ".A.txt")
+        export_coo(system.B, args.export_matrices + ".B.txt")
+    result = solve_steklov(system, args.k)
     for i, lam in enumerate(result.lambdas):
         print(f"lambda_{i + 1} = {lam:.10f}   residual {result.residuals[i]:.3e}")
     if args.vtk:
@@ -98,12 +94,7 @@ def cmd_study(args) -> int:
 
     if len(args.Ns) == 1:
         print("warning: single level, no order fit", file=sys.stderr)
-    spec = StabilizationSpec(alpha=args.alpha)
-    try:
-        study = analysis.run_study(args.family, args.Ns, args.k, spec)
-    except (SolverError, AnalysisError) as exc:
-        print(f"study failure: {exc}", file=sys.stderr)
-        return 3
+    study = analysis.run_study(args.family, args.Ns, args.k, StabilizationSpec(alpha=args.alpha))
     md = analysis.study_to_markdown(study)
     print(md, end="")
     if args.csv:
@@ -175,7 +166,10 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --family")
     try:
         return args.func(args)
-    except (MeshError, AnalysisError, ValueError) as exc:
+    except (SolverError, AnalysisError) as exc:
+        print(f"{'study' if args.command == 'study' else 'solver'} failure: {exc}", file=sys.stderr)
+        return 3
+    except (MeshError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -51,10 +51,9 @@ one short inner loop per row: on a 2-vCPU host the squared lengths of
 extremes taken one vertex column at a time.  The written-out forms are
 bit-identical: a two-term reduction is ``a[..., 0] + a[..., 1]``, and
 ``np.linalg.norm`` over x/y is ``np.sqrt(x * x + y * y)`` (``np.hypot``
-is not).  Sums over the vertex axis must keep numpy's order: a reduction over
-axis -2 of ``(..., n, 2)`` adds from the first vertex on, which
-:func:`_vertex_sum` writes out, while the last-axis sums (area, perimeter)
-stay ``np.sum``, whose order changes from n = 8 on.
+is not).  Sums over the vertex axis (area, perimeter, centroid moments) are
+``np.sum`` over the last axis of the planes: it adds from the first vertex on
+below n = 8, and in numpy's unrolled pairwise order from n = 8 on.
 
 Star-shapedness is reported, not enforced, and :func:`quality_report` is
 its only interface: the star ratio of every cell, NaN where the kernel is
@@ -72,7 +71,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -193,19 +191,13 @@ def _edge_arrays(x: np.ndarray, y: np.ndarray):
     return tx, ty, np.sqrt(tx * tx + ty * ty), u, v, u * ty - tx * v
 
 
-def _vertex_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of ``(..., n)`` over the vertex axis, added from the first vertex on
-    as numpy reduces axis -2 of ``(..., n, 2)``."""
-    return reduce(np.add, np.moveaxis(a, -1, 0))
-
-
 def _area_centroid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x and y of the area centroids of CCW ``(..., n)`` cycles given as
     coordinate planes: shoelace moments on the planes relative to each
     cycle's first vertex (:func:`_edge_arrays`), which is added back last."""
     u, v, cross = _edge_arrays(x, y)[3:]
     six_area = 6.0 * (0.5 * np.sum(cross, axis=-1))
-    return tuple(c[..., 0] + _vertex_sum((r + np.roll(r, -1, axis=-1)) * cross) / six_area
+    return tuple(c[..., 0] + np.sum((r + np.roll(r, -1, axis=-1)) * cross, axis=-1) / six_area
                  for c, r in ((x, u), (y, v)))
 
 
@@ -323,9 +315,11 @@ def _check_group(verts: np.ndarray, cycles: np.ndarray):
 def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     """Validate raw mesh data and return a :class:`PolygonalMesh`.
 
-    ``boundary_spec`` lists the boundary edges as ``(i, j, marker)`` with
-    marker ``"gamma0"`` or ``"gamma1"``.  Cells with negative signed area
-    are reversed so every stored cycle is counter-clockwise.
+    ``boundary_spec`` is a list or tuple of the boundary edges, each a list
+    or tuple of exactly three fields ``(i, j, marker)`` with marker
+    ``"gamma0"`` or ``"gamma1"``; its shape is checked first.  Cells with
+    negative signed area are reversed so every stored cycle is
+    counter-clockwise.
 
     The vertices and the cells are sequences.  The coordinates are real
     numbers, never ``bool`` or ``str``: their types are checked once per
@@ -342,6 +336,11 @@ def build_mesh(vertices, cells, boundary_spec) -> PolygonalMesh:
     violated invariant: the first faulty cell in cell order, and within it
     the first failed check.
     """
+    if not isinstance(boundary_spec, (list, tuple)):
+        raise MeshError("boundary must be a list of [i, j, marker] entries")
+    for k, entry in enumerate(boundary_spec):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise MeshError(f"boundary entry {k}: not [i, j, marker]")
     cell_types = (Sequence, np.ndarray)
     if not (isinstance(vertices, cell_types) and isinstance(cells, cell_types)):
         raise MeshError("vertices and cells must be sequences")
@@ -717,15 +716,11 @@ def mesh_to_dict(mesh: PolygonalMesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> PolygonalMesh:
-    """Build the mesh of a parsed JSON mesh file; each boundary entry is
-    exactly ``[i, j, marker]``."""
+    """Build the mesh of a parsed JSON mesh file."""
     try:
         vertices, cells, boundary = data["vertices"], data["cells"], list(data["boundary"])
     except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh file: {exc}") from exc
-    for k, entry in enumerate(boundary):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise MeshError(f"boundary entry {k}: not [i, j, marker]")
     return build_mesh(vertices, cells, boundary)
 
 

@@ -1,6 +1,7 @@
 """Convergence machinery: references, order fits, extrapolation, studies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ def test_extrapolate_degenerate_input():
         extrapolate([0.2, 0.1], [1.0, 0.9])
 
 
+@pytest.mark.parametrize("hs", [[0.3, 0.2, 0.2], [0.2, 0.2, 0.1], [0.4, 0.2, 0.1, 0.1]])
+def test_extrapolate_rejects_tied_finest_sizes(hs):
+    # geometric decay, so only the tie can stop the fit: equal sizes among
+    # the three finest levels once divided by log(1) = 0 or by h^a - h^a = 0
+    values = [0.56, 0.53, 0.52, 0.515][-len(hs):]
+    with warnings.catch_warnings(), pytest.raises(FitDiverged, match="distinct mesh sizes"):
+        warnings.simplefilter("error", RuntimeWarning)
+        extrapolate(hs, values)
+
+
 # ---------------------------------------------------------------------------
 # studies
 
@@ -145,6 +156,16 @@ def test_run_study_singular_domain_extrapolates():
     lam, c, a = study.extrapolated[0]
     assert lam == pytest.approx(study.references[0])
     assert study.eigenvalues[-1, 0] > lam          # converges from above
+
+
+def test_run_study_tied_levels_fall_back_to_finest():
+    # t3 N = 9 and 10 have the same max element diameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        study = run_study("t3", [9, 10, 12], 1)
+    assert study.hs[0] == study.hs[1] > study.hs[2]
+    assert study.references[0] == study.eigenvalues[-1, 0]
+    assert math.isnan(study.extrapolated[0][2])
 
 
 def test_run_study_determinism():

@@ -66,6 +66,13 @@ def test_unknown_family_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_mesh_without_family_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--N", "8"])
+    assert exc.value.code == 2
+    assert "mesh requires --family" in capsys.readouterr().err
+
+
 def test_family_domain_mismatch_exits_2(capsys):
     code, _, err = run_cli(capsys, "mesh", "--domain", "lshape",
                            "--family", "t2", "--N", "8")
@@ -95,6 +102,17 @@ def test_check_mesh_valid_and_invalid(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "check-mesh", str(tmp_path / "none.json"))
     assert code == 1
+
+
+def test_check_mesh_reports_non_star_shaped_cells(capsys, tmp_path):
+    # one staircase cell, whose kernel is empty
+    verts = [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 2], [0, 2]]
+    path = tmp_path / "stair.json"
+    path.write_text(json.dumps({"vertices": verts, "cells": [list(range(8))],
+                                "boundary": [[i, (i + 1) % 8, "gamma0"] for i in range(8)]}))
+    code, out, _ = run_cli(capsys, "check-mesh", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "non-star-shaped cells: [0]"
 
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
@@ -195,28 +213,68 @@ def mutate(tree, rng):
     return tree
 
 
+def run_mutant(capsys, path, text):
+    """Run one mutated file through both file commands; return their exit codes.
+
+    Each exits 0 or 2, exit 2 writes ``error:`` first, and a file
+    ``check-mesh`` accepts loads to the same mesh as its round trip."""
+    path.write_text(text)
+    codes = []
+    for argv in (["check-mesh", str(path)], ["solve", "--mesh-file", str(path), "--k", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv[0], text, err)
+        assert code == 0 or err.startswith("error:"), (text, err)
+        codes.append(code)
+    if codes[0] == 0:
+        mesh = load_mesh_json(path)
+        again = mesh_from_dict(mesh_to_dict(mesh))
+        assert np.array_equal(mesh.vertices, again.vertices), text
+        assert mesh.cells == again.cells, text
+        assert mesh.boundary_edges == again.boundary_edges, text
+    return codes
+
+
 def test_mutated_mesh_files_exit_0_or_2(capsys, tmp_path):
     # 300 seeded mutations of two small meshes through both file commands
     rng = random.Random(14)
-    path = tmp_path / "mutant.json"
     for family in ("t1", "t6"):
         base = mesh_to_dict(FAMILIES[family](2))
         for index in range(150):
-            text = json.dumps(mutate(base, rng))
-            path.write_text(text)
-            codes = []
-            for argv in (["check-mesh", str(path)],
-                         ["solve", "--mesh-file", str(path), "--k", "1"]):
-                code, _, err = run_cli(capsys, *argv)
-                assert code in (0, 2), (family, index, argv[0], text, err)
-                assert code == 0 or err.startswith("error:"), (family, index, text, err)
-                codes.append(code)
-            if codes[0] == 0:
-                mesh = load_mesh_json(path)
-                again = mesh_from_dict(mesh_to_dict(mesh))
-                assert np.array_equal(mesh.vertices, again.vertices), text
-                assert mesh.cells == again.cells, text
-                assert mesh.boundary_edges == again.boundary_edges, text
+            run_mutant(capsys, tmp_path / "mutant.json", json.dumps(mutate(base, rng)))
+
+
+def mutate_valid(tree, rng):
+    """A copy of ``tree`` with one cell cycle rotated or reversed, or one
+    boundary entry's ``(i, j)`` reversed or its marker swapped: edits a valid
+    file survives, bar a marker swap that leaves a part without gamma0."""
+    tree = copy.deepcopy(tree)
+    op = rng.choice(("rotate", "reverse", "flip", "swap"))
+    if op == "rotate":
+        cycle = rng.choice(tree["cells"])
+        k = rng.randrange(1, len(cycle))
+        cycle[:] = cycle[k:] + cycle[:k]
+    elif op == "reverse":
+        rng.choice(tree["cells"]).reverse()
+    else:
+        entry = rng.choice(tree["boundary"])
+        if op == "flip":
+            entry[:2] = entry[1::-1]
+        else:
+            entry[2] = "gamma1" if entry[2] == "gamma0" else "gamma0"
+    return tree
+
+
+def test_valid_mutations_are_accepted_and_round_trip(capsys, tmp_path):
+    # 150 seeded edits that keep a file valid, so the round-trip clause of
+    # run_mutant checks many meshes, not the one or two a random edit leaves
+    rng = random.Random(15)
+    accepted = 0
+    for family in ("t1", "t6"):
+        base = mesh_to_dict(FAMILIES[family](2))
+        for _ in range(75):
+            codes = run_mutant(capsys, tmp_path / "mutant.json", json.dumps(mutate_valid(base, rng)))
+            accepted += codes[0] == 0
+    assert accepted >= 100
 
 
 @pytest.mark.parametrize("argv", [["--family", "t2", "--N", "8", "--refine-level", "1"],
@@ -394,6 +452,21 @@ def test_study_single_level_warns(capsys):
                              "--Ns", "8", "--k", "1")
     assert code == 0
     assert "single level" in err
+
+
+def test_study_k_too_large_exits_3(capsys):
+    code, out, err = run_cli(capsys, "study", "--family", "t2", "--Ns", "4", "--k", "80")
+    assert code == 3
+    assert err.splitlines()[-1].startswith("study failure: k = 80 exceeds ")
+    assert out == ""
+
+
+def test_study_backward_error_above_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(eig, "_BACKWARD_ERROR_BOUND", 0.0)
+    code, out, err = run_cli(capsys, "study", "--family", "t1", "--Ns", "4", "8", "--k", "1")
+    assert code == 3
+    assert err.startswith("study failure: backward error ")
+    assert out == ""
 
 
 def test_study_bad_levels_exit_2(capsys):

@@ -969,6 +969,21 @@ def test_json_boundary_entry_has_exactly_three_fields(entry):
     assert str(info.value) == "boundary entry 2: not [i, j, marker]"
 
 
+@pytest.mark.parametrize("entry", [(0, 1), 5, (0, 1, GAMMA1, GAMMA0), "01g"])
+def test_build_mesh_boundary_entry_has_exactly_three_fields(entry):
+    # the entries are checked first: a bad entry is named even next to bad vertices
+    for verts in (SQUARE_VERTS, None):
+        with pytest.raises(MeshError) as info:
+            build_mesh(verts, [[0, 1, 2, 3]], [entry] + SQUARE_BND[1:])
+        assert str(info.value) == "boundary entry 0: not [i, j, marker]"
+
+
+@pytest.mark.parametrize("boundary", [None, 7, set(SQUARE_BND)], ids=["None", "7", "set"])
+def test_build_mesh_boundary_is_a_list(boundary):
+    with pytest.raises(MeshError, match="boundary must be a list"):
+        build_mesh(SQUARE_VERTS, [[0, 1, 2, 3]], boundary)
+
+
 def test_json_rejects_invalid_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], '
