@@ -7,9 +7,12 @@ mu = 1 / (sigma + lambda) lies in (0, 1 / sigma] and the first k positive
 lambdas are the k + 1 largest mu (the constant mode has mu = 1 / sigma).
 As sigma is a reciprocal length like lambda, scaling the mesh scales every
 mu alike and leaves the Lanczos iteration count unchanged.  Ahat is not
-stored: each solve writes it (:func:`_shifted` or
-:func:`_with_gamma0_clique`) only as the input of the LU, and it dies
-when the factorization returns.  B lives on the m gamma0 dofs g,
+stored: the Lanczos path gathers ``system.Ahat`` in the dof order
+(:func:`_shifted`) and the Schur path writes it with a gamma0 clique
+(:func:`_with_gamma0_clique`), only as the input of the LU, and it dies
+when the factorization returns.  A stores no explicit zeros (assembly
+drops couplings that cancel exactly), so both inputs carry Ahat's own
+nonzero couplings.  B lives on the m gamma0 dofs g,
 B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all n
 dofs, so the nonzero mu are the eigenvalues of the m x m pencil
 
@@ -23,8 +26,9 @@ P the dof order ``GlobalSystem.dof_order`` by vertex (y, x), and g is
 taken in that order too: every numbering of one mesh then gives the same
 ordering, fill, q, reach and Lanczos steps.  On t5 N=30 renumbered at
 random the reach went from 1,720-1,763 dofs to 1,581 (1,544 in the
-generator's numbering), and the LU from 16-17 to 8-10 ms (one BLAS
-thread, 2-vCPU host).  P is applied while Ahat is written, and the lift
+generator's numbering; 1,571 once A dropped its 4 exactly cancelled
+couplings), and the LU from 16-17 to 8-10 ms (one BLAS thread, 2-vCPU
+host).  P is applied while Ahat is written, and the lift
 maps the solution back (:func:`_lift`), so A, B and the returned vectors
 keep the vertex numbering.  The LU reaches the mu along one of two paths,
 chosen from n, m and k before factoring:
@@ -206,30 +210,13 @@ def _gamma0_factor(B_gg) -> sps.csr_matrix:
         shape=(pairs + m, m))
 
 
-def _ranges(starts, lens) -> np.ndarray:
-    """The ranges starts[i] + arange(lens[i]), concatenated."""
-    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
-
-
 def _shifted(system: GlobalSystem, position) -> sps.csr_matrix:
-    """P Ahat P' with Ahat = A + sigma B and P the dof order, the input of the
-    Lanczos path's LU: row i is the row of dof ``system.dof_order[i]`` and
-    column ``position[j]`` that of dof j.  The rows are gathered from A in
-    that order and the columns renumbered, so the column indices of a row
-    are not sorted, but the conversion to CSC sorts them.
-
-    B lives on gamma0 edges, which are cell edges, so its pattern lies in
-    the gamma0 rows of A's: B is sampled at A's entries in those rows (zero
-    where B has no entry) and only the values change.  An entry of B off
-    that pattern would be lost and leave a residual the backward-error gate
-    sees.
-    """
-    A, B, g = system.A, system.B, system.gamma0_dofs
-    Ahat = A[system.dof_order]
-    lens = np.diff(A.indptr)[g]
-    at = _ranges(Ahat.indptr[position[g]], lens)
-    B_at = B[np.repeat(g, lens), Ahat.indices[at]]
-    Ahat.data[at] += system.shift * np.asarray(B_at).ravel()
+    """P Ahat P' with P the dof order, the input of the Lanczos path's LU: row
+    i is the row of ``system.Ahat`` at dof ``system.dof_order[i]`` and column
+    ``position[j]`` that of dof j.  The rows are gathered in that order and
+    the columns renumbered, so the column indices of a row are not sorted,
+    but the conversion to CSC sorts them."""
+    Ahat = system.Ahat[system.dof_order]
     np.take(position, Ahat.indices, out=Ahat.indices)
     return Ahat
 
@@ -242,7 +229,8 @@ def _with_gamma0_clique(system: GlobalSystem, position, at) -> sps.csc_matrix:
     The entries of A and of sigma B at their positions and m^2 zeros at the
     clique pairs go into one COO conversion, which sorts each column and
     sums the duplicates.  Adding an exact zero is exact, so the values are
-    those of Ahat, and A's own explicit zeros are kept.
+    those of Ahat; A stores no explicit zeros, so off the clique the
+    pattern is that of :func:`_shifted`.
     """
     A, B, m = system.A.tocoo(), system.B.tocoo(), len(at)
     rows = np.concatenate((position[A.row], position[B.row], np.repeat(at, m)))

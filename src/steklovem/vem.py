@@ -30,7 +30,7 @@ it is the reference the tests hold assembly to.
 
 :func:`assemble_global` returns A, B and the shift sigma = 1 / |gamma0| of
 the definite matrix Ahat = A + sigma B that the eigensolver factors; Ahat
-itself is not stored (:class:`GlobalSystem`).
+itself is not stored, and :attr:`GlobalSystem.Ahat` builds it on access.
 """
 
 from __future__ import annotations
@@ -80,11 +80,13 @@ class GlobalSystem:
     1 / lambda scale by s, so the shifted spectrum mu = 1 / (sigma + lambda)
     and with it the Lanczos iteration count do not depend on the length
     unit.  Only A and B are stored; :attr:`Ahat` builds A + shift B on each
-    access.  The shift is stored rather than re-derived from B in the
-    solver: scaling A and B by one factor c is the same eigenproblem, and
-    the stored shift scales Ahat by exactly c, while 1 / (1' B 1) would
-    shrink by c against A (with c = 2^20 on t5 N=8 the largest backward
-    error rose from 1.7e-17 to 2.8e-13 and lambda moved by 1.1e-13).
+    access, and the Lanczos path of the solver factors that matrix.  A
+    holds no exact zeros, so A and Ahat store the same couplings.  The
+    shift is stored rather than re-derived from B in the solver: scaling A
+    and B by one factor c is the same eigenproblem, and the stored shift
+    scales Ahat by exactly c, while 1 / (1' B 1) would shrink by c against
+    A (with c = 2^20 on t5 N=8 the largest backward error rose from 1.7e-17
+    to 2.8e-13 and lambda moved by 1.1e-13).
 
     ``dof_order`` lists the dofs sorted by vertex (y, x), a row-major sweep;
     the solver factors Ahat renumbered in that order.  Minimum degree breaks
@@ -107,9 +109,10 @@ class GlobalSystem:
 
     @property
     def Ahat(self) -> sps.csr_matrix:
-        """A + shift B, symmetric positive definite; a new matrix per access,
-        for the dense oracle and for inspection.  The solver builds its own
-        copy only as the input of the LU."""
+        """A + shift B, symmetric positive definite, in canonical CSR; a new
+        matrix per access.  The Lanczos path's LU factors it in the dof order,
+        the dense oracle densifies it, and the Schur path writes the same
+        values with its gamma0 clique."""
         return (self.A + self.shift * self.B).tocsr()
 
 
@@ -246,10 +249,16 @@ def assemble_global(mesh: PolygonalMesh,
     """Scatter local stiffness over cells and edge mass over gamma0 edges,
     and set the shift to 1 / |gamma0|, the correctly rounded sum of the
     gamma0 edge lengths (independent of their order), and the dof order
-    by vertex (y, x) in which the solver factors Ahat."""
+    by vertex (y, x) in which the solver factors Ahat.
+
+    A stores no exact zeros: a coupling whose two cell contributions cancel
+    to 0.0 (a few on t3-t5 at some N, 4 at t5 N=30) is dropped, so A and
+    Ahat store the same couplings.  a + b = b + a exactly, so the pattern
+    does not depend on the order of the cells."""
     n = mesh.n_vertices
     A = _scatter([(cycles, partial(_stiffness, *planes))
                   for cycles, *planes in _cell_planes(mesh, spec.alpha)], n)
+    A.eliminate_zeros()
     edges = np.array(mesh.gamma0_edges(), dtype=int).reshape(-1, 2)
     lengths = np.linalg.norm(np.diff(mesh.vertices[edges], axis=1)[:, 0], axis=1)
     B = _scatter([(edges, partial(np.copyto, src=boundary_mass_edge(lengths)))], n)

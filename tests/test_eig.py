@@ -106,7 +106,7 @@ def test_sparse_matches_dense_oracle(family, N):
 def test_permuted_t5_matches_dense_oracle():
     # gamma0 ids in random order: the gamma0 mass block and its sparse
     # edge factor F are scattered, not banded
-    mesh = sibling_test_module("test_vem.py").permuted_t5_mesh()
+    mesh = sibling_test_module("test_vem.py").permuted_mesh()
     system = assemble_global(mesh, StabilizationSpec())
     fast = solve_steklov(system, 6)
     slow = dense_reference_solve(system)
@@ -252,9 +252,9 @@ def test_reach_solve_matches_the_full_solve(monkeypatch, case):
 
 
 def test_reach_restricts_the_sweep_mesh():
-    # sweep-t5's permuted t5 N=30: the steps solve on 1,581 of 4,690 dofs
+    # sweep-t5's permuted t5 N=30: the steps solve on 1,571 of 4,690 dofs
     # (1,745 with the LU in the mesh's own numbering)
-    mesh = sibling_test_module("test_vem.py").permuted_t5_mesh(30)
+    mesh = sibling_test_module("test_vem.py").permuted_mesh(30)
     system = assemble_global(mesh, StabilizationSpec())
     result = solve_steklov(system, 6)
     assert result.path == "lanczos"
@@ -340,21 +340,25 @@ def test_short_gamma0_reads_no_dense_trailing_block():
 
 
 @functools.cache
-def sweep_mesh(N, seed):
-    """t5 at N, renumbered as sweep-t5 does with ``seed``; seed 0 keeps the
-    generator's numbering."""
+def sweep_mesh(N, seed, family="t5"):
+    """The family's mesh at N, renumbered as sweep-t5 does with ``seed``;
+    seed 0 keeps the generator's numbering."""
     if seed == 0:
-        return FAMILIES["t5"](N)
-    return sibling_test_module("test_vem.py").permuted_t5_mesh(N, seed)
+        return FAMILIES[family](N)
+    return sibling_test_module("test_vem.py").permuted_mesh(N, seed, family)
 
 
-@pytest.mark.parametrize("N", [30, 62])
-def test_lu_does_not_depend_on_the_vertex_numbering(N):
+@pytest.mark.parametrize("family,N", [("t5", 30), ("t5", 62), ("t4", 30)],
+                         ids=["30", "62", "t4-30"])
+def test_lu_does_not_depend_on_the_vertex_numbering(family, N):
     # the LU factors Ahat in the (y, x) dof order, so minimum degree sees one
     # pattern for every numbering of the mesh: in the vertex numbering the
-    # reach at N=30 was 1,544 for the generator's and 1,720-1,763 for seeds
-    # 1-3, and the Lanczos steps 40-41
-    results = [solve_steklov(assemble_global(sweep_mesh(N, seed), StabilizationSpec()), 6)
+    # reach at t5 N=30 was 1,544 for the generator's and 1,720-1,763 for
+    # seeds 1-3, and the Lanczos steps 40-41.  A cancels 4 couplings
+    # exactly on t4 and t5 at N=30, and the cancellation must not depend on
+    # the numbering either
+    results = [solve_steklov(assemble_global(sweep_mesh(N, seed, family),
+                                             StabilizationSpec()), 6)
                for seed in (0, 1, 2, 3)]
     ref = results[0]
     assert ref.path == "lanczos" and ref.reach > 0
@@ -383,11 +387,10 @@ def test_schur_trailing_block_does_not_depend_on_the_vertex_numbering():
 def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, k, path):
     # SuperLU gets P Ahat P', P the (y, x) dof order: every entry is the
     # entry of A + sigma B at its dofs, bit for bit, the pattern is A's
-    # stored one (explicit zeros included) plus, on the Schur path, the
-    # gamma0 clique, the indices are sorted so that splu's sum_duplicates
-    # has nothing to sort, and the solver reads each gamma0 dof at its
-    # position in the order.  t5 N=10 holds exact zeros in A, which
-    # system.Ahat drops.
+    # stored one plus, on the Schur path, the gamma0 clique, the indices
+    # are sorted so that splu's sum_duplicates has nothing to sort, and the
+    # solver reads each gamma0 dof at its position in the order.  t5 N=10 has couplings whose cell
+    # contributions cancel exactly; A drops them, as system.Ahat does.
     seen = {}
     factor, reach_solver, trailing_schur = eig._factor, eig._reach_solver, eig._trailing_schur
 
@@ -410,7 +413,7 @@ def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, k, path):
     mesh = GAMMA0_FACTOR_MESHES[case]()
     system = assemble_global(mesh, StabilizationSpec())
     if case == "t5-10":
-        assert system.A.nnz > system.A.count_nonzero()
+        assert system.A.nnz == system.A.count_nonzero()
     assert solve_steklov(system, k).path == path
     order = system.dof_order
     x, y = mesh.vertices.T
@@ -552,8 +555,8 @@ def refined_t6_mesh():
 GAMMA0_FACTOR_MESHES = {
     **{f"{family}-8": functools.partial(FAMILIES[family], 8) for family in FAMILIES},
     "t6-32-refined-2": refined_t6_mesh,
-    "t5-8-permuted": lambda: sibling_test_module("test_vem.py").permuted_t5_mesh(),
-    # n = 675, m = 84, and 4 exact-zero couplings stored in A
+    "t5-8-permuted": lambda: sibling_test_module("test_vem.py").permuted_mesh(),
+    # n = 675, m = 84, and 4 couplings whose cell contributions cancel
     "t5-10": functools.partial(FAMILIES["t5"], 10),
 }
 

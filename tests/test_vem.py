@@ -338,6 +338,18 @@ def test_assembly_invariants(family):
                                               rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("family", ["t3", "t4", "t5"])
+def test_assembly_stores_no_exact_zero(family):
+    # at N=10 some couplings of t3-t5 get two cell contributions that cancel
+    # to 0.0 (2, 4 and 4 of them); A drops them, so it stores the couplings
+    # of Ahat and the LU factors no entry that is known to be zero
+    mesh = FAMILIES[family](10)
+    system = assemble_global(mesh, StabilizationSpec())
+    assert system.A.nnz == system.A.count_nonzero()
+    assert system.A.nnz == system.Ahat.nnz
+    assert_matches_per_cell(mesh, system, StabilizationSpec())
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("N", [8, 16])
 def test_ahat_positive_definite(family, N):
@@ -345,19 +357,19 @@ def test_ahat_positive_definite(family, N):
     np.linalg.cholesky(system.Ahat.toarray())
 
 
-def permuted_t5_mesh(N=8, seed=1):
-    """The benchmark's renumbered, rotated and reordered t5 mesh; sweep-t5
-    runs it at N=30 with seed 1."""
+def permuted_mesh(N=8, seed=1, family="t5"):
+    """The family's mesh renumbered, rotated and reordered as the benchmark
+    does it; sweep-t5 runs t5 at N=30 with seed 1."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    data = mesh_to_dict(FAMILIES["t5"](N))
+    data = mesh_to_dict(FAMILIES[family](N))
     return build_mesh(*workloads.permuted_mesh_data(data, seed))
 
 
 def test_assembly_order_independent():
-    mesh = permuted_t5_mesh()
+    mesh = permuted_mesh()
     assert sorted({len(c) for c in mesh.cells}) == [4, 6, 7, 8, 9]
     reversed_mesh = build_mesh(mesh.vertices, mesh.cells[::-1],
                                mesh.boundary_edges)

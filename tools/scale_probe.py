@@ -97,7 +97,8 @@ def main(argv: list[str]) -> None:
         rows.append(("solve_traced_peak", peak / 2**20, "MiB"))
     rows.append(("peak_rss", peak_rss, "MiB"))
     for name, value, unit in rows:
-        print(f"{name:<26} {value:12.4g} {unit}")
+        print(f"{name:<26} {value:12d} {unit}" if isinstance(value, int)
+              else f"{name:<26} {value:12.4g} {unit}")
 
 
 if __name__ == "__main__":
