@@ -7,14 +7,12 @@ Every generator runs the same array pipeline, with the cells in CSR form
    vertex coordinates, in cycle order;
 2. one merge numbers the points of all patches (:func:`_merge_points`):
    points within ``_MERGE_TOL`` = 1e-10 of each other are one vertex, which
-   keeps the number and coordinates of its first occurrence.  When no two
-   distinct x coordinates lie within ``_MERGE_TOL``, close points share
-   their x and the merge only compares each point with its successor in
-   (x, y) order; when no pair is close, the sort alone numbers the
-   vertices.  That holds for t1 and t6 at every N, for t2 at N = 2^j and
-   for t3-t5 at some N; elsewhere rounding leaves a few distinct x values
-   within ``_MERGE_TOL`` of each other, and the merge searches grid
-   buckets;
+   keeps the number and coordinates of its first occurrence.  The distinct
+   points are swept in (x-run, y) order, an x-run being distinct x values
+   chained by steps of at most ``_MERGE_TOL``: close points share a run,
+   and the sweep pairs each point with the points after it in its run
+   whose y lies within ``_MERGE_TOL``.  When no pair is close, the sort
+   alone numbers the vertices;
 3. one join makes the composite conforming (:func:`_conformalize`): the
    once-edge endpoints (an edge of a single cell is the only kind that can
    hold a hanging node) lying inside a once-edge, by the on-segment rule of
@@ -27,7 +25,7 @@ Every generator runs the same array pipeline, with the cells in CSR form
    of :mod:`steklovem.mesh` checks the arrays as they are, with the same
    edge table and no round trip through Python lists.
 
-The bucket search of the merge and the join both sort grid bucket keys
+The merge sorts coordinates and the join sorts grid bucket keys
 (:func:`steklovem.mesh._bucket_join`), so generation needs only numpy.
 Points, boxes and edges go through them as x and y planes, under the rule of
 :mod:`steklovem.mesh`: no reduction over an axis of length 2, the two
@@ -58,7 +56,6 @@ from .mesh import (
     GAMMA1,
     PolygonalMesh,
     _area_centroid,
-    _bucket_join,
     _component_labels,
     _diameter,
     _hanging_nodes,
@@ -129,23 +126,21 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertices are numbered in order of first occurrence and sit at their
     first point.
 
-    One lexsort on (x, y) collapses exact duplicates, and the distinct points
-    are then searched for close pairs.  When no step between consecutive
-    sorted x values lies in (0, ``_MERGE_TOL``] (as on structured grids),
-    each distinct point is joined with its successor only, and that finds
-    the same components: the x difference of two distinct points is a sum of
-    the positive x steps between them, so when every positive step exceeds
-    the tolerance, close points share their x coordinate.  The points between
-    two such points in sorted order share it too and lie between them in y,
-    so each consecutive pair on the way is close as well.  Otherwise every
-    distinct point p is joined (:func:`steklovem.mesh._bucket_join`) with the
-    distinct points in the grid buckets that the box of half-width
-    ``_MERGE_TOL`` around p meets; the buckets are wider than that box, and
-    any point within ``_MERGE_TOL`` of p lies in it.  The pairs that pass the
-    distance test are labelled as components
-    (:func:`steklovem.mesh._component_labels`).  When no pair passes, the
-    lexsort numbers the vertices: being stable, it puts the first occurrence
-    of each distinct point first.
+    One lexsort on (x, y) collapses exact duplicates, and one sweep finds
+    every close pair of distinct points.  The sorted distinct x values are
+    cut into x-runs wherever a step between them exceeds ``_MERGE_TOL``, so
+    two close points lie in one run: their x difference is the sum of the
+    steps between them.  With the points ordered by (run, y), each point is
+    paired with the points d = 1, 2, ... places after it, and the sweep stops
+    at the first offset d at which no pair lies in one run within
+    ``_MERGE_TOL`` in y.  That stop is exact: if p and the point d' > d
+    places after it share a run, so does the point d places after p, and its
+    y lies between theirs.  Each offset is one pass over the points; on the
+    generator and refinement points of every family at N <= 64 the sweep
+    stops at d = 1 or 2.  The pairs that pass the distance test are
+    labelled as components (:func:`steklovem.mesh._component_labels`).
+    When no pair passes, the lexsort numbers the vertices: being stable, it
+    puts the first occurrence of each distinct point first.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     x, y = pts[order, 0], pts[order, 1]
@@ -153,14 +148,19 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uid = np.empty(len(pts), dtype=np.intp)
     uid[order] = np.cumsum(new) - 1
     x, y = x[new], y[new]
-    step = np.diff(x)
-    if np.any((step > 0.0) & (step <= _MERGE_TOL)):
-        i, j = _bucket_join((x, y), (x - _MERGE_TOL, y - _MERGE_TOL),
-                            (x + _MERGE_TOL, y + _MERGE_TOL))
-    else:
-        i, j = np.arange(len(x) - 1), np.arange(1, len(x))
+    run = np.concatenate(([0], np.cumsum(np.diff(x) > _MERGE_TOL)))
+    by = np.lexsort((y, run))
+    run, ry = run[by], y[by]
+    # offset d adds the pairs (by[k], by[k + d]); by[:0] starts both lists
+    # with an empty index array, for inputs with no pair at d = 1
+    i, j, d = [by[:0]], [by[:0]], 1
+    while len(k := np.flatnonzero((run[d:] == run[:-d]) & (ry[d:] - ry[:-d] <= _MERGE_TOL))):
+        i.append(by[k])
+        j.append(by[k + d])
+        d += 1
+    i, j = np.concatenate(i), np.concatenate(j)
     dx, dy = x[i] - x[j], y[i] - y[j]
-    close = (i < j) & (dx * dx + dy * dy <= _MERGE_TOL ** 2)
+    close = dx * dx + dy * dy <= _MERGE_TOL ** 2
     if close.any():
         labels = _component_labels(len(x), np.column_stack((i[close], j[close])))
         _, first, inverse = np.unique(labels[uid], return_index=True, return_inverse=True)

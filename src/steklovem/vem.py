@@ -260,7 +260,8 @@ def assemble_global(mesh: PolygonalMesh,
                   for cycles, *planes in _cell_planes(mesh, spec.alpha)], n)
     A.eliminate_zeros()
     edges = np.array(mesh.gamma0_edges(), dtype=int).reshape(-1, 2)
-    lengths = np.linalg.norm(np.diff(mesh.vertices[edges], axis=1)[:, 0], axis=1)
+    dx, dy = (mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]).T
+    lengths = np.sqrt(dx * dx + dy * dy)
     B = _scatter([(edges, partial(np.copyto, src=boundary_mass_edge(lengths)))], n)
     return GlobalSystem(A=A, B=B, shift=1.0 / math.fsum(lengths), n_dofs=n,
                         gamma0_dofs=mesh.gamma0_vertices(),
@@ -270,6 +271,7 @@ def assemble_global(mesh: PolygonalMesh,
 def export_coo(matrix: sps.spmatrix, path) -> None:
     """Dump a sparse matrix as 'row col value' text lines."""
     coo = matrix.tocoo()
+    # Python scalars from tolist(), as in vtkio.write_vtk: same text, less time
     with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
+        fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in
+                      zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))

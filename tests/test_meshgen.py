@@ -17,7 +17,6 @@ from steklovem.errors import InvalidN, MeshError, NonConforming
 from steklovem.mesh import (
     GAMMA0,
     _area_centroid,
-    _bucket_join,
     _edge_arrays,
     _validate_csr,
     edge_table,
@@ -260,9 +259,9 @@ def kd_tree_merge(pts):
 
 @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
 def test_points_straddling_a_bucket_boundary_merge(axes):
-    # the merge grid for this point set: origin 1e-10 below the lowest point,
-    # buckets (span + 2e-10) 2^-24 wide; the pair sits 1e-15 apart across the
-    # edge of bucket 1000 along the given axes
+    # a grid of buckets (span + 2e-10) 2^-24 wide from 1e-10 below the lowest
+    # point, as a bucket search would lay over this point set; the pair sits
+    # 1e-15 apart across the edge of bucket 1000 along the given axes
     origin, width = -1e-10, (1.0 + 2e-10) * 2.0**-24
     edge = origin + 1000 * width
     near = [x for x in edge + 1e-16 * np.arange(-20, 20)
@@ -285,39 +284,22 @@ def test_merge_is_transitive():
     np.testing.assert_array_equal(verts, pts[:2])
 
 
-def merge_counting_joins(pts):
-    """``(_merge_points(pts), number of bucket joins it ran)``: 0 when it took
-    the successor search."""
-    calls = []
-
-    def join(*args):
-        calls.append(args)
-        return _bucket_join(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meshgen, "_bucket_join", join)
-        return _merge_points(pts), len(calls)
-
-
 def test_merge_is_transitive_along_y():
-    # a-b and b-c are within 1e-10 along y, a-c is not: one vertex, found by
-    # the successor search, since no two distinct x lie within 1e-10
+    # a-b and b-c are within 1e-10 along y, a-c is not: one vertex
     a = np.array([0.3, 0.7])
     pts = np.array([[1.0, 0.0], a + [0.0, 1.2e-10], a, a + [0.0, 0.6e-10], [0.3, 0.2]])
-    (verts, ids), joins = merge_counting_joins(pts)
-    assert joins == 0
+    verts, ids = _merge_points(pts)
     assert ids.tolist() == [0, 1, 1, 1, 2]
     np.testing.assert_array_equal(verts, pts[[0, 1, 4]])
     np.testing.assert_array_equal(kd_tree_merge(pts)[1], ids)
 
 
 @pytest.mark.parametrize("dy", [0.0, 0.5e-10, 1e-3])
-def test_merge_close_x_values_take_bucket_join(dy):
-    # two distinct x 0.5e-10 apart: the bucket join runs, and the pair merges
-    # exactly when it is close in y too
+def test_merge_close_x_values_share_an_x_run(dy):
+    # two distinct x 0.5e-10 apart are one x-run, and the pair merges exactly
+    # when it is close in y too
     pts = np.array([[1.0, 0.0], [0.3 + 0.5e-10, 0.7 + dy], [0.3, 0.7], [0.3, 0.2]])
-    (verts, ids), joins = merge_counting_joins(pts)
-    assert joins == 1
+    verts, ids = _merge_points(pts)
     ref_verts, ref_ids = kd_tree_merge(pts)
     np.testing.assert_array_equal(ids, ref_ids)
     np.testing.assert_array_equal(verts, ref_verts)
@@ -329,8 +311,7 @@ def test_merge_close_x_values_take_bucket_join(dy):
        planted=st.integers(0, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_merge_y_duplicates_match_kd_tree(seed, n, planted, scale):
     # a cloud on 20 columns of x, near-duplicates of it displaced along y only
-    # (exact, jittered, chained) and a shuffle: the successor search alone
-    # gives the kd-tree's vertices and ids
+    # (exact, jittered, chained) and a shuffle: every x-run holds one x value
     rng = np.random.default_rng(seed)
     pts = np.column_stack((0.1 * scale * rng.integers(-10, 10, n),
                            rng.uniform(-scale, scale, n)))
@@ -339,9 +320,63 @@ def test_merge_y_duplicates_match_kd_tree(seed, n, planted, scale):
         step = rng.choice([0.0, 1e-12, 0.7e-10, 0.99e-10]) * rng.choice([-1.0, 1.0])
         pts = np.vstack((pts, src + [0.0, step]))
     pts = pts[rng.permutation(len(pts))]
-    (verts, ids), joins = merge_counting_joins(pts)
-    assert joins == 0
+    verts, ids = _merge_points(pts)
     ref_verts, ref_ids = kd_tree_merge(pts)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(verts, ref_verts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       planted=st.integers(0, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_merge_across_close_x_columns_matches_kd_tree(seed, n, planted, scale):
+    # a cloud on 20 clusters of three x-columns 0.8e-10 apart, so one x-run
+    # holds three x values 1.6e-10 wide; near-duplicates planted one column
+    # over or in place and chained along y, and a shuffle.  The planted p, q
+    # and r lie in one run with q between p and r in y: p and r are close,
+    # q is 1.6e-10 off in x and close to neither, so the sweep must pair
+    # points two places apart
+    rng = np.random.default_rng(seed)
+    column = 0.8e-10 * np.arange(-1, 2)
+    pts = np.column_stack((0.1 * scale * rng.integers(-10, 10, n) + rng.choice(column, n),
+                           rng.uniform(-scale, scale, n)))
+    p = pts[rng.integers(n)]
+    pts = np.vstack((pts, p + [1.6e-10, 0.3e-10], p + [0.8e-10, 0.5 * scale],
+                     p + [0.0, 0.6e-10]))
+    for _ in range(planted):
+        src = pts[rng.integers(len(pts))]
+        step = rng.choice([0.0, 1e-12, 0.4e-10, 0.7e-10, 0.99e-10]) * rng.choice([-1.0, 1.0])
+        pts = np.vstack((pts, src + [rng.choice(column), step]))
+    pts = pts[rng.permutation(len(pts))]
+    verts, ids = _merge_points(pts)
+    ref_verts, ref_ids = kd_tree_merge(pts)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(verts, ref_verts)
+
+
+GENERATOR_MERGES = {
+    **{family: (lambda family=family: FAMILIES[family](30))
+       for family in ("t2", "t3", "t4", "t5")},
+    "t6-N16-refined-twice": lambda: refine_lshape_corner(
+        refine_lshape_corner(FAMILIES["t6"](16), 1, 16), 2, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_MERGES))
+def test_merge_matches_kd_tree_on_generator_points(case, monkeypatch):
+    # the last point set the generator or refinement hands to the merge.  On
+    # t2 and t5 rounding leaves 8 and 5 steps between distinct x values in
+    # (0, 1e-10], so some x-runs hold two x values; elsewhere each holds one
+    seen = []
+
+    def record(pts):
+        seen.append(pts)
+        return _merge_points(pts)
+
+    monkeypatch.setattr(meshgen, "_merge_points", record)
+    GENERATOR_MERGES[case]()
+    verts, ids = _merge_points(seen[-1])
+    ref_verts, ref_ids = kd_tree_merge(seen[-1])
     np.testing.assert_array_equal(ids, ref_ids)
     np.testing.assert_array_equal(verts, ref_verts)
 
