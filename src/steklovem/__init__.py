@@ -22,8 +22,8 @@ _EXPORTS = {
              "load_mesh_json", "quality_report", "save_mesh_json"),
     "meshgen": ("FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
                 "gen_square_perturbed_triangles", "refine_lshape_corner"),
-    "vem": ("GlobalSystem", "LocalOperators", "StabilizationSpec", "assemble_global",
-            "boundary_mass_edge", "local_operators", "triple_norm"),
+    "vem": ("GlobalSystem", "StabilizationSpec", "assemble_global", "boundary_mass_edge",
+            "triple_norm"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

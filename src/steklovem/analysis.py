@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import FitDiverged, InsufficientLevels, InvalidN, NonPositiveError
 from .eig import solve_steklov
-from .meshgen import FAMILIES
+from .meshgen import FAMILIES, FAMILY_DOMAIN
 from .vem import StabilizationSpec, assemble_global
 
 # regression anchor for the L-shape first eigenvalue (extrapolated from
@@ -128,8 +128,9 @@ def run_study(family: str, Ns, k: int,
     """Generate, assemble and solve each level, then fit rates.
 
     The errors are taken against the analytic square sloshing spectrum for
-    the square families (t1, t2), and against each eigenvalue extrapolated
-    from the study's own levels otherwise.
+    the families of the square domain (``meshgen.FAMILY_DOMAIN``), and
+    against each eigenvalue extrapolated from the study's own levels
+    otherwise.
     """
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -150,7 +151,7 @@ def run_study(family: str, Ns, k: int,
     eigenvalues = np.asarray(eigs)
 
     extrapolated = None
-    if family in ("t1", "t2"):
+    if FAMILY_DOMAIN[family] == "square":
         refs = np.array([exact_square_eigenvalue(i + 1) for i in range(k)])
     else:
         extrapolated = []

@@ -20,17 +20,13 @@ from . import meshgen, vtkio
 from .errors import AnalysisError, MeshError, SolverError
 from .mesh import load_mesh_json, quality_report, save_mesh_json
 
-FAMILY_DOMAIN = {"t1": "square", "t2": "square", "t3": "rotated-t",
-                 "t4": "rotated-t", "t5": "rotated-t", "t6": "lshape"}
-
 
 def _generate(args):
-    family = args.family
-    if args.domain and FAMILY_DOMAIN[family] != args.domain:
-        raise MeshError(f"family {family} belongs to domain "
-                        f"{FAMILY_DOMAIN[family]}, not {args.domain}")
+    family, domain = args.family, meshgen.FAMILY_DOMAIN[args.family]
+    if args.domain and domain != args.domain:
+        raise MeshError(f"family {family} belongs to domain {domain}, not {args.domain}")
     levels = args.refine_level or 0
-    if levels < 0 or (levels > 0 and family != "t6"):
+    if levels < 0 or (levels > 0 and domain != "lshape"):
         raise MeshError(f"--refine-level {levels}: corner refinement takes a level "
                         ">= 0 and applies to family t6 only")
     N = 8 if args.N is None else args.N
@@ -80,7 +76,7 @@ def cmd_solve(args) -> int:
     for i, lam in enumerate(result.lambdas):
         print(f"lambda_{i + 1} = {lam:.10f}   residual {result.residuals[i]:.3e}")
     if args.vtk:
-        fields = {f"mode_{i + 1}": eigenfunction_field(result, mesh, i)
+        fields = {f"mode_{i + 1}": eigenfunction_field(result, i)
                   for i in range(len(result.lambdas))}
         vtkio.write_vtk(mesh, args.vtk, point_data=fields,
                         title="steklov eigenfunctions")
@@ -116,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_gen_flags(p):
-        p.add_argument("--domain", choices=["square", "rotated-t", "lshape"])
+        p.add_argument("--domain", choices=list(dict.fromkeys(meshgen.FAMILY_DOMAIN.values())))
         p.add_argument("--family", required=False,
                        choices=sorted(meshgen.FAMILIES), default=None)
         p.add_argument("--N", type=int, help="mesh level (default 8)")

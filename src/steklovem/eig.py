@@ -81,7 +81,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FactorizationOutOfMemory, InvalidN, KTooLarge, NotSPD,
                      RankDeficientGamma0Mass, SolverError, TooLarge)
-from .mesh import PolygonalMesh
 from .vem import GlobalSystem
 
 _CONSTANT_OVERLAP = 0.99
@@ -502,8 +501,7 @@ def dense_reference_solve(system: GlobalSystem) -> EigenResult:
     return _filter_and_pack(system, mus[n - m:], vecs[:, n - m:], k=m - 1)
 
 
-def eigenfunction_field(result: EigenResult, mesh: PolygonalMesh,
-                        i: int) -> np.ndarray:
+def eigenfunction_field(result: EigenResult, i: int) -> np.ndarray:
     """Vertex field of the i-th mode, sign-fixed and scaled to max-abs 1."""
     if not 0 <= i < len(result.lambdas):
         raise IndexError(f"mode index {i} out of range")

@@ -145,10 +145,6 @@ class PolygonalMesh:
     def max_diameter(self) -> float:
         return max(float(_diameter(x, y).max()) for *_, x, y in self.grouped_planes())
 
-    def total_area(self) -> float:
-        return float(sum((0.5 * np.sum(_edge_arrays(x, y)[-1], axis=-1)).sum()
-                         for *_, x, y in self.grouped_planes()))
-
 
 @dataclass
 class MeshQualityReport:

@@ -422,7 +422,8 @@ def _inherit_markers(parent: PolygonalMesh, verts, edges,
 
 
 # ---------------------------------------------------------------------------
-# registry used by the study harness and the CLI
+# registry used by the study harness and the CLI: each family's generator
+# and the domain it meshes
 
 FAMILIES = {
     "t1": lambda N: gen_square_glued(N),
@@ -432,3 +433,5 @@ FAMILIES = {
     "t5": lambda N: gen_rotated_t(N, 5),
     "t6": lambda N: gen_lshape_uniform(N),
 }
+FAMILY_DOMAIN = {"t1": "square", "t2": "square", "t3": "rotated-t",
+                 "t4": "rotated-t", "t5": "rotated-t", "t6": "lshape"}

@@ -24,9 +24,7 @@ the group's edge vectors, each a ``(C, n)`` array, and writes A_K as
 G^T h + h^T G with h = M G / 2 - c, two rank-2 outer products, plus the
 cyclic tridiagonal S_K: no ``(C, n, n)`` P, I - P or S_K and no batched
 matrix product.  All stiffness and all gamma0 edge-mass entries go to CSR once
-each, with int32 indices.  :func:`local_operators` takes one cell's
-counter-clockwise ``(n, 2)`` vertex coordinates and keeps the projector form;
-it is the reference the tests hold assembly to.
+each, with int32 indices.
 
 :func:`assemble_global` returns A, B and the shift sigma = 1 / |gamma0| of
 the definite matrix Ahat = A + sigma B that the eigensolver factors; Ahat
@@ -56,18 +54,6 @@ class StabilizationSpec:
     def __post_init__(self):
         if not 0.25 <= self.alpha <= 2.0:
             raise ValueError(f"alpha = {self.alpha} outside [0.25, 2]")
-
-
-@dataclass(frozen=True)
-class LocalOperators:
-    """Projector, stabilization and stiffness of one element, in the projector
-    form A_K = |K| G^T G + (I - P)^T S_K (I - P)."""
-
-    G: np.ndarray          # (2, n): dofs -> constant gradient of the projection
-    mean_row: np.ndarray   # (n,):   dofs -> boundary mean value
-    P: np.ndarray          # (n, n): dofs -> vertex values of the projection
-    A_K: np.ndarray        # (n, n): local stiffness
-    S_K: np.ndarray        # (n, n): stabilization matrix
 
 
 @dataclass
@@ -170,32 +156,6 @@ def _stiffness(area, tx, ty, w, out: np.ndarray) -> None:
     flat[:, 1::n + 1] -= w[:, :-1]                   # (i, i + 1)
     flat[:, n::n + 1] -= w[:, :-1]                   # (i + 1, i)
     flat[:, [n - 1, n * (n - 1)]] -= w[:, -1:]       # (0, n - 1), (n - 1, 0)
-
-
-def local_operators(coords, spec: StabilizationSpec = StabilizationSpec()) -> LocalOperators:
-    """Projector, stabilization and stiffness in the projector form of the
-    cell with the counter-clockwise ``(n, 2)`` vertex coordinates ``coords``;
-    the reference the closed-form assembly of :func:`assemble_global` is
-    tested against.  Edge e joins vertices e and e + 1.  The area, edge
-    lengths, outward unit normals and diameter come from the kernels of
-    :mod:`steklovem.mesh`, and the boundary centroid is ``mean_row @
-    coords``."""
-    coords = np.asarray(coords, dtype=float)
-    x, y = coords[:, 0], coords[:, 1]
-    tx, ty, lengths, *_, cross = _edge_arrays(x, y)
-    area, diameter = 0.5 * np.sum(cross), _diameter(x, y)
-    raise_first_fault(_element_faults(area, diameter, lengths.min()))
-    n = len(coords)
-    half, normals = 0.5 * lengths, np.column_stack((ty, -tx)) / lengths[:, None]
-    flux = half[:, None] * normals
-    G = (flux + np.roll(flux, 1, axis=0)).T / area
-    mean_row = (half + np.roll(half, 1)) / np.sum(lengths)
-    P = mean_row + (coords - mean_row @ coords) @ G
-    D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)       # row e: d_e
-    S = D.T @ ((diameter ** spec.alpha / lengths)[:, None] * D)
-    Q = np.eye(n) - P
-    A_K = area * (G.T @ G) + Q.T @ S @ Q
-    return LocalOperators(G=G, mean_row=mean_row, P=P, A_K=0.5 * (A_K + A_K.T), S_K=S)
 
 
 def boundary_mass_edge(length) -> np.ndarray:

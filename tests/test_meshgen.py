@@ -35,10 +35,7 @@ from steklovem.meshgen import (
     gen_square_perturbed_triangles,
     refine_lshape_corner,
 )
-
-
-def total_area(mesh):
-    return mesh.total_area()
+from vem_reference import total_area
 
 
 # ---------------------------------------------------------------------------
