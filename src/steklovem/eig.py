@@ -14,13 +14,18 @@ when the factorization returns.  A stores no explicit zeros (assembly
 drops couplings that cancel exactly), so both inputs carry Ahat's own
 nonzero couplings.  B lives on the m gamma0 dofs g,
 B = E_g B_gg E_g' with E_g the scatter of a gamma0 vector into all n
-dofs, so the nonzero mu are the eigenvalues of the m x m pencil
+dofs, and B_gg = F'F with F the sparse p x m factor read off its entries
+(:func:`_gamma0_factor`: one row per coupled pair of dofs and one per
+dof, p = E + m).  So the nonzero mu are the eigenvalues of the p x p
+operator
 
-    B_gg x = mu S_g x,    S_g = ((Ahat^{-1})_gg)^{-1},
+    K = F (Ahat^{-1})_gg F',
 
-S_g being the Schur complement of Ahat onto gamma0 (the discrete
-Dirichlet-to-Neumann map), and u = Ahat^{-1} E_g S_g x lifts x to the
-pencil.  One LU of Ahat reaches them.  SuperLU's minimum-degree ordering
+of rank m, (Ahat^{-1})_gg being the inverse of the Schur complement of
+Ahat onto gamma0 (the discrete Dirichlet-to-Neumann map), and an
+eigenvector w of K lifts to u = Ahat^{-1} E_g F' w (:func:`_lift`), the
+harmonic extension of its gamma0 values (Ahat^{-1})_gg F' w.
+One LU of Ahat reaches them.  SuperLU's minimum-degree ordering
 breaks ties by the numbering it is handed, so the LU factors P Ahat P',
 P the dof order ``GlobalSystem.dof_order`` by vertex (y, x), and g is
 taken in that order too: every numbering of one mesh then gives the same
@@ -29,9 +34,11 @@ random the reach went from 1,720-1,763 dofs to 1,581 (1,544 in the
 generator's numbering; 1,571 once A dropped its 4 exactly cancelled
 couplings), and the LU from 16-17 to 8-10 ms (one BLAS thread, 2-vCPU
 host).  P is applied while Ahat is written, and the lift
-maps the solution back (:func:`_lift`), so A, B and the returned vectors
-keep the vertex numbering.  The LU reaches the mu along one of two paths,
-chosen from n, m and k before factoring:
+maps the solution back, so A, B and the returned vectors keep the vertex
+numbering.  With diagonal pivots P Ahat P' = L D L' (U = D L',
+D = diag(U)).  Two paths, chosen from n, m and k before factoring, find
+the k + 1 largest mu of K; they differ only in how they apply
+(Ahat^{-1})_gg, and share the lift:
 
 - Schur read-off.  When gamma0 is short (m^2 <= 2 n: one side of the
   square, m ~ sqrt(n)) or k + 2 >= m, SuperLU gets Ahat with explicit
@@ -41,21 +48,21 @@ chosen from n, m and k before factoring:
   transposition that leaves every column sorted, where a COO conversion
   sorts each column, about three times as long on ``sweep-t5``'s mesh.)
   The clique makes the one minimum-degree ordering put gamma0 in the
-  trailing q dofs, and when q <= 3 m, S_g is condensed from the trailing
-  q x q blocks of L and U and the pencil goes to eigh.  The lift is the
-  only solve.
+  trailing q dofs, and when q <= 3 m, (Ahat^{-1})_gg = V'V = T'T is
+  formed densely by one triangular solve with the trailing q x q block of
+  L and a thin QR (:func:`_read_off`).  With Y = F T', K = Y Y' has the
+  nonzero eigenvalues of the m x m Gram matrix Y'Y, whose k + 1 largest
+  eigenpairs z come from eigh, and w = Y z; the lift takes
+  T^{-1} z = F'w / mu.  The lift is the only solve with the LU.
 - Lanczos.  Otherwise, and when the clique leaves a longer trailing block
   (a few gamma0 edges), implicitly restarted Lanczos (ARPACK, standard
-  mode) finds the k + 1 largest mu of the p x p operator
-  K = F (Ahat^{-1})_gg F', F the sparse p x m factor of B_gg read off its
-  entries (:func:`_gamma0_factor`: one row per coupled pair of dofs and one
-  per dof, p = E + m).  K has rank m and the same nonzero mu; iterating on
-  the largest mu never touches the near-zero mu that tiny gamma0 edges
-  produce at the other end, nor the p - m zero ones.  A step reads
-  (Ahat^{-1})_gg only, so it runs two triangular solves with L_RR, R the
-  gamma0 positions of the LU and their elimination-tree ancestors
-  (:func:`_reach_solver`), not a solve on all n dofs.  As p >= m + 1 >
-  k + 1, ARPACK has room for every k the rank of B allows.
+  mode) iterates on K with length-p vectors.  Iterating on the largest mu
+  never touches the near-zero mu that tiny gamma0 edges produce at the
+  other end, nor the p - m zero ones.  A step reads (Ahat^{-1})_gg only,
+  so it runs two triangular solves with L_RR, R the gamma0 positions of
+  the LU and their elimination-tree ancestors (:func:`_reach_solver`),
+  not a solve on all n dofs.  As p >= m + 1 > k + 1, ARPACK has room for
+  every k the rank of B allows.
 
 SuperLU factors in single-column panels: its default panels serve
 supernodal partial pivoting, but here every pivot is diagonal and the
@@ -87,11 +94,11 @@ _CONSTANT_OVERLAP = 0.99
 _DENSE_LIMIT = 2000
 _BACKWARD_ERROR_BOUND = 1e-10
 # A mesh factors Ahat with its gamma0 block made a clique when m^2 <= 2 n.
-# Reading S_g off the LU took 0.50-0.64 of the Lanczos time on t2 with gamma0
-# on one side (m^2/n = 0.5), 0.59-0.92 on two (2.0), 0.80-0.91 on three (4.5)
-# and 0.94-1.12 on four (7.9), N = 32, 64, 128, and 1.21 times it on t5 N=130
-# (12.3), medians of 3-5 solves on a 2-vCPU host: past two sides the gain is
-# within run-to-run noise.
+# The read-off (then a condensation of L22 U22) took 0.50-0.64 of the Lanczos
+# time on t2 with gamma0 on one side (m^2/n = 0.5), 0.59-0.92 on two (2.0),
+# 0.80-0.91 on three (4.5) and 0.94-1.12 on four (7.9), N = 32, 64, 128, and
+# 1.21 times it on t5 N=130 (12.3), medians of 3-5 solves on a 2-vCPU host:
+# past two sides the gain is within run-to-run noise.
 _SCHUR_MAX_M2_PER_N = 2
 # The clique puts one contiguous gamma0 side last (q = 1.75-1.9 m), but a few
 # gamma0 edges leave q near n (8288 of 8321 dofs with 3 gamma0 dofs at t2
@@ -321,19 +328,39 @@ def _reach_solver(factor, pivots, g):
     return solve, len(R)
 
 
-def _trailing_schur(factor, g, q) -> np.ndarray:
-    """S_g = ((Ahat^{-1})_gg)^{-1} from the trailing q x q blocks of the LU.
+def _read_off(factor, pivots, g, q, F, k):
+    """The k + 1 largest mu with the gamma0 values that lift them, read off
+    the trailing q x q block of the LU that holds the gamma0 dofs ``g``.
 
-    P Ahat P' = L U, so T = L22 U22 is the Schur complement of Ahat onto
-    the dofs in the last q positions, and condensing T onto the gamma0
-    dofs among them gives S_g, in the order of g.
+    P Ahat P' = L D L', and E, the identity columns at the LU positions of
+    g, is nonzero in the last q rows only, so L^{-1} E is too and equals
+    L22^{-1} E there: (Ahat^{-1})_gg = V'V with V = D22^{-1/2} L22^{-1} E,
+    one triangular solve, and V'V = T'T with T the m x m factor R of the
+    thin QR of V.  So K = Y Y' with Y = F T', and the m x m Gram matrix
+    Y'Y = T B_gg T' has the nonzero eigenvalues of K; an eigenvector z of
+    Y'Y gives the eigenvector w = Y z.  The Lanczos lift F'w = B_gg T'z
+    equals mu T^{-1} z, so T^{-1} z lifts z to the same u up to the scale
+    mu: the harmonic extension of its gamma0 values T'z, as
+    ((Ahat^{-1})_gg)^{-1} = T^{-1} T'^{-1}.  Multiplying by B_gg T' would
+    instead scale the error of z along each other mode j by mu_j / mu: at
+    k = m - 1 on the unit square's 8 x 8 grid with a 1e-3 gamma0 edge in
+    every boundary cell, the worst backward error was 5.7e-10 that way,
+    over the 1e-10 bound, and is 9.0e-13 with T^{-1} z.
+
+    The operands of the solve and of the QR are in Fortran order, so
+    LAPACK copies none of them, and everything dense dies on return,
+    before the lift.
     """
-    t = factor.shape[0] - q
-    T = factor.L[t:, t:].toarray() @ factor.U[t:, t:].toarray()
-    at = factor.perm_c[g] - t
-    rest = np.setdiff1d(np.arange(q), at)
-    return T[np.ix_(at, at)] - T[np.ix_(at, rest)] @ sla.solve(
-        T[np.ix_(rest, rest)], T[np.ix_(rest, at)])
+    t, m = factor.shape[0] - q, len(g)
+    V = np.zeros((q, m), order="F")
+    V[factor.perm_c[g] - t, np.arange(m)] = 1.0
+    V = sla.solve_triangular(factor.L[t:, t:].toarray(order="F"), V, lower=True,
+                             unit_diagonal=True, overwrite_b=True)
+    V /= np.sqrt(pivots[t:])[:, None]
+    T = sla.qr(V, overwrite_a=True, mode="r")[0][:m]
+    Y = F @ T.T
+    mus, z = sla.eigh(Y.T @ Y, subset_by_index=[m - k - 1, m - 1])
+    return mus, sla.solve_triangular(T, z)
 
 
 def _lift(factor, position, at, values) -> np.ndarray:
@@ -348,18 +375,19 @@ def _lift(factor, position, at, values) -> np.ndarray:
     return rhs
 
 
-def _dtn_eigenpairs(system: GlobalSystem, g, B_gg, F: sps.csr_matrix, k: int):
+def _dtn_eigenpairs(system: GlobalSystem, g, F: sps.csr_matrix, k: int):
     """The k + 1 largest nonzero mu and their vectors u, as
     ``(mus, vecs, fields)``, ``fields`` the path fields of the result (path,
-    q, fill and, on the Lanczos path, steps and reach); see
-    :func:`solve_steklov` for the paths.
+    q, fill, steps and reach); see :func:`solve_steklov` for the paths.
 
     The LU factors Ahat in the dof order ``system.dof_order``, in which
     ``g`` lists the gamma0 dofs: ``position`` maps each dof to its row
     there, and the gamma0 positions ``at`` stand for g in everything that
-    reads the LU.  Everything that holds the LU lives here, so the factor,
-    the L and U copies that reading ``factor.U`` caches on it and the
-    factor of L_RR are freed on return.
+    reads the LU.  Both paths hand :func:`_lift` the gamma0 values F'w of
+    their eigenvectors w of K (the read-off F'w / mu).  Everything that
+    holds the LU lives here, so the factor, the L and U copies that
+    reading ``factor.U`` caches on it and the factor of L_RR are freed on
+    return.
     """
     n, (p, m) = system.n_dofs, F.shape
     position = np.empty(n, dtype=system.A.indices.dtype)
@@ -379,30 +407,28 @@ def _dtn_eigenpairs(system: GlobalSystem, g, B_gg, F: sps.csr_matrix, k: int):
     q = n - int(factor.perm_c[at].min()) if schur else 0
     fill = factor.L.nnz + factor.U.nnz
 
-    if schur and q <= _SCHUR_MAX_Q_PER_M * m:
-        S_g = _trailing_schur(factor, at, q)
-        S_g = (S_g + S_g.T) / 2.0
-        mus, x = sla.eigh(B_gg.toarray(), S_g, subset_by_index=[m - k - 1, m - 1])
-        return mus, _lift(factor, position, at, S_g @ x), dict(
-            path="schur", q=q, fill=fill)
-    solve_gg, reach = _reach_solver(factor, pivots, at)
-    Ft = F.T                          # a CSC view made once, not one per step
-    steps = 0
+    read_off = schur and q <= _SCHUR_MAX_Q_PER_M * m
+    Ft, steps, reach = F.T, 0, 0      # a CSC view made once, not one per step
+    if read_off:
+        mus, values = _read_off(factor, pivots, at, q, F, k)
+    else:
+        solve_gg, reach = _reach_solver(factor, pivots, at)
 
-    def matvec(y):                    # K y = F (Ahat^{-1})_gg F' y
-        nonlocal steps
-        steps += 1
-        return F @ solve_gg(Ft @ y)
+        def matvec(y):                # K y = F (Ahat^{-1})_gg F' y
+            nonlocal steps
+            steps += 1
+            return F @ solve_gg(Ft @ y)
 
-    mus, W = spla.eigsh(spla.LinearOperator((p, p), matvec=matvec, dtype=float),
-                        k + 1, which="LA",
-                        v0=np.random.default_rng(0).standard_normal(p))
-    return mus, _lift(factor, position, at, Ft @ W), dict(
-        path="lanczos", q=q, fill=fill, steps=steps, reach=reach)
+        mus, W = spla.eigsh(spla.LinearOperator((p, p), matvec=matvec, dtype=float),
+                            k + 1, which="LA",
+                            v0=np.random.default_rng(0).standard_normal(p))
+        values = Ft @ W
+    return mus, _lift(factor, position, at, values), dict(
+        path="schur" if read_off else "lanczos", q=q, fill=fill, steps=steps, reach=reach)
 
 
 def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
-    """First k positive Steklov eigenvalues from the gamma0 Schur complement.
+    """First k positive Steklov eigenvalues from K = F (Ahat^{-1})_gg F'.
 
     Ahat = A + sigma B with the stored shift sigma = 1 / |gamma0|
     (``system.shift``), so inside the solver mu = 1 / (sigma + lambda),
@@ -415,6 +441,9 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     per gamma0 edge and one per gamma0 dof (:func:`_gamma0_factor`),
     doubles as the rank check: rank(B) = m needs B_gg definite, which
     nonnegative edge couplings and a positive diagonal excess d prove.
+    The nonzero mu are the eigenvalues of the p x p operator
+    K = F (Ahat^{-1})_gg F' (p = E + m rows of F), (Ahat^{-1})_gg being
+    the inverse of the Schur complement of Ahat onto gamma0.
     Ahat is factored once, with a symmetric minimum-degree ordering and
     diagonal pivots only, so Ahat = P' L U P with U = D L', and by
     Sylvester's law of inertia Ahat is SPD exactly when every pivot
@@ -423,21 +452,26 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
     panels only add a dense work area, and the width moves neither the
     ordering nor the fill.
 
-    ``result.path`` names the path that ran (see the module docstring):
+    Both paths find the k + 1 largest eigenpairs (mu, w) of K and differ
+    only in how they apply (Ahat^{-1})_gg; ``result.path`` names the one
+    that ran (see the module docstring):
 
     - ``"schur"`` when m^2 <= 2 n or k + 2 >= m, and the gamma0 clique added
       to the factored pattern leaves gamma0 in the last q <= 3 m positions
-      (``result.q``) of the ordering.  S_g = L22 U22 condensed onto gamma0,
-      the k + 1 largest mu of (B_gg, S_g) come from eigh, and one
-      n x (k + 1) solve lifts them: u = Ahat^{-1} E_g S_g x.
-    - ``"lanczos"`` otherwise.  ARPACK iterates on K = F (Ahat^{-1})_gg F'
-      (p = E + m rows of F) with length-p vectors from a fixed start
-      vector, so repeated calls give bit-identical results.  Each step
-      costs two sparse products with F and two triangular solves with L_RR
-      on the elimination-tree reach R of gamma0 in the LU (``result.reach``
-      = |R| dofs, ``result.steps`` steps), not a solve on all n dofs; no
-      m x m array is formed, and one multi-column solve with the LU lifts
-      the eigenvectors w to u = Ahat^{-1} E_g F' w.
+      (``result.q``) of the ordering.  (Ahat^{-1})_gg = V'V = T'T is
+      formed densely from one triangular solve with the trailing q x q
+      block of L and the thin QR of V, and eigh of the m x m Gram matrix
+      Y'Y, Y = F T', gives the eigenpairs of K = Y Y'.
+    - ``"lanczos"`` otherwise.  ARPACK iterates on K with length-p vectors
+      from a fixed start vector, so repeated calls give bit-identical
+      results.  Each step costs two sparse products with F and two
+      triangular solves with L_RR on the elimination-tree reach R of
+      gamma0 in the LU (``result.reach`` = |R| dofs, ``result.steps``
+      steps), not a solve on all n dofs; no m x m array is formed.
+
+    On both paths one multi-column solve with the LU lifts the
+    eigenvectors w to u = Ahat^{-1} E_g F' w, the read-off with F'w / mu
+    taken as T^{-1} z.
 
     The factor, the L and U copies of the pivot check and the factor of
     L_RR belong to one helper, so they are freed before the n x (k + 1)
@@ -459,11 +493,8 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
                         f"supported by {m} gamma0 dofs")
     # gamma0 in the dof order: then B_gg, F and the start vector, and with
     # them the Lanczos steps, do not depend on the numbering either
-    on_gamma0 = np.zeros(system.n_dofs, dtype=bool)
-    on_gamma0[system.gamma0_dofs] = True
-    g = system.dof_order[on_gamma0[system.dof_order]]
-    B_gg = system.B[g][:, g]
-    mus, vecs, fields = _dtn_eigenpairs(system, g, B_gg, _gamma0_factor(B_gg), k)
+    g = system.dof_order[np.isin(system.dof_order, system.gamma0_dofs)]
+    mus, vecs, fields = _dtn_eigenpairs(system, g, _gamma0_factor(system.B[g][:, g]), k)
     result = _filter_and_pack(system, mus, vecs, k, **fields)
     worst = result.residuals.max(initial=0.0)
     if not worst <= _BACKWARD_ERROR_BOUND:

@@ -226,8 +226,8 @@ PINNED_TABLES = {
         "| Exact |  |  | 3.1299 | 6.2831 |\n",
         "N,h,dofs,lambda_1,lambda_2\n"
         "4,0.3201562118716425,37,4.1263563797635889,14.173121630372004\n"
-        "8,0.1635410621597698,103,3.3983808459856277,8.3926373196882214\n"
-        "Order,,,1.9521906610700854,1.9637582225416212\n"
+        "8,0.1635410621597698,103,3.3983808459856251,8.3926373196882231\n"
+        "Order,,,1.952190661070101,1.9637582225416204\n"
         "Exact,,,3.1298810356317586,6.2831414840959052\n"),
     ("t3", (4, 5, 6), 2): (
         "| N | h | dofs | lambda_1 | lambda_2 |\n"
@@ -265,7 +265,7 @@ PINNED_TABLES = {
         "| 8 | 0.125 | 545 | 3.1850 | 6.7324 | 10.9972 |\n"
         "| Exact |  |  | 3.1299 | 6.2831 | 9.4248 |\n",
         "N,h,dofs,lambda_1,lambda_2,lambda_3\n"
-        "8,0.125,545,3.1849527359118248,6.7324347340184048,10.997221200451165\n"
+        "8,0.125,545,3.1849527359118381,6.7324347340185078,10.997221200451083\n"
         "Exact,,,3.1298810356317586,6.2831414840959052,9.4247778380133038\n"),
 }
 

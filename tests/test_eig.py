@@ -147,10 +147,12 @@ SHORT_GAMMA0 = {"short": 0.25, "edge": 1.0 / 16.0}
 @pytest.mark.parametrize("below_m, case", [
     (below_m, case) for case, paths in sorted(ORACLE_PATHS.items())
     for below_m in range(len(paths), 0, -1)])
-def test_lanczos_and_dense_branches_agree_with_oracle(below_m, case):
+def test_lanczos_and_dense_branches_agree_with_oracle(monkeypatch, below_m, case):
     # both eigensolver paths against the dense oracle, with Ahat-orthonormal
     # vectors: the Schur read-off, and Lanczos with and without the gamma0
-    # clique in the LU
+    # clique in the LU.  Where the read-off runs at k = m - 3, Lanczos is
+    # forced on the same k and must find the same lambdas: both paths take
+    # the eigenpairs of one K = F (Ahat^{-1})_gg F'
     family, N, *short = case.split("-")
     mesh = (short_gamma0_mesh(int(N), SHORT_GAMMA0[short[0]]) if short
             else FAMILIES[family](int(N)))
@@ -163,6 +165,11 @@ def test_lanczos_and_dense_branches_agree_with_oracle(below_m, case):
     np.testing.assert_allclose(result.lambdas, oracle.lambdas[:k], rtol=1e-10)
     np.testing.assert_allclose(
         result.vectors.T @ (system.Ahat @ result.vectors), np.eye(k), atol=1e-10)
+    if below_m == 3 and result.path == "schur":
+        monkeypatch.setattr(eig, "_SCHUR_MAX_M2_PER_N", 0)
+        lanczos = solve_steklov(system, k)
+        assert lanczos.path == "lanczos"
+        np.testing.assert_allclose(lanczos.lambdas, result.lambdas, rtol=1e-12)
 
 
 class CountingFactor:
@@ -181,7 +188,8 @@ class CountingFactor:
 
 def test_schur_read_off_solves_only_to_lift(monkeypatch):
     # t2 N=32 (m = 65): the Lanczos loop took 46 single-column solves here;
-    # reading S_g off the LU leaves the one n x (k + 1) lift
+    # the read-off forms (Ahat^{-1})_gg by a dense triangular solve with the
+    # trailing block of L, which leaves the one n x (k + 1) lift to SuperLU
     factors = []
     splu = eig.spla.splu
 
@@ -392,7 +400,7 @@ def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, k, path):
     # solver reads each gamma0 dof at its position in the order.  t5 N=10 has couplings whose cell
     # contributions cancel exactly; A drops them, as system.Ahat does.
     seen = {}
-    factor, reach_solver, trailing_schur = eig._factor, eig._reach_solver, eig._trailing_schur
+    factor, reach_solver, read_off = eig._factor, eig._reach_solver, eig._read_off
 
     def factor_spy(matrix, name, **options):
         # a copy: splu sorts the indices of its input in place
@@ -403,13 +411,13 @@ def test_lu_input_is_ahat_in_the_dof_order(monkeypatch, case, k, path):
         seen["g"] = g
         return reach_solver(factor, pivots, g)
 
-    def schur_spy(factor, g, q):
+    def read_off_spy(factor, pivots, g, q, F, k):
         seen["g"] = g
-        return trailing_schur(factor, g, q)
+        return read_off(factor, pivots, g, q, F, k)
 
     monkeypatch.setattr(eig, "_factor", factor_spy)
     monkeypatch.setattr(eig, "_reach_solver", reach_spy)
-    monkeypatch.setattr(eig, "_trailing_schur", schur_spy)
+    monkeypatch.setattr(eig, "_read_off", read_off_spy)
     mesh = GAMMA0_FACTOR_MESHES[case]()
     system = assemble_global(mesh, StabilizationSpec())
     if case == "t5-10":
@@ -769,3 +777,19 @@ def test_tiny_edges_keep_spectrum_and_zero_mode(n, eps):
     assert split.zero_mode_detected
     np.testing.assert_allclose(split.lambdas, clean.lambdas, rtol=1e-4)
     assert np.all(split.residuals <= 1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_read_off_lifts_every_mode_of_small_gamma0_edges(n):
+    # a 1e-3 gamma0 edge in every boundary cell: at k = m - 1 the read-off
+    # returns modes up to lambda ~ 1.7e4, where mu is 7e4 times below its
+    # largest value.  It lifts T^{-1} z; lifting F'w = B_gg T'z instead
+    # scales the error of z along each other mode j by mu_j / mu, and the
+    # worst backward error was 5.7e-10 at n = 8
+    system = assemble_global(uniform_square_mesh(n, 1e-3), StabilizationSpec())
+    k = len(system.gamma0_dofs) - 1
+    result = solve_steklov(system, k)
+    assert result.path == "schur" and result.lambdas[-1] > 1e4
+    assert result.residuals.max() <= 1e-11
+    np.testing.assert_allclose(result.lambdas, dense_reference_solve(system).lambdas[:k],
+                               rtol=1e-10)

@@ -111,13 +111,19 @@ fill                            3851234 nnz(L) + nnz(U)
 peak_rss                          212.4 MiB
 """
 
+CANNED_SLOC = """\
+analysis       157
+eig            206
+total          363
+"""
+
 
 def test_bench_record_parses_canned_output():
     bench_record = load_tool("bench_record")
     bench = bench_record.record(
         "abc123", True, {"study-t2": canned_run("study-t2", 0.05),
                          "sweep-t5": canned_run("sweep-t5", 0.12, failed=2)},
-        CANNED_TIER1, CANNED_PROBE)
+        CANNED_TIER1, CANNED_PROBE, CANNED_SLOC)
     assert bench["commit"] == "abc123" and bench["dirty"] is True
     assert bench["env"] == {"nproc": 2, "blas_threads": 1, "numpy": "2.0"}
     sweep = bench["workloads"]["sweep-t5"]
@@ -140,6 +146,7 @@ def test_bench_record_parses_canned_output():
     assert rows["fill"] == {"value": 3851234, "unit": "nnz(L) + nnz(U)"}
     assert rows["generate"] == {"value": 0.3012, "unit": "s"}
     assert rows["q"]["unit"] == "dofs (lanczos path)"
+    assert bench["sloc"] == {"modules": {"analysis": 157, "eig": 206}, "total": 363}
 
 
 def test_bench_record_writes_one_file_from_its_subprocesses(monkeypatch, tmp_path):
@@ -150,7 +157,8 @@ def test_bench_record_writes_one_file_from_its_subprocesses(monkeypatch, tmp_pat
         calls.append(args)
         if args[0] == "perfbench/run.py":
             return canned_run(args[2], 0.1)
-        return CANNED_TIER1 if args == bench_record.TIER1 else CANNED_PROBE
+        return {tuple(bench_record.TIER1): CANNED_TIER1,
+                tuple(bench_record.SLOC): CANNED_SLOC}.get(tuple(args), CANNED_PROBE)
 
     spec = (ROOT / "BENCHMARK.json").read_text()
     (tmp_path / "BENCHMARK.json").write_text(spec)
@@ -163,8 +171,9 @@ def test_bench_record_writes_one_file_from_its_subprocesses(monkeypatch, tmp_pat
     workloads = [w["name"] for w in json.loads(spec)["workloads"]]
     assert calls == [["perfbench/run.py", "--workload", name, "--seconds", "25",
                       "--trace", "0"] for name in workloads] + [
-        bench_record.TIER1, ["tools/scale_probe.py", "t5", "130"]]
+        bench_record.TIER1, ["tools/scale_probe.py", "t5", "130"], ["tools/sloc.py"]]
     bench = json.loads((tmp_path / "BENCH_abc.json").read_text())
     assert list(bench["workloads"]) == workloads
     assert (bench["commit"], bench["dirty"]) == ("abc123", False)
     assert bench["tier1"]["passed"] == 452
+    assert bench["sloc"]["total"] == 363

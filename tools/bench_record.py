@@ -12,6 +12,7 @@ It runs these, one after another, each as a subprocess of this interpreter:
 - the tier-1 tests, ``python -m pytest -q --continue-on-collection-errors``
   with ``src`` first on ``PYTHONPATH``
 - ``tools/scale_probe.py t5 130``
+- ``tools/sloc.py``
 
 and writes their results to ``BENCH_<label>.json`` in the repository root,
 ``<label>`` being ``git describe --always --dirty``.  The file holds the
@@ -19,9 +20,11 @@ commit (and whether tracked files differed from it), run.py's environment
 record, per workload the failed count and the end-to-end metrics
 (``wall_s`` with the quartiles run.py reports, rescaled and raw, and
 ``setup_s`` with its rescaled import and preparation samples), tier-1
-passed, failed and wall time with the failing test ids, and the probe's
-rows.  A tier-1 failure is recorded, not fatal; a workload or probe that
-exits non-zero stops the script before anything is written.
+passed, failed and wall time with the failing test ids, the probe's rows
+and the logical source lines per module and in total, so that a change
+quotes its net lines from the same file as its timings.  A tier-1
+failure is recorded, not fatal; a workload, the probe or the line count
+exiting non-zero stops the script before anything is written.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = "25"
 PROBE_CASE = ["t5", "130"]
+SLOC = ["tools/sloc.py"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIMEOUT_S = 1800
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error)")
@@ -103,10 +107,18 @@ def parse_probe(stdout: str) -> dict:
     return rows
 
 
-def record(commit: str, dirty: bool, workloads: dict, tier1: str, probe: str) -> dict:
+def parse_sloc(stdout: str) -> dict:
+    """``{"modules": {module: lines}, "total": lines}`` from the
+    ``module lines`` rows of ``tools/sloc.py``, the last being the total."""
+    *rows, (_, total) = (line.split() for line in stdout.strip().splitlines())
+    return {"modules": {name: int(n) for name, n in rows}, "total": int(total)}
+
+
+def record(commit: str, dirty: bool, workloads: dict, tier1: str, probe: str,
+           sloc: str) -> dict:
     """The BENCH record from the raw outputs: ``workloads`` maps each workload
-    to run.py's standard output, ``tier1`` and ``probe`` are the standard
-    outputs of the tests and of the probe."""
+    to run.py's standard output, ``tier1``, ``probe`` and ``sloc`` are the
+    standard outputs of the tests, of the probe and of the line count."""
     runs = {name: parse_workload(out) for name, out in workloads.items()}
     env = next(iter(runs.values()))["env"]
     for run in runs.values():
@@ -115,7 +127,8 @@ def record(commit: str, dirty: bool, workloads: dict, tier1: str, probe: str) ->
     return {"commit": commit, "dirty": dirty,
             "env": {k: v for k, v in env.items() if not k.startswith("loadavg")},
             "workloads": runs, "tier1": parse_tier1(tier1),
-            "probe": {"case": " ".join(PROBE_CASE), "rows": parse_probe(probe)}}
+            "probe": {"case": " ".join(PROBE_CASE), "rows": parse_probe(probe)},
+            "sloc": parse_sloc(sloc)}
 
 
 def main(argv: list[str]) -> None:
@@ -129,7 +142,7 @@ def main(argv: list[str]) -> None:
     probe = _run(["tools/scale_probe.py", *PROBE_CASE])
     bench = record(_git("rev-parse", "HEAD"),
                    bool(_git("status", "--porcelain", "--untracked-files=no")),
-                   workloads, tier1, probe)
+                   workloads, tier1, probe, _run(SLOC))
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(path)
