@@ -5,7 +5,6 @@ pytest's capture) before asserting, so the final report always shows the
 verdict for every criterion.
 """
 
-import math
 import sys
 
 import numpy as np
@@ -25,6 +24,7 @@ from steklovem.vem import (
     StabilizationSpec,
     assemble_global,
 )
+from meshes import uniform_square_mesh
 from vem_reference import local_operators, total_area
 
 TABLE_T2_N64 = np.array([3.1308, 6.2907, 9.4503, 12.6275, 15.8287, 19.0608])
@@ -260,55 +260,6 @@ def test_criterion_7_property_suite():
 
 # ---------------------------------------------------------------------------
 # 8. small-edge robustness
-
-
-def uniform_square_mesh(n, eps=None):
-    """Uniform n x n grid of (0,1)^2, full gamma0 boundary.
-
-    With ``eps`` set, every cell touching the domain boundary gets a
-    flat-angle vertex at arc distance eps along one of its boundary edges.
-    """
-    xs = np.linspace(0.0, 1.0, n + 1)
-    index = {}
-    verts = []
-
-    def vtx(p):
-        key = (round(p[0], 14), round(p[1], 14))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append([p[0], p[1]])
-        return index[key]
-
-    def on_boundary(a, b):
-        return any(abs(a[c] - v) < 1e-12 and abs(b[c] - v) < 1e-12
-                   for c in (0, 1) for v in (0.0, 1.0))
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            corners = [(xs[i], xs[j]), (xs[i + 1], xs[j]),
-                       (xs[i + 1], xs[j + 1]), (xs[i], xs[j + 1])]
-            cycle = []
-            split_done = False
-            for a, b in zip(corners, corners[1:] + corners[:1]):
-                cycle.append(vtx(a))
-                if eps is not None and not split_done and on_boundary(a, b):
-                    length = math.hypot(b[0] - a[0], b[1] - a[1])
-                    t = eps / length
-                    cycle.append(vtx((a[0] + t * (b[0] - a[0]),
-                                      a[1] + t * (b[1] - a[1]))))
-                    split_done = True
-            cells.append(cycle)
-
-    from collections import Counter
-    count = Counter()
-    for c in cells:
-        for a, b in zip(c, c[1:] + c[:1]):
-            count[frozenset((a, b))] += 1
-    bnd = [(a, b, GAMMA0) for c in cells
-           for a, b in zip(c, c[1:] + c[:1])
-           if count[frozenset((a, b))] == 1]
-    return build_mesh(np.array(verts), cells, bnd)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -127,6 +127,17 @@ def test_extrapolate_degenerate_input():
         extrapolate([0.2, 0.1], [1.0, 0.9])
 
 
+def test_extrapolate_warns_on_non_monotone_values():
+    # 0.5 + 0.5 h with the coarsest of six levels put 1e-3 below the next:
+    # the fit still converges, but the outlier moves its limit off 0.5
+    hs = 0.4 * 2.0 ** -np.arange(6)
+    values = 0.5 + 0.5 * hs
+    values[0] = values[1] - 1e-3
+    with pytest.warns(UserWarning, match="not monotone"):
+        lam, _, _ = extrapolate(hs, values)
+    assert abs(lam - 0.5) > 1e-2
+
+
 @pytest.mark.parametrize("hs", [[0.3, 0.2, 0.2], [0.2, 0.2, 0.1], [0.4, 0.2, 0.1, 0.1]])
 def test_extrapolate_rejects_tied_finest_sizes(hs):
     # geometric decay, so only the tie can stop the fit: equal sizes among

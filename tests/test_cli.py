@@ -25,6 +25,7 @@ from steklovem.cli import main
 from steklovem.mesh import load_mesh_json, mesh_from_dict, mesh_to_dict, save_mesh_json
 from steklovem.meshgen import FAMILIES
 from steklovem.vem import StabilizationSpec, assemble_global
+from steklovem.vtkio import write_vtk
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +396,14 @@ def test_solve_writes_vtk(capsys, tmp_path):
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "POINT_DATA" in text
     assert "SCALARS mode_1 double 1" in text
+
+
+def test_write_vtk_rejects_wrong_length_field(tmp_path):
+    mesh = FAMILIES["t6"](2)
+    vtk = tmp_path / "modes.vtk"
+    with pytest.raises(ValueError, match="wrong length"):
+        write_vtk(mesh, vtk, {"mode_1": np.zeros(mesh.n_vertices - 1)})
+    assert not vtk.exists()
 
 
 def test_solve_vtk_output_pinned(capsys, tmp_path):

@@ -2,10 +2,8 @@
 
 import dataclasses
 import functools
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from steklovem.eig import (
 from steklovem.mesh import GAMMA0, GAMMA1, build_mesh
 from steklovem.meshgen import FAMILIES, refine_lshape_corner
 from steklovem.vem import StabilizationSpec, assemble_global
+from meshes import permuted_mesh, uniform_square_mesh
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TOP_BND = [(0, 1, GAMMA1), (1, 2, GAMMA1), (2, 3, GAMMA0), (3, 0, GAMMA1)]
@@ -106,7 +105,7 @@ def test_sparse_matches_dense_oracle(family, N):
 def test_permuted_t5_matches_dense_oracle():
     # gamma0 ids in random order: the gamma0 mass block and its sparse
     # edge factor F are scattered, not banded
-    mesh = sibling_test_module("test_vem.py").permuted_mesh()
+    mesh = permuted_mesh()
     system = assemble_global(mesh, StabilizationSpec())
     fast = solve_steklov(system, 6)
     slow = dense_reference_solve(system)
@@ -262,7 +261,7 @@ def test_reach_solve_matches_the_full_solve(monkeypatch, case):
 def test_reach_restricts_the_sweep_mesh():
     # sweep-t5's permuted t5 N=30: the steps solve on 1,571 of 4,690 dofs
     # (1,745 with the LU in the mesh's own numbering)
-    mesh = sibling_test_module("test_vem.py").permuted_mesh(30)
+    mesh = permuted_mesh(30)
     system = assemble_global(mesh, StabilizationSpec())
     result = solve_steklov(system, 6)
     assert result.path == "lanczos"
@@ -353,7 +352,7 @@ def sweep_mesh(N, seed, family="t5"):
     seed 0 keeps the generator's numbering."""
     if seed == 0:
         return FAMILIES[family](N)
-    return sibling_test_module("test_vem.py").permuted_mesh(N, seed, family)
+    return permuted_mesh(N, seed, family)
 
 
 @pytest.mark.parametrize("family,N", [("t5", 30), ("t5", 62), ("t4", 30)],
@@ -563,7 +562,7 @@ def refined_t6_mesh():
 GAMMA0_FACTOR_MESHES = {
     **{f"{family}-8": functools.partial(FAMILIES[family], 8) for family in FAMILIES},
     "t6-32-refined-2": refined_t6_mesh,
-    "t5-8-permuted": lambda: sibling_test_module("test_vem.py").permuted_mesh(),
+    "t5-8-permuted": lambda: permuted_mesh(),
     # n = 675, m = 84, and 4 couplings whose cell contributions cancel
     "t5-10": functools.partial(FAMILIES["t5"], 10),
 }
@@ -728,6 +727,14 @@ def test_eigenfunction_sign_and_scale_convention():
     assert field.max() - field.min() > 1e-6
 
 
+@pytest.mark.parametrize("i", [-1, 2], ids=["negative", "k"])
+def test_eigenfunction_field_rejects_out_of_range_index(i):
+    # k = 2 modes, numbered 0 and 1
+    result = solve_steklov(assemble_global(FAMILIES["t1"](4), StabilizationSpec()), 2)
+    with pytest.raises(IndexError, match="out of range"):
+        eigenfunction_field(result, i)
+
+
 def test_first_sloshing_mode_trace_is_cosine():
     mesh = FAMILIES["t1"](32)
     system = assemble_global(mesh, StabilizationSpec())
@@ -742,19 +749,6 @@ def test_first_sloshing_mode_trace_is_cosine():
 
 # ---------------------------------------------------------------------------
 # edges at rounding level
-
-
-def sibling_test_module(filename):
-    path = Path(__file__).resolve().with_name(filename)
-    spec = importlib.util.spec_from_file_location(path.stem + "_helpers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def uniform_square_mesh(n, eps=None):
-    """The criterion-8 mesh from tests/test_acceptance.py."""
-    return sibling_test_module("test_acceptance.py").uniform_square_mesh(n, eps)
 
 
 @pytest.mark.parametrize("n,eps", [(4, None), (16, None), (4, 1e-8), (8, 1e-8)])

@@ -167,6 +167,16 @@ def test_rotated_t_rejects_small_n():
         gen_rotated_t(2, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gen_square_perturbed_triangles(0),
+    lambda: gen_rotated_t(8, 6),
+    lambda: refine_lshape_corner(gen_lshape_uniform(8), 0, 8),
+], ids=["perturbed-N0", "rotated-t-variant-6", "refine-level-0"])
+def test_generators_reject_invalid_arguments(call):
+    with pytest.raises(InvalidN):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # L-shape and corner refinement
 
@@ -356,7 +366,12 @@ GENERATOR_MERGES = {
        for family in ("t2", "t3", "t4", "t5")},
     "t6-N16-refined-twice": lambda: refine_lshape_corner(
         refine_lshape_corner(FAMILIES["t6"](16), 1, 16), 2, 16),
+    "t4-N8": lambda: FAMILIES["t4"](8),
+    "t5-N12": lambda: FAMILIES["t5"](12),
 }
+# rounding leaves distinct points within 1e-10 of each other in these cases,
+# so the merge labels components from close pairs
+CLOSE_PAIR_MERGES = {"t4-N8", "t5-N12"}
 
 
 @pytest.mark.parametrize("case", sorted(GENERATOR_MERGES))
@@ -372,6 +387,8 @@ def test_merge_matches_kd_tree_on_generator_points(case, monkeypatch):
 
     monkeypatch.setattr(meshgen, "_merge_points", record)
     GENERATOR_MERGES[case]()
+    if case in CLOSE_PAIR_MERGES:
+        assert len(cKDTree(np.unique(seen[-1], axis=0)).query_pairs(1e-10))
     verts, ids = _merge_points(seen[-1])
     ref_verts, ref_ids = kd_tree_merge(seen[-1])
     np.testing.assert_array_equal(ids, ref_ids)

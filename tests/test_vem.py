@@ -1,15 +1,13 @@
 """Local virtual element operators and global assembly."""
 
 import hashlib
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklovem.errors import DegenerateElement, NonSimplePolygon
+from steklovem.errors import DegenerateElement, NonSimplePolygon, ZeroLengthEdge
 from steklovem.mesh import (
     GAMMA0,
     GAMMA1,
@@ -17,7 +15,6 @@ from steklovem.mesh import (
     _diameter,
     _edge_arrays,
     build_mesh,
-    mesh_to_dict,
     quality_report,
 )
 from steklovem.meshgen import FAMILIES, refine_lshape_corner
@@ -27,6 +24,7 @@ from steklovem.vem import (
     boundary_mass_edge,
     triple_norm,
 )
+from meshes import permuted_mesh
 from vem_reference import local_operators, total_area
 
 SQRT2 = math.sqrt(2.0)
@@ -243,6 +241,15 @@ def test_boundary_mass_closed_forms():
     assert np.ones(2) @ boundary_mass_edge(L) @ np.ones(2) == pytest.approx(L)
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: boundary_mass_edge([1.0, -2.0]), ZeroLengthEdge),
+    (lambda: triple_norm(FAMILIES["t2"](2), np.ones(1)), ValueError),
+], ids=["negative-edge-length", "triple-norm-dof-length"])
+def test_public_entry_points_reject_bad_input(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # triple norm
 
@@ -355,17 +362,6 @@ def test_assembly_stores_no_exact_zero(family):
 def test_ahat_positive_definite(family, N):
     system = assemble_global(FAMILIES[family](N), StabilizationSpec())
     np.linalg.cholesky(system.Ahat.toarray())
-
-
-def permuted_mesh(N=8, seed=1, family="t5"):
-    """The family's mesh renumbered, rotated and reordered as the benchmark
-    does it; sweep-t5 runs t5 at N=30 with seed 1."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    data = mesh_to_dict(FAMILIES[family](N))
-    return build_mesh(*workloads.permuted_mesh_data(data, seed))
 
 
 def test_assembly_order_independent():
