@@ -29,11 +29,16 @@ def exact_square_eigenvalue(n: int) -> float:
 
 
 def fit_order(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h) over all levels."""
+    """Least-squares slope of log(error) against log(h) over all levels.
+
+    Raises :class:`NonPositiveError` for a mesh size that is not finite and
+    positive or an error that is not positive."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if len(hs) < 2:
         raise InsufficientLevels("order fit needs at least two levels")
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise NonPositiveError("order fit needs finite, strictly positive mesh sizes")
     if np.any(errors <= 0.0):
         raise NonPositiveError("order fit needs strictly positive errors")
     slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
@@ -52,12 +57,15 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
     ``_FIT_XTOL`` relative to the parameters.  Raises :class:`FitDiverged`
     when the model cannot represent the data, e.g. a constant sequence or two
     of the three finest levels with the same h, or when the iteration does
-    not converge within ``_FIT_MAX_STEPS`` steps.
+    not converge within ``_FIT_MAX_STEPS`` steps, and
+    :class:`NonPositiveError` for a mesh size that is not finite and positive.
     """
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(hs) < 3:
         raise InsufficientLevels("extrapolation needs at least three levels")
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise NonPositiveError("extrapolation needs finite, strictly positive mesh sizes")
     order = np.argsort(-hs)          # coarse to fine
     hs, values = hs[order], values[order]
     if not hs[-3] > hs[-2] > hs[-1]:
@@ -92,11 +100,13 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
             step = np.linalg.solve(normal + damping * np.diag(scale), -jac.T @ res)
         except np.linalg.LinAlgError:
             raise FitDiverged("nonlinear fit hit a singular Jacobian") from None
-        trial = residual(p + step)
-        if trial @ trial < res @ res:
-            p, res, damping = p + step, trial, damping / 10.0
-        else:
-            damping *= 10.0
+        # a trial that overflows has an inf or NaN norm, which never compares lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = residual(p + step)
+            if trial @ trial < res @ res:
+                p, res, damping = p + step, trial, damping / 10.0
+            else:
+                damping *= 10.0
         if np.linalg.norm(step) <= _FIT_XTOL * np.linalg.norm(p):
             lam, c, a = (float(v) for v in p)
             return lam, c, a

@@ -17,11 +17,12 @@ Every generator runs the same array pipeline, with the cells in CSR form
 3. one join makes the composite conforming (:func:`_conformalize`): the
    once-edge endpoints (an edge of a single cell is the only kind that can
    hold a hanging node) lying inside a once-edge, by the on-segment rule of
-   :mod:`steklovem.mesh` that the validator checks too, are inserted into
-   their cells as flat-angle vertices by one sort.  It returns the edge
-   table of the cells it returns; when it finds no hanging node (t2, and
-   t6 before refinement), those are its input cells and the table is the
-   one it searched;
+   :mod:`steklovem.mesh` that the validator checks too, are spliced into
+   their cells as flat-angle vertices, each after the start vertex of its
+   edge, so no cycle entry is sorted again.  It returns the edge table of
+   the cells it returns; when it finds no hanging node (t2, and t6 before
+   refinement), those are its input cells and the table is the one it
+   searched;
 4. the boundary edges of that edge table are marked, and the CSR validator
    of :mod:`steklovem.mesh` checks the arrays as they are, with the same
    edge table and no round trip through Python lists.
@@ -207,26 +208,25 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     :func:`steklovem.mesh._hanging_nodes` finds, with t in
     (``ZERO_EDGE_REL_TOL``, 1 - ``ZERO_EDGE_REL_TOL``) along the edge, under
     the rule the validator rejects them by, so a vertex missed here fails
-    validation as non-conforming.  One lexsort on (edge slot, t, vertex) puts
-    them after the start vertex of their edge.  When there is none, the
-    input cells come back as they are, with the table built to find them.
+    validation as non-conforming.  Sorted among themselves by (edge slot, t,
+    vertex), they are spliced in after the start vertex of their edge, and
+    each cell offset grows by the number spliced in before it.  When there is
+    none, the input cells come back as they are, with the table built to find
+    them.
     """
-    ia, ib = cycle_edges(cell_ptr, cell_vertices).T
     edges, counts, row = edge_table(cell_ptr, cell_vertices)
     once = np.flatnonzero(counts[row] == 1)
-    edge, hanging, t = _hanging_nodes(verts, ia[once], ib[once])
-    # kept for speed, not correctness: the general insertion below returns the
-    # same cells, but at t2 N=32 it takes 4.0 ms (one BLAS thread, 2 vCPUs)
-    # where this return takes 2.0 ms, about 5% of a t2 study repetition
+    edge, hanging, t = _hanging_nodes(verts, *cycle_edges(cell_ptr, cell_vertices)[once].T)
+    # kept for speed, not correctness: the splice below returns the same
+    # cells, but at t2 N=32 it takes 2.1 ms (one BLAS thread, 2 vCPUs) where
+    # this return takes 1.3 ms, and 8.2 against 4.6 ms at N=64
     if not edge.size:
         return cell_ptr, cell_vertices, (edges, counts)
-    slot = np.concatenate((np.arange(len(ia)), once[edge]))
-    vertex = np.concatenate((ia, hanging))
-    order = np.lexsort((vertex, np.concatenate((np.full(len(ia), -1.0), t)), slot))
-    n_cells = len(cell_ptr) - 1
-    cell = np.repeat(np.arange(n_cells), np.diff(cell_ptr))[slot]
-    sizes = np.bincount(cell, minlength=n_cells)
-    ptr, flat = np.concatenate(([0], np.cumsum(sizes))), vertex[order]
+    order = np.lexsort((hanging, t, once[edge]))
+    slot = once[edge][order]
+    # np.insert sorts its indices stably: nodes on one edge keep (t, vertex) order
+    flat = np.insert(cell_vertices, slot + 1, hanging[order])
+    ptr = cell_ptr + np.searchsorted(slot, cell_ptr)
     return ptr, flat, edge_table(ptr, flat)[:2]
 
 
@@ -350,14 +350,17 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
 
     All patch cells are split in one array pass: piece r of a cell with
     corners c_0, ..., c_{m-1} is the quad (mid_{r-1}, c_r, mid_r, barycenter)
-    with mid_r = (c_r + c_{r+1}) / 2, and the new points are numbered cell
-    by cell, barycenter first.  A flat-angle vertex of a patch cell is left
-    out of its pieces; :func:`_conformalize` puts it back as a hanging node,
-    which requires it to be a vertex of another cell of the refined mesh (a
-    cell outside the patch, or a corner of a patch cell).  Every mesh of
-    :func:`gen_lshape_uniform` and of this function meets that; a flat
-    vertex on the domain boundary does not, and the refined mesh then fails
-    validation with :class:`~steklovem.errors.MeshError` (vertex of no cell).
+    with mid_r = (c_r + c_{r+1}) / 2.  The new points are numbered cell by
+    cell, barycenter first, each barycenter spliced in ahead of its cell's
+    midpoints; the pieces are spliced into the kept cycles where their parent
+    was, so the cells stay in parent order without a sort.  A flat-angle
+    vertex of a patch cell is left out of its pieces; :func:`_conformalize`
+    puts it back as a hanging node, which requires it to be a vertex of
+    another cell of the refined mesh (a cell outside the patch, or a corner
+    of a patch cell).  Every mesh of :func:`gen_lshape_uniform` and of this
+    function meets that; a flat vertex on the domain boundary does not, and
+    the refined mesh then fails validation with
+    :class:`~steklovem.errors.MeshError` (vertex of no cell).
     """
     if level < 1:
         raise InvalidN("refinement level must be >= 1")
@@ -393,19 +396,16 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     pieces = np.stack((mid_in, c, mid, bary[cell]), axis=1)
     # parent vertices, then per patch cell its barycenter and midpoints, then
     # the corners of the pieces, each of which meets a point already numbered
-    patch = np.flatnonzero(inside)
-    seeds = np.concatenate((bary[patch], mid))[
-        np.argsort(np.concatenate((patch, cell)), kind="stable")]
+    seeds = np.insert(mid, np.cumsum(n_corners) - n_corners, bary[inside], axis=0)
     n_head = len(mesh.vertices) + len(seeds)
     verts, ids = _merge_points(np.concatenate((mesh.vertices, seeds, pieces.reshape(-1, 2))))
 
     # the kept cycles and the pieces, put back in parent cell order
     kept = ~inside
-    parent = np.concatenate((np.flatnonzero(kept), cell))
-    sizes = np.concatenate((old_sizes[kept], np.full(len(cell), 4)))
-    flat = np.concatenate((ids[mesh.cell_vertices[kept[slot_cell]]], ids[n_head:]))
-    flat = flat[np.argsort(np.repeat(parent, sizes), kind="stable")]
-    ptr = np.concatenate(([0], np.cumsum(sizes[np.argsort(parent, kind="stable")])))
+    at = np.cumsum(kept)[cell]                    # kept cells before each piece's parent
+    entries = np.cumsum(old_sizes * kept)[cell]   # and their cycle entries
+    flat = np.insert(ids[mesh.cell_vertices[kept[slot_cell]]], np.repeat(entries, 4), ids[n_head:])
+    ptr = np.concatenate(([0], np.cumsum(np.insert(old_sizes[kept], at, 4))))
     ptr, flat, table = _conformalize(verts, ptr, flat)
     return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, *table),
                          table=table)

@@ -80,6 +80,15 @@ def test_fit_order_error_paths():
         fit_order([0.1, 0.05], [1e-3, 0.0])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.05, np.nan])
+@pytest.mark.parametrize("fit", [fit_order, extrapolate])
+def test_fits_reject_bad_mesh_sizes(fit, bad):
+    # a zero or negative size used to escape as numpy's LinAlgError from
+    # fit_order, and as LAPACK stderr noise plus FitDiverged from extrapolate
+    with pytest.raises(NonPositiveError, match="mesh sizes"):
+        fit([bad, 0.1, 0.2], [1.0, 1.1, 1.3])
+
+
 # ---------------------------------------------------------------------------
 # extrapolation
 
@@ -136,6 +145,20 @@ def test_extrapolate_warns_on_non_monotone_values():
     with pytest.warns(UserWarning, match="not monotone"):
         lam, _, _ = extrapolate(hs, values)
     assert abs(lam - 0.5) > 1e-2
+
+
+def test_extrapolate_trial_overflow_is_silent_and_rejected():
+    # 0.5 + 0.5 h^1.5 with the coarsest of six levels put 1e-3 below the next:
+    # some trial steps overflow h^alpha; they are rejected without a warning,
+    # as an inf or NaN residual never compares lower
+    hs = 2.0 ** -np.arange(1, 7)
+    values = 0.5 + 0.5 * hs ** 1.5
+    values[0] = values[1] - 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="not monotone"):
+            fit = extrapolate(hs, values)
+    assert fit == (0.466384663068025, 0.13017047533398945, 0.3559283701860767)
 
 
 @pytest.mark.parametrize("hs", [[0.3, 0.2, 0.2], [0.2, 0.2, 0.1], [0.4, 0.2, 0.1, 0.1]])

@@ -101,6 +101,28 @@ def test_glued_grids_validate_exactly_when_conformalized(n, n2, rows, rows2):
     assert len(mesh.cell_vertices) - len(ids) == n + n2 - 2 * math.gcd(n, n2)
 
 
+def test_conformalize_splices_on_the_closing_edge_and_in_t_order():
+    #  8---7---9     cell 0 is the left column, its edge 1 -> 7 holds 4 and 3
+    #  |   | 3 |     (given with the larger t first); the last cell, 4, has
+    #  |   3---6     its closing edge 2 -> 0 over 1, so that node goes at the
+    #  | 0 | 2 |     very end of the entries
+    #  |   4---5
+    #  |   | 1 |
+    #  0---1---2
+    #  |   4   |
+    # 10------11
+    verts = np.array([[0, 0], [1, 0], [2, 0], [1, 2], [1, 1], [2, 1], [2, 2],
+                      [1, 3], [0, 3], [2, 3], [0, -1], [2, -1]], dtype=float)
+    cells = [[0, 1, 7, 8], [1, 2, 5, 4], [4, 5, 6, 3], [3, 6, 9, 7], [0, 10, 11, 2]]
+    ptr, flat, (edges, counts) = _conformalize(verts, np.arange(0, 21, 4),
+                                               np.array(cells).ravel())
+    assert ptr.tolist() == [0, 6, 10, 14, 18, 23]
+    assert flat.tolist() == [0, 1, 4, 3, 7, 8, 1, 2, 5, 4, 4, 5, 6, 3, 3, 6, 9, 7,
+                             0, 10, 11, 2, 1]
+    assert np.array_equal(edges, edge_table(ptr, flat)[0])
+    assert np.array_equal(counts, edge_table(ptr, flat)[1])
+
+
 def test_glued_square_rejects_small_n():
     with pytest.raises(InvalidN):
         gen_square_glued(1)
