@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("ConvergenceStudy", "exact_square_eigenvalue", "extrapolate",
                  "fit_order", "run_study"),
-    "eig": ("EigenResult", "dense_reference_solve", "eigenfunction_field",
-            "solve_steklov"),
+    "eig": ("EigenResult", "eigenfunction_field", "solve_steklov"),
     "mesh": ("GAMMA0", "GAMMA1", "MeshQualityReport", "PolygonalMesh", "build_mesh",
              "load_mesh_json", "quality_report", "save_mesh_json"),
     "meshgen": ("FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",

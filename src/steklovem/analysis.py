@@ -28,19 +28,28 @@ def exact_square_eigenvalue(n: int) -> float:
     return n * math.pi * math.tanh(n * math.pi)
 
 
+def _fit_levels(fit: str, levels: int, hs, values):
+    """``hs`` and ``values`` as float arrays.  Raises
+    :class:`InsufficientLevels` for fewer than ``levels`` levels and
+    :class:`NonPositiveError` for a mesh size that is not finite and
+    positive; ``fit`` names the fit in the message."""
+    hs, values = np.asarray(hs, dtype=float), np.asarray(values, dtype=float)
+    if len(hs) < levels:
+        raise InsufficientLevels(f"{fit} needs at least {levels} levels")
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise NonPositiveError(f"{fit} needs finite, strictly positive mesh sizes")
+    return hs, values
+
+
 def fit_order(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h) over all levels.
 
-    Raises :class:`NonPositiveError` for a mesh size that is not finite and
-    positive or an error that is not positive."""
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if len(hs) < 2:
-        raise InsufficientLevels("order fit needs at least two levels")
-    if not np.all(np.isfinite(hs) & (hs > 0.0)):
-        raise NonPositiveError("order fit needs finite, strictly positive mesh sizes")
-    if np.any(errors <= 0.0):
-        raise NonPositiveError("order fit needs strictly positive errors")
+    Raises :class:`InsufficientLevels` for fewer than two levels and
+    :class:`NonPositiveError` for a mesh size or an error that is not
+    finite and positive."""
+    hs, errors = _fit_levels("order fit", 2, hs, errors)
+    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        raise NonPositiveError("order fit needs finite, strictly positive errors")
     slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
     return float(slope)
 
@@ -55,17 +64,16 @@ def extrapolate(hs, values) -> tuple[float, float, float]:
     that lowers the residual is taken and divides the damping mu by 10; any
     other step multiplies it by 10.  The fit ends once a step is below
     ``_FIT_XTOL`` relative to the parameters.  Raises :class:`FitDiverged`
-    when the model cannot represent the data, e.g. a constant sequence or two
-    of the three finest levels with the same h, or when the iteration does
-    not converge within ``_FIT_MAX_STEPS`` steps, and
-    :class:`NonPositiveError` for a mesh size that is not finite and positive.
+    when the model cannot represent the data, e.g. a value that is not
+    finite, a constant sequence or two of the three finest levels with the
+    same h, or when the iteration does not converge within
+    ``_FIT_MAX_STEPS`` steps, :class:`NonPositiveError` for a mesh size
+    that is not finite and positive, and :class:`InsufficientLevels` for
+    fewer than three levels.
     """
-    hs = np.asarray(hs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(hs) < 3:
-        raise InsufficientLevels("extrapolation needs at least three levels")
-    if not np.all(np.isfinite(hs) & (hs > 0.0)):
-        raise NonPositiveError("extrapolation needs finite, strictly positive mesh sizes")
+    hs, values = _fit_levels("extrapolation", 3, hs, values)
+    if not np.all(np.isfinite(values)):
+        raise FitDiverged("extrapolation needs finite values")
     order = np.argsort(-hs)          # coarse to fine
     hs, values = hs[order], values[order]
     if not hs[-3] > hs[-2] > hs[-1]:

@@ -93,14 +93,11 @@ def cmd_study(args) -> int:
     study = analysis.run_study(args.family, args.Ns, args.k, StabilizationSpec(alpha=args.alpha))
     md = analysis.study_to_markdown(study)
     print(md, end="")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(analysis.study_to_csv(study))
-        print(f"wrote {args.csv}")
-    if args.md:
-        with open(args.md, "w") as fh:
-            fh.write(md)
-        print(f"wrote {args.md}")
+    for path, text in ((args.csv, analysis.study_to_csv(study)), (args.md, md)):
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+            print(f"wrote {path}")
     return 0
 
 

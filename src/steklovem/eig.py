@@ -87,11 +87,10 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import (FactorizationOutOfMemory, InvalidN, KTooLarge, NotSPD,
-                     RankDeficientGamma0Mass, SolverError, TooLarge)
+                     RankDeficientGamma0Mass, SolverError)
 from .vem import GlobalSystem
 
 _CONSTANT_OVERLAP = 0.99
-_DENSE_LIMIT = 2000
 _BACKWARD_ERROR_BOUND = 1e-10
 # A mesh factors Ahat with its gamma0 block made a clique when m^2 <= 2 n.
 # The read-off (then a condensation of L22 U22) took 0.50-0.64 of the Lanczos
@@ -117,11 +116,11 @@ class EigenResult:
     vectors: np.ndarray      # (n_dofs, k), normalized to v' Ahat v = 1
     zero_mode_detected: bool
     residuals: np.ndarray    # backward error per pair, see _filter_and_pack
-    path: str = "dense"      # "schur" or "lanczos", see solve_steklov
-    q: int = 0               # LU positions from the first gamma0 dof on; 0: no clique
-    steps: int = 0           # ARPACK operator applications; 0 off the Lanczos path
-    reach: int = 0           # |R|, dofs the Lanczos steps solve on; 0 off that path
-    fill: int = 0            # nnz(L) + nnz(U) of the LU; 0 for the dense oracle
+    path: str                # "schur" or "lanczos", see solve_steklov
+    q: int                   # LU positions from the first gamma0 dof on; 0: no clique
+    steps: int               # ARPACK operator applications; 0 off the Lanczos path
+    reach: int               # |R|, dofs the Lanczos steps solve on; 0 off that path
+    fill: int                # nnz(L) + nnz(U) of the LU
 
 
 def _norm_1(matrix) -> float:
@@ -501,35 +500,6 @@ def solve_steklov(system: GlobalSystem, k: int) -> EigenResult:
         raise SolverError(f"backward error {worst:.2e} exceeds "
                           f"{_BACKWARD_ERROR_BOUND:.0e}")
     return result
-
-
-def dense_reference_solve(system: GlobalSystem) -> EigenResult:
-    """Oracle: full dense symmetric-definite generalized eigensolve.
-
-    Solves B u = mu Ahat u, Ahat = A + sigma B with the stored shift
-    sigma = 1 / |gamma0| (``system.Ahat``), so mu = 1 / (sigma + lambda),
-    with every matrix densified and keeps the m largest mu, m the number
-    of gamma0 dofs; only meant to validate :func:`solve_steklov` on small
-    systems.  rank(B) = m is proven by
-    :func:`_gamma0_factor`, as the production solver does, not counted
-    from the computed mu: on meshes with gamma0 edges near 1e-11 the m-th
-    largest mu of a valid mesh can fall below any fixed cutoff.
-
-    Raises TooLarge beyond 2000 dofs, RankDeficientGamma0Mass when the
-    gamma0 block of B is not shown positive definite and NotSPD when eigh
-    finds Ahat indefinite.
-    """
-    n = system.n_dofs
-    if n > _DENSE_LIMIT:
-        raise TooLarge(f"{n} dofs exceeds the dense oracle limit {_DENSE_LIMIT}")
-    g = system.gamma0_dofs
-    m = len(g)
-    _gamma0_factor(system.B[g][:, g])
-    try:
-        mus, vecs = sla.eigh(system.B.toarray(), system.Ahat.toarray())
-    except sla.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-    return _filter_and_pack(system, mus[n - m:], vecs[:, n - m:], k=m - 1)
 
 
 def eigenfunction_field(result: EigenResult, i: int) -> np.ndarray:

@@ -53,10 +53,6 @@ class KTooLarge(SolverError):
     pass
 
 
-class TooLarge(SolverError):
-    pass
-
-
 class AnalysisError(Exception):
     """Base class for convergence-study failures."""
 

@@ -97,8 +97,7 @@ class GlobalSystem:
     def Ahat(self) -> sps.csr_matrix:
         """A + shift B, symmetric positive definite, in canonical CSR; a new
         matrix per access.  The Lanczos path's LU factors it in the dof order,
-        the dense oracle densifies it, and the Schur path writes the same
-        values with its gamma0 clique."""
+        and the Schur path writes the same values with its gamma0 clique."""
         return (self.A + self.shift * self.B).tocsr()
 
 

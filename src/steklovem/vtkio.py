@@ -11,8 +11,14 @@ def write_vtk(mesh: PolygonalMesh, path, point_data: dict | None = None,
               title: str = "polygonal mesh") -> None:
     """Write an unstructured-grid legacy VTK 3.0 file with polygon cells.
 
-    ``point_data`` maps scalar field names to per-vertex arrays.
+    ``point_data`` maps scalar field names to per-vertex arrays.  Raises
+    ValueError, and writes nothing, for a title with a line break, a field
+    name that is empty or holds whitespace, or a field of the wrong length:
+    the title is one line of the file, and a legacy reader takes a field
+    name as one token.
     """
+    if "\n" in title or "\r" in title:
+        raise ValueError(f"title {title!r} holds a line break")
     lines = [
         "# vtk DataFile Version 3.0",
         title,
@@ -33,6 +39,8 @@ def write_vtk(mesh: PolygonalMesh, path, point_data: dict | None = None,
     if point_data:
         lines.append(f"POINT_DATA {mesh.n_vertices}")
         for name, values in point_data.items():
+            if str(name).split() != [str(name)]:
+                raise ValueError(f"field name {name!r} is not one token")
             if len(values) != mesh.n_vertices:
                 raise ValueError(f"field {name!r} has wrong length")
             lines.append(f"SCALARS {name} double 1")

@@ -4,18 +4,20 @@
 ``tests/test_acceptance.py``: a uniform grid of the unit square, optionally
 with a flat-angle vertex close to a corner in every boundary cell.
 :func:`permuted_mesh` is a family mesh renumbered, rotated and reordered the
-way the benchmark's sweep-t5 workload does it.
+way the benchmark's sweep-t5 workload does it.  :func:`split_edges` puts
+small edges anywhere in a mesh: interior, gamma0 and gamma1 edges alike.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
-from steklovem.mesh import GAMMA0, build_mesh, mesh_to_dict
+from steklovem.mesh import GAMMA0, build_mesh, edge_table, mesh_to_dict
 from steklovem.meshgen import FAMILIES
 
 
@@ -77,3 +79,34 @@ def permuted_mesh(N=8, seed=1, family="t5"):
     spec.loader.exec_module(workloads)
     data = mesh_to_dict(FAMILIES[family](N))
     return build_mesh(*workloads.permuted_mesh_data(data, seed))
+
+
+def split_edges(mesh, eps, chain=1, share=0.3, seed=0):
+    """``mesh`` with a seeded ``share`` of its edges split near one end.
+
+    Each chosen edge (a, b), a < b, gets ``chain`` flat vertices at
+    a + j eps (b - a), j = 1 ... chain, so its first ``chain`` pieces are
+    eps |e| long.  They go into both cycles that hold the edge, each in the
+    direction its cycle runs, a marked boundary edge splits into pieces with
+    its marker, and the result is rebuilt with :func:`build_mesh`.
+    """
+    edges = edge_table(mesh.cell_ptr, mesh.cell_vertices)[0]
+    chosen = np.random.default_rng(seed).choice(len(edges), round(share * len(edges)),
+                                                replace=False)
+    steps = eps * np.arange(1, chain + 1)[:, None]
+    points, inner = [mesh.vertices], {}
+    for a, b in edges[chosen].tolist():
+        start = sum(map(len, points))
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        points.append(pa + steps * (pb - pa))
+        inner[a, b] = list(range(start, start + chain))
+        inner[b, a] = inner[a, b][::-1]
+
+    def path(a, b):
+        """The vertices from a up to b, b excluded."""
+        return [a, *inner.get((a, b), ())]
+
+    cells = [[v for a, b in zip(c, c[1:] + c[:1]) for v in path(a, b)] for c in mesh.cells]
+    boundary = [(p, q, marker) for a, b, marker in mesh.boundary_edges
+                for p, q in pairwise(path(a, b) + [b])]
+    return build_mesh(np.concatenate(points), cells, boundary)

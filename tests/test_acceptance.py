@@ -17,7 +17,7 @@ from steklovem.analysis import (
     fit_order,
     run_study,
 )
-from steklovem.eig import dense_reference_solve, solve_steklov
+from steklovem.eig import solve_steklov
 from steklovem.mesh import GAMMA0, _edge_arrays, build_mesh
 from steklovem.meshgen import FAMILIES, gen_lshape_uniform, refine_lshape_corner
 from steklovem.vem import (
@@ -25,6 +25,7 @@ from steklovem.vem import (
     assemble_global,
 )
 from meshes import uniform_square_mesh
+from oracle import dense_reference_solve
 from vem_reference import local_operators, total_area
 
 TABLE_T2_N64 = np.array([3.1308, 6.2907, 9.4503, 12.6275, 15.8287, 19.0608])

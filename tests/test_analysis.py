@@ -89,6 +89,13 @@ def test_fits_reject_bad_mesh_sizes(fit, bad):
         fit([bad, 0.1, 0.2], [1.0, 1.1, 1.3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_order_rejects_errors_that_are_not_finite(bad):
+    # NaN passed the check errors <= 0 and the slope came back as NaN
+    with pytest.raises(NonPositiveError, match="errors"):
+        fit_order([1.0, 0.5], [bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # extrapolation
 
@@ -134,6 +141,14 @@ def test_extrapolate_degenerate_input():
         extrapolate(hs, -np.log(hs))
     with pytest.raises(InsufficientLevels):
         extrapolate([0.2, 0.1], [1.0, 0.9])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extrapolate_rejects_values_that_are_not_finite(bad):
+    # a NaN value used to run all 200 damped steps before FitDiverged said
+    # "did not converge"
+    with pytest.raises(FitDiverged, match="finite values"):
+        extrapolate([0.4, 0.2, 0.1, 0.05], [0.6, bad, 0.52, 0.51])
 
 
 def test_extrapolate_warns_on_non_monotone_values():

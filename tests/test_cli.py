@@ -406,6 +406,20 @@ def test_write_vtk_rejects_wrong_length_field(tmp_path):
     assert not vtk.exists()
 
 
+@pytest.mark.parametrize("title, name", [
+    ("two\nlines", "mode_1"), ("carriage\rreturn", "mode_1"),
+    ("polygonal mesh", "mode 1"), ("polygonal mesh", "mode_1\t"), ("polygonal mesh", ""),
+])
+def test_write_vtk_rejects_what_a_legacy_reader_misreads(tmp_path, title, name):
+    # a second title line shifts every header, and SCALARS reads the name as
+    # one token
+    mesh = FAMILIES["t6"](2)
+    vtk = tmp_path / "modes.vtk"
+    with pytest.raises(ValueError, match="line break|one token"):
+        write_vtk(mesh, vtk, {name: np.zeros(mesh.n_vertices)}, title=title)
+    assert not vtk.exists()
+
+
 def test_solve_vtk_output_pinned(capsys, tmp_path):
     # SHA-256 of the whole file: a faster writer must keep every coordinate and
     # mode value in the same .17g text.  Re-pinned when the LU moved to the
@@ -563,7 +577,7 @@ def test_solve_loads_no_kd_tree_or_graph_module(tmp_path, lshape_json):
 EXPORTS = {
     "analysis": ["ConvergenceStudy", "exact_square_eigenvalue", "extrapolate", "fit_order",
                  "run_study"],
-    "eig": ["EigenResult", "dense_reference_solve", "eigenfunction_field", "solve_steklov"],
+    "eig": ["EigenResult", "eigenfunction_field", "solve_steklov"],
     "mesh": ["GAMMA0", "GAMMA1", "MeshQualityReport", "PolygonalMesh", "build_mesh",
              "load_mesh_json", "quality_report", "save_mesh_json"],
     "meshgen": ["FAMILIES", "gen_lshape_uniform", "gen_rotated_t", "gen_square_glued",
@@ -595,7 +609,6 @@ def test_lazy_namespace_resolves_every_export():
 
 # public names the package keeps without a caller in src/, each with its reason
 UNCALLED_ALLOWED = {
-    "dense_reference_solve": "the one dense oracle the sparse solver is checked against",
     "triple_norm": "the energy norm of the discrete-norm error study (ROADMAP item 7)",
 }
 

@@ -118,6 +118,24 @@ total          363
 """
 
 
+def lambda_entry(family, lambdas=None, path="schur"):
+    """One case of a canned ``lambdas`` block; no eigenvalues: a solver error."""
+    if lambdas is None:
+        return {"family": family, "k": 2, "error": "SolverError: backward error"}
+    return {"family": family, "k": len(lambdas), "lambdas": lambdas, "path": path,
+            "backward_error": 1e-15}
+
+
+CANNED_LAMBDAS = {
+    "t1 N=8 k=6": lambda_entry("t1", [1.0, 2.0]),
+    "t1 N=16 k=6": lambda_entry("t1", [1.0, 4.0]),
+    "t5 N=8 k=6": lambda_entry("t5", [3.0, 5.0], "lanczos"),
+    "t5 N=8 k=m-1": lambda_entry("t5", [3.0, 5.0]),
+    "criterion8 n=8 k=m-1": lambda_entry("criterion8"),
+    "criterion8 n=8 k=m-3": lambda_entry("criterion8"),
+}
+
+
 def test_bench_record_parses_canned_output():
     bench_record = load_tool("bench_record")
     bench = bench_record.record(
@@ -158,7 +176,9 @@ def test_bench_record_writes_one_file_from_its_subprocesses(monkeypatch, tmp_pat
         if args[0] == "perfbench/run.py":
             return canned_run(args[2], 0.1)
         return {tuple(bench_record.TIER1): CANNED_TIER1,
-                tuple(bench_record.SLOC): CANNED_SLOC}.get(tuple(args), CANNED_PROBE)
+                tuple(bench_record.SLOC): CANNED_SLOC,
+                tuple(bench_record.LAMBDAS): json.dumps(CANNED_LAMBDAS)}.get(
+                    tuple(args), CANNED_PROBE)
 
     spec = (ROOT / "BENCHMARK.json").read_text()
     (tmp_path / "BENCHMARK.json").write_text(spec)
@@ -171,9 +191,63 @@ def test_bench_record_writes_one_file_from_its_subprocesses(monkeypatch, tmp_pat
     workloads = [w["name"] for w in json.loads(spec)["workloads"]]
     assert calls == [["perfbench/run.py", "--workload", name, "--seconds", "25",
                       "--trace", "0"] for name in workloads] + [
-        bench_record.TIER1, ["tools/scale_probe.py", "t5", "130"], ["tools/sloc.py"]]
+        bench_record.TIER1, ["tools/scale_probe.py", "t5", "130"], ["tools/sloc.py"],
+        ["tools/bench_record.py", "--lambdas"]]
     bench = json.loads((tmp_path / "BENCH_abc.json").read_text())
     assert list(bench["workloads"]) == workloads
     assert (bench["commit"], bench["dirty"]) == ("abc123", False)
     assert bench["tier1"]["passed"] == 452
     assert bench["sloc"]["total"] == 363
+    assert bench["lambdas"] == CANNED_LAMBDAS
+
+
+def test_lambda_block_records_every_case_and_solver_errors(monkeypatch):
+    from steklovem import eig
+    from steklovem.errors import SolverError
+
+    solve = eig.solve_steklov
+
+    def failing_at_m_minus_3(system, k):
+        if k == len(system.gamma0_dofs) - 3:
+            raise SolverError("backward error 1.00e-03 exceeds 1e-10")
+        return solve(system, k)
+
+    bench_record = load_tool("bench_record")
+    monkeypatch.setattr(eig, "solve_steklov", failing_at_m_minus_3)
+    monkeypatch.setattr(bench_record, "LAMBDA_FAMILIES", ("t5",))
+    monkeypatch.setattr(bench_record, "LAMBDA_NS", (8,))
+    block = bench_record.lambda_block()
+    assert list(block) == [f"{mesh} k={k}" for mesh in ("t5 N=8", "criterion8 n=8",
+                                                         "criterion8 n=16")
+                           for k in ("6", "m-3", "m-1")]
+    # k + 2 >= m forces the read-off; full-boundary gamma0 runs Lanczos below
+    lanczos, failed, schur = block["t5 N=8 k=6"], block["t5 N=8 k=m-3"], block["t5 N=8 k=m-1"]
+    assert (lanczos["family"], lanczos["k"], lanczos["path"]) == ("t5", 6, "lanczos")
+    assert schur["path"] == "schur" and failed["k"] == schur["k"] - 2
+    for entry in (lanczos, schur):
+        assert len(entry["lambdas"]) == entry["k"]
+        assert entry["lambdas"] == sorted(entry["lambdas"])
+        assert 0.0 < entry["backward_error"] <= 1e-10
+    assert failed == {"family": "t5", "k": failed["k"],
+                      "error": "SolverError: backward error 1.00e-03 exceeds 1e-10"}
+    assert block["criterion8 n=16 k=6"]["family"] == "criterion8"
+    json.dumps(block, allow_nan=False)
+
+
+def test_against_prints_the_largest_move_per_family_and_path(monkeypatch, tmp_path, capsys):
+    bench_record = load_tool("bench_record")
+    moved = dict(CANNED_LAMBDAS)
+    moved["t1 N=16 k=6"] = lambda_entry("t1", [1.0, 4.0 * (1 + 2.0 ** -40)])
+    moved["t5 N=8 k=m-1"] = lambda_entry("t5", [3.0, 5.0], "lanczos")
+    moved["criterion8 n=8 k=m-3"] = lambda_entry("criterion8", [0.5, 1.5])
+    moved["t6 N=8 k=6"] = lambda_entry("t6", [1.0])          # in one block only
+    (tmp_path / "BENCH_old.json").write_text(json.dumps({"lambdas": CANNED_LAMBDAS}))
+    monkeypatch.setattr(bench_record, "_run", lambda args: json.dumps(moved))
+    bench_record.main(["--against", str(tmp_path / "BENCH_old.json")])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["family", "path", "cases", "largest", "move"],
+                    ["criterion8", "error", "1", "0"],
+                    ["criterion8", "error->schur", "1", "inf"],
+                    ["t1", "schur", "2", f"{2.0 ** -40:.3g}"],
+                    ["t5", "lanczos", "1", "0"],
+                    ["t5", "schur->lanczos", "1", "0"]]

@@ -1,11 +1,14 @@
-"""Write one ``BENCH_<label>.json`` from the benchmark, the tier-1 tests and
-the large-case probe of a checkout.
+"""Write one ``BENCH_<label>.json`` from the benchmark, the tier-1 tests, the
+large-case probe and the eigenvalues of a checkout.
 
 Run from the repository root, on an otherwise idle machine::
 
     python tools/bench_record.py
+    python tools/bench_record.py --against BENCH_x.json
+    python tools/bench_record.py --lambdas
 
-It runs these, one after another, each as a subprocess of this interpreter:
+The first runs these, one after another, each as a subprocess of this
+interpreter:
 
 - ``perfbench/run.py --workload W --seconds 25 --trace 0`` for every
   workload that ``BENCHMARK.json`` lists
@@ -13,6 +16,7 @@ It runs these, one after another, each as a subprocess of this interpreter:
   with ``src`` first on ``PYTHONPATH``
 - ``tools/scale_probe.py t5 130``
 - ``tools/sloc.py``
+- ``tools/bench_record.py --lambdas``
 
 and writes their results to ``BENCH_<label>.json`` in the repository root,
 ``<label>`` being ``git describe --always --dirty``.  The file holds the
@@ -20,17 +24,34 @@ commit (and whether tracked files differed from it), run.py's environment
 record, per workload the failed count and the end-to-end metrics
 (``wall_s`` with the quartiles run.py reports, rescaled and raw, and
 ``setup_s`` with its rescaled import and preparation samples), tier-1
-passed, failed and wall time with the failing test ids, the probe's rows
-and the logical source lines per module and in total, so that a change
-quotes its net lines from the same file as its timings.  A tier-1
-failure is recorded, not fatal; a workload, the probe or the line count
-exiting non-zero stops the script before anything is written.
+passed, failed and wall time with the failing test ids, the probe's rows,
+the logical source lines per module and in total, so that a change
+quotes its net lines from the same file as its timings, and the
+``lambdas`` block.  A tier-1 failure is recorded, not fatal; a workload,
+the probe, the line count or the eigenvalue solves exiting non-zero stops
+the script before anything is written.
+
+``--lambdas`` prints only the ``lambdas`` block, as JSON, and writes
+nothing.  It solves :func:`lambda_block`'s cases with one BLAS thread:
+t1-t6 at N = 8, 16 and 32 for k = 6, m - 3 and m - 1 (m gamma0 dofs), so
+that both eigensolver paths run on every family, and the two meshes of
+acceptance criterion 8 (the unit square's n x n grid with a 1e-8 edge in
+every boundary cell, n = 8 and 16) for the same k.  Each case stores the
+eigenvalues, the path and the worst backward error, or the error of a
+solve that raised ``SolverError``.  It takes a few seconds.
+
+``--against BENCH_x.json`` solves the same cases and prints, per family
+and path, the largest relative move of any eigenvalue from the ``lambdas``
+block of that file; it writes nothing either.  Two commits return the
+same eigenvalues when every move reads 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -43,6 +64,10 @@ PROBE_CASE = ["t5", "130"]
 SLOC = ["tools/sloc.py"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIMEOUT_S = 1800
+LAMBDAS = ["tools/bench_record.py", "--lambdas"]
+LAMBDA_FAMILIES = ("t1", "t2", "t3", "t4", "t5", "t6")
+LAMBDA_NS = (8, 16, 32)
+LAMBDA_KS = {"6": lambda m: 6, "m-3": lambda m: m - 3, "m-1": lambda m: m - 1}
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error)")
 _WALL = re.compile(r" in ([0-9.]+)s")
 
@@ -131,8 +156,89 @@ def record(commit: str, dirty: bool, workloads: dict, tier1: str, probe: str,
             "sloc": parse_sloc(sloc)}
 
 
+def lambda_block() -> dict:
+    """``{case: entry}`` over the ``LAMBDA_FAMILIES`` meshes at ``LAMBDA_NS``
+    and criterion 8's meshes, each for the k of ``LAMBDA_KS``.  A case is
+    named like ``"t5 N=16 k=m-3"``, and an entry holds the family, k, and
+    either ``lambdas``, ``path`` and ``backward_error`` or the ``error`` of
+    a solve that raised ``SolverError``."""
+    spec = importlib.util.spec_from_file_location("test_meshes", ROOT / "tests" / "meshes.py")
+    meshes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(meshes)
+    from steklovem import FAMILIES, StabilizationSpec, assemble_global, solve_steklov
+    from steklovem.errors import SolverError
+
+    cases = [(family, f"N={N}", FAMILIES[family], N)
+             for family in LAMBDA_FAMILIES for N in LAMBDA_NS]
+    cases += [("criterion8", f"n={n}", lambda n: meshes.uniform_square_mesh(n, 1e-8), n)
+              for n in (8, 16)]
+    block = {}
+    for family, size, make, N in cases:
+        system = assemble_global(make(N), StabilizationSpec())
+        m = len(system.gamma0_dofs)
+        for k_name, k_of_m in LAMBDA_KS.items():
+            k = k_of_m(m)
+            entry = {"family": family, "k": k}
+            try:
+                result = solve_steklov(system, k)
+            except SolverError as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                entry.update(lambdas=result.lambdas.tolist(), path=result.path,
+                             backward_error=float(result.residuals.max()))
+            block[f"{family} {size} k={k_name}"] = entry
+    return block
+
+
+def lambda_moves(old: dict, new: dict) -> dict:
+    """``{(family, path): (cases, largest move)}`` over the cases of two
+    ``lambdas`` blocks: the largest relative move max |new - old| / |old|
+    of any eigenvalue, 0 between two errors and inf between an error and
+    eigenvalues or between lists of different lengths.  The path is the
+    new block's, ``"error"`` for an error, written ``old->new`` where the
+    two differ; cases in only one block are left out."""
+    moves = {}
+    for case, entry in new.items():
+        if case not in old:
+            continue
+        before = old[case]
+        paths = [e.get("path", "error") for e in (before, entry)]
+        path = paths[1] if paths[0] == paths[1] else "->".join(paths)
+        if "error" in before or "error" in entry:
+            move = 0.0 if "error" in before and "error" in entry else math.inf
+        elif len(before["lambdas"]) != len(entry["lambdas"]):
+            move = math.inf
+        else:
+            move = max((abs(b - a) / abs(a) for a, b in zip(before["lambdas"], entry["lambdas"])),
+                       default=0.0)
+        cases, largest = moves.get((entry["family"], path), (0, 0.0))
+        moves[entry["family"], path] = (cases + 1, max(largest, move))
+    return moves
+
+
 def main(argv: list[str]) -> None:
-    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--lambdas", action="store_true",
+                        help="print only the lambdas block as JSON")
+    parser.add_argument("--against", metavar="BENCH_x.json", type=Path,
+                        help="print the largest relative move of lambda per family and "
+                             "path from the lambdas block of this file")
+    args = parser.parse_args(argv)
+    if args.lambdas:
+        # one BLAS thread, as in the benchmark and the tests, set before
+        # anything imports numpy
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+        sys.path.insert(0, str(ROOT / "src"))
+        print(json.dumps(lambda_block()))
+        return
+    if args.against:
+        old = json.loads(args.against.read_text())["lambdas"]
+        print(f"{'family':<12} {'path':<16} {'cases':>5}  largest move")
+        for (family, path), (cases, largest) in sorted(
+                lambda_moves(old, json.loads(_run(LAMBDAS))).items()):
+            print(f"{family:<12} {path:<16} {cases:>5}  {largest:.3g}")
+        return
     label = _git("describe", "--always", "--dirty")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"]: _run(["perfbench/run.py", "--workload", w["name"],
@@ -143,6 +249,7 @@ def main(argv: list[str]) -> None:
     bench = record(_git("rev-parse", "HEAD"),
                    bool(_git("status", "--porcelain", "--untracked-files=no")),
                    workloads, tier1, probe, _run(SLOC))
+    bench["lambdas"] = json.loads(_run(LAMBDAS))
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(path)
