@@ -44,12 +44,15 @@ def _fit_levels(fit: str, levels: int, hs, values):
 def fit_order(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h) over all levels.
 
-    Raises :class:`InsufficientLevels` for fewer than two levels and
+    Raises :class:`InsufficientLevels` for fewer than two levels,
     :class:`NonPositiveError` for a mesh size or an error that is not
-    finite and positive."""
+    finite and positive, and :class:`FitDiverged` for fewer than two
+    distinct mesh sizes, which leave the slope undetermined."""
     hs, errors = _fit_levels("order fit", 2, hs, errors)
     if not np.all(np.isfinite(errors) & (errors > 0.0)):
         raise NonPositiveError("order fit needs finite, strictly positive errors")
+    if np.all(hs == hs[0]):
+        raise FitDiverged("order fit needs two distinct mesh sizes")
     slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
     return float(slope)
 

@@ -23,9 +23,12 @@ Every generator runs the same array pipeline, with the cells in CSR form
    the cells it returns; when it finds no hanging node (t2, and t6 before
    refinement), those are its input cells and the table is the one it
    searched;
-4. the boundary edges of that edge table are marked, and the CSR validator
-   of :mod:`steklovem.mesh` checks the arrays as they are, with the same
-   edge table and no round trip through Python lists.
+4. the boundary edges of that edge table are marked by one rule
+   (:func:`_inherit_markers`): each takes the marker of the first marked
+   segment that holds its midpoint, the segments being the sides of the
+   domain's outline (``DOMAIN_OUTLINE``), and the CSR validator of
+   :mod:`steklovem.mesh` checks the arrays as they are, with the same edge
+   table and no round trip through Python lists.
 
 The merge sorts coordinates and the join sorts grid bucket keys
 (:func:`steklovem.mesh._bucket_join`), so generation needs only numpy.
@@ -34,7 +37,8 @@ Points, boxes and edges go through them as x and y planes, under the rule of
 components written out instead.  Corner refinement
 (:func:`refine_lshape_corner`) runs the same steps on the parent's vertices
 plus the pieces of all patch cells, which it builds in one array pass; the
-join puts the patch cells' flat-angle vertices back into the pieces.
+join puts the patch cells' flat-angle vertices back into the pieces, and
+the parent's marked boundary edges are the segments that mark the result.
 
 Families
 --------
@@ -67,8 +71,6 @@ from .mesh import (
     edge_table,
 )
 
-# the gamma0 side of the square families
-_TOP_Y = 1.0
 # points closer than this are one vertex.  The floor is absolute, not
 # relative to the mesh size: generator coordinates must be O(1), and an edge
 # of a generated mesh is never shorter than 1e-10
@@ -181,14 +183,24 @@ def _merge_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[head], ids
 
 
-def _finish(patches, gamma0_rule: str) -> PolygonalMesh:
+def _finish(patches, outline) -> PolygonalMesh:
     """Merge the points of ``(C, n, 2)`` patch arrays into one conforming,
-    marked and validated mesh."""
+    marked and validated mesh of the domain with the ``(corners, markers)``
+    outline of ``DOMAIN_OUTLINE``: its sides are the marked segments."""
     verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
     sizes = np.concatenate([np.full(len(p), p.shape[1]) for p in patches])
-    ptr, flat, table = _conformalize(verts, np.concatenate(([0], np.cumsum(sizes))), ids)
-    return _validate_csr(verts, ptr, flat, _mark_boundary(verts, *table, gamma0_rule),
-                         table=table)
+    corners = np.array(outline[0], dtype=float)
+    return _marked_mesh(verts, np.concatenate(([0], np.cumsum(sizes))), ids,
+                        (corners, np.roll(corners, -1, axis=0), outline[1]))
+
+
+def _marked_mesh(verts, cell_ptr, cell_vertices, segments) -> PolygonalMesh:
+    """The validated mesh of the cells ``(cell_ptr, cell_vertices)`` over
+    ``verts``, made conforming by :func:`_conformalize` and marked by
+    :func:`_inherit_markers` from ``segments``; generation and refinement
+    both end here."""
+    ptr, flat, table = _conformalize(verts, cell_ptr, cell_vertices)
+    return _validate_csr(verts, ptr, flat, _inherit_markers(verts, *table, *segments), table=table)
 
 
 def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
@@ -230,24 +242,6 @@ def _conformalize(verts: np.ndarray, cell_ptr, cell_vertices):
     return ptr, flat, edge_table(ptr, flat)[:2]
 
 
-def _mark_boundary(verts, edges, counts, gamma0_rule: str) -> list[tuple[int, int, str]]:
-    """Assign markers to the boundary edges of the cell complex, given its
-    edge table ``(edges, counts)``.
-
-    ``gamma0_rule``: ``"all"`` marks everything gamma0; ``"top"`` marks
-    the edges with both endpoints on y = 1 and the rest gamma1.
-    """
-    once = edges[counts == 1]
-    if gamma0_rule == "all":
-        on_top = np.ones(len(once), dtype=bool)
-    elif gamma0_rule == "top":
-        on_top = np.logical_and(*(np.abs(verts[once, 1] - _TOP_Y) < 1e-12).T)
-    else:
-        raise ValueError(f"unknown gamma0 rule {gamma0_rule!r}")
-    return [(i, j, GAMMA0 if top else GAMMA1)
-            for (i, j), top in zip(once.tolist(), on_top.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # square domain families
 
@@ -263,7 +257,8 @@ def gen_square_glued(N: int) -> PolygonalMesh:
     if N < 2:
         raise InvalidN("square_glued requires N >= 2")
     return _finish([_quad_grid(0.0, 1.0, 0.6, 1.0, N, max(1, math.ceil(0.4 * N))),
-                    _quad_grid(0.0, 1.0, 0.0, 0.6, N + 1, math.ceil(0.6 * N))], "top")
+                    _quad_grid(0.0, 1.0, 0.0, 0.6, N + 1, math.ceil(0.6 * N))],
+                   DOMAIN_OUTLINE["square"])
 
 
 def gen_square_perturbed_triangles(N: int) -> PolygonalMesh:
@@ -277,7 +272,7 @@ def gen_square_perturbed_triangles(N: int) -> PolygonalMesh:
     """
     if N < 1:
         raise InvalidN("square_perturbed_tri requires N >= 1")
-    return _finish([_perturbed_triangle_grid(0.0, 1.0, 0.0, 1.0, N, N)], "top")
+    return _finish([_perturbed_triangle_grid(0.0, 1.0, 0.0, 1.0, N, N)], DOMAIN_OUTLINE["square"])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +310,7 @@ def gen_rotated_t(N: int, variant: int = 3) -> PolygonalMesh:
 
     return _finish(half(0.0, -0.5, -0.25, N)          # left half, step ~ 1/N
                    + half(0.0, 0.5, 0.25, N + 1),     # right half, step ~ 1/(N+1)
-                   "all")
+                   DOMAIN_OUTLINE["rotated-t"])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +326,8 @@ def gen_lshape_uniform(N: int) -> PolygonalMesh:
         raise InvalidN("lshape_uniform requires even N >= 2")
     grid = np.arange(N + 1) * (1.0 / N)
     i, j = np.meshgrid(np.arange(N), np.arange(N))
-    return _finish([_quads(grid, grid)[((i < N // 2) | (j < N // 2)).ravel()]], "all")
+    return _finish([_quads(grid, grid)[((i < N // 2) | (j < N // 2)).ravel()]],
+                   DOMAIN_OUTLINE["lshape"])
 
 
 def _refinement_halfwidth(level: int, N: int) -> float:
@@ -406,30 +402,30 @@ def refine_lshape_corner(mesh: PolygonalMesh, level: int, N: int) -> PolygonalMe
     entries = np.cumsum(old_sizes * kept)[cell]   # and their cycle entries
     flat = np.insert(ids[mesh.cell_vertices[kept[slot_cell]]], np.repeat(entries, 4), ids[n_head:])
     ptr = np.concatenate(([0], np.cumsum(np.insert(old_sizes[kept], at, 4))))
-    ptr, flat, table = _conformalize(verts, ptr, flat)
-    return _validate_csr(verts, ptr, flat, _inherit_markers(mesh, verts, *table),
-                         table=table)
+    ends = mesh.vertices[np.array([(i, j) for i, j, _ in mesh.boundary_edges]).T]
+    return _marked_mesh(verts, ptr, flat, (*ends, [m for *_, m in mesh.boundary_edges]))
 
 
-def _inherit_markers(parent: PolygonalMesh, verts, edges,
-                     counts) -> list[tuple[int, int, str]]:
-    """Mark the boundary of a refined mesh, given its edge table ``(edges,
-    counts)``, from the parent's markers: each boundary edge takes the marker
-    of the first parent boundary edge that holds its midpoint, by
-    :func:`steklovem.mesh._near_segment` with t in [-1e-12, 1 + 1e-12] (a
-    midpoint may sit on a parent vertex)."""
-    start, end = np.array([(i, j) for i, j, _ in parent.boundary_edges]).T
+def _inherit_markers(verts, edges, counts, start, end, markers) -> list[tuple[int, int, str]]:
+    """Mark the boundary edges of the edge table ``(edges, counts)`` from S
+    marked segments, ``(S, 2)`` arrays of their ``start`` and ``end`` points
+    and their ``markers``: each boundary edge takes the marker of the first
+    segment that holds its midpoint, by :func:`steklovem.mesh._near_segment` with t in
+    [-1e-12, 1 + 1e-12] (a midpoint may sit on a segment end).
+
+    This is the one marking rule of the package's generated meshes: a
+    generator passes the sides of its domain's outline, a refinement its
+    parent's boundary edges.  A boundary edge on no segment means the cells
+    miss part of the domain, a generator bug, and raises ``RuntimeError``."""
     once = edges[counts == 1]
     mid = 0.5 * (verts[once[:, 0]] + verts[once[:, 1]])
-    edge, k, t = _near_segment(parent.vertices[start].T, parent.vertices[end].T, mid.T)
+    edge, k, t = _near_segment(start.T, end.T, mid.T)
     on = (-1e-12 <= t) & (t <= 1.0 + 1e-12)
     first = np.full(len(once), len(start))
     np.minimum.at(first, k[on], edge[on])
-    stray = np.flatnonzero(first == len(start))
+    stray = once[first == len(start)]
     if stray.size:
-        raise RuntimeError("refined boundary edge ({}, {}) does not lie on the parent "
-                           "boundary".format(*once[stray[0]]))
-    markers = [m for _, _, m in parent.boundary_edges]
+        raise RuntimeError("boundary edge ({}, {}) lies on no marked segment".format(*stray[0]))
     return [(i, j, markers[f]) for (i, j), f in zip(once.tolist(), first.tolist())]
 
 
@@ -447,3 +443,11 @@ FAMILIES = {
 }
 FAMILY_DOMAIN = {"t1": "square", "t2": "square", "t3": "rotated-t",
                  "t4": "rotated-t", "t5": "rotated-t", "t6": "lshape"}
+# each domain's boundary: its corners in CCW order and the marker of the side
+# from each corner to the next
+DOMAIN_OUTLINE = {
+    "square": ([(0, 0), (1, 0), (1, 1), (0, 1)], [GAMMA1, GAMMA1, GAMMA0, GAMMA1]),
+    "rotated-t": ([(-0.5, -0.5), (0.5, -0.5), (0.5, 0), (0.25, 0), (0.25, 1), (-0.25, 1),
+                   (-0.25, 0), (-0.5, 0)], [GAMMA0] * 8),
+    "lshape": ([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)], [GAMMA0] * 6),
+}

@@ -80,6 +80,16 @@ def test_fit_order_error_paths():
         fit_order([0.1, 0.05], [1e-3, 0.0])
 
 
+@pytest.mark.parametrize("hs", [[0.1, 0.1], [0.05, 0.05, 0.05]])
+def test_fit_order_rejects_tied_mesh_sizes(hs):
+    # one distinct mesh size leaves the slope undetermined; polyfit returned
+    # -0.0753 on the first case, with a RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitDiverged, match="two distinct mesh sizes"):
+            fit_order(hs, np.arange(1.0, len(hs) + 1.0))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.05, np.nan])
 @pytest.mark.parametrize("fit", [fit_order, extrapolate])
 def test_fits_reject_bad_mesh_sizes(fit, bad):

@@ -16,6 +16,7 @@ from steklovem import meshgen
 from steklovem.errors import InvalidN, MeshError, NonConforming
 from steklovem.mesh import (
     GAMMA0,
+    GAMMA1,
     _area_centroid,
     _edge_arrays,
     _validate_csr,
@@ -24,9 +25,11 @@ from steklovem.mesh import (
     quality_report,
 )
 from steklovem.meshgen import (
+    DOMAIN_OUTLINE,
     FAMILIES,
+    FAMILY_DOMAIN,
     _conformalize,
-    _mark_boundary,
+    _finish,
     _merge_points,
     _quad_grid,
     gen_lshape_uniform,
@@ -82,16 +85,20 @@ def test_glued_square_interface_cells_have_small_edges():
 def test_glued_grids_validate_exactly_when_conformalized(n, n2, rows, rows2):
     # two quad grids glued at y = 0.6 as in t1, with n and n2 columns: the
     # validator rejects the interface's one-sided hanging nodes, even with
-    # every once-edge marked, by the rule the conforming join inserts them by
+    # every once-edge marked (the top side gamma0, the rest gamma1), by the
+    # rule the conforming join inserts them by
     assume(n != n2)
     patches = [_quad_grid(0.0, 1.0, 0.6, 1.0, n, rows),
                _quad_grid(0.0, 1.0, 0.0, 0.6, n2, rows2)]
     verts, ids = _merge_points(np.concatenate([p.reshape(-1, 2) for p in patches]))
 
     def validate(ptr, flat):
-        table = edge_table(ptr, flat)[:2]
-        return _validate_csr(verts, ptr, flat, _mark_boundary(verts, *table, "top"),
-                             table=table)
+        edges, counts = table = edge_table(ptr, flat)[:2]
+        once = edges[counts == 1]
+        top = np.all(np.abs(verts[once, 1] - 1.0) < 1e-12, axis=1)
+        boundary = [(i, j, GAMMA0 if on_top else GAMMA1)
+                    for (i, j), on_top in zip(once.tolist(), top.tolist())]
+        return _validate_csr(verts, ptr, flat, boundary, table=table)
 
     ptr = np.arange(0, len(ids) + 1, 4)
     with pytest.raises(NonConforming, match="overlap"):
@@ -258,6 +265,47 @@ def test_corner_refinement_rejects_flat_vertices_no_other_cell_keeps():
     with pytest.warns(UserWarning, match="3 corners"), \
             pytest.raises(MeshError, match="belongs to no cell"):
         refine_lshape_corner(FAMILIES["t2"](4), 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# boundary markers
+
+
+def test_generator_output_missing_part_of_its_domain_raises():
+    # the rotated T's bar alone: the top of the bar outside the stem, and
+    # the stem's base inside it, are boundary edges on no side of the outline
+    with pytest.raises(RuntimeError, match="lies on no marked segment"):
+        _finish([_quad_grid(-0.5, 0.5, -0.5, 0.0, 4, 2)], DOMAIN_OUTLINE["rotated-t"])
+
+
+def _markers_by_coordinates(mesh, family):
+    """Reference markers read off the coordinates: on the square, gamma0 for
+    the edges with both ends within 1e-12 of y = 1 and gamma1 for the rest;
+    gamma0 all round on every other domain."""
+    if FAMILY_DOMAIN[family] != "square":
+        return [GAMMA0] * len(mesh.boundary_edges)
+    return [GAMMA0 if abs(mesh.vertices[i, 1] - 1.0) < 1e-12
+            and abs(mesh.vertices[j, 1] - 1.0) < 1e-12 else GAMMA1
+            for i, j, _ in mesh.boundary_edges]
+
+
+# smallest N of each family, and its step: t6 takes even N only
+SMALLEST_N = {"t1": (2, 1), "t2": (1, 1), "t3": (4, 1), "t4": (4, 1), "t5": (4, 1),
+              "t6": (2, 2)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_outline_markers_match_coordinate_markers(family):
+    first, step = SMALLEST_N[family]
+    for N in range(first, 33, step):
+        mesh = FAMILIES[family](N)
+        assert [m for *_, m in mesh.boundary_edges] == _markers_by_coordinates(mesh, family), N
+    if family == "t6":
+        mesh = FAMILIES["t6"](16)
+        for level in (1, 2, 3):
+            mesh = refine_lshape_corner(mesh, level, 16)
+            assert ([m for *_, m in mesh.boundary_edges]
+                    == _markers_by_coordinates(mesh, family)), level
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,10 @@ def test_lambda_block_records_every_case_and_solver_errors(monkeypatch):
     monkeypatch.setattr(bench_record, "LAMBDA_NS", (8,))
     block = bench_record.lambda_block()
     assert list(block) == [f"{mesh} k={k}" for mesh in ("t5 N=8", "criterion8 n=8",
-                                                         "criterion8 n=16")
+                                                         "criterion8 n=16",
+                                                         "split 1e-04 t5 N=8",
+                                                         "split 1e-08 t5 N=8",
+                                                         "split 1e-12 t5 N=8")
                            for k in ("6", "m-3", "m-1")]
     # k + 2 >= m forces the read-off; full-boundary gamma0 runs Lanczos below
     lanczos, failed, schur = block["t5 N=8 k=6"], block["t5 N=8 k=m-3"], block["t5 N=8 k=m-1"]
@@ -231,6 +234,7 @@ def test_lambda_block_records_every_case_and_solver_errors(monkeypatch):
     assert failed == {"family": "t5", "k": failed["k"],
                       "error": "SolverError: backward error 1.00e-03 exceeds 1e-10"}
     assert block["criterion8 n=16 k=6"]["family"] == "criterion8"
+    assert block["split 1e-12 t5 N=8 k=6"]["family"] == "split 1e-12"
     json.dumps(block, allow_nan=False)
 
 

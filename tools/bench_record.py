@@ -34,11 +34,14 @@ the script before anything is written.
 ``--lambdas`` prints only the ``lambdas`` block, as JSON, and writes
 nothing.  It solves :func:`lambda_block`'s cases with one BLAS thread:
 t1-t6 at N = 8, 16 and 32 for k = 6, m - 3 and m - 1 (m gamma0 dofs), so
-that both eigensolver paths run on every family, and the two meshes of
+that both eigensolver paths run on every family, the two meshes of
 acceptance criterion 8 (the unit square's n x n grid with a 1e-8 edge in
-every boundary cell, n = 8 and 16) for the same k.  Each case stores the
-eigenvalues, the path and the worst backward error, or the error of a
-solve that raised ``SolverError``.  It takes a few seconds.
+every boundary cell, n = 8 and 16) and t1-t6 at N = 8 with small edges
+anywhere (``tests/meshes.py::split_edges`` at seed 0, chain 1: 30% of the
+edges split at eps = 1e-4, 1e-8 and 1e-12 of their length), each for the
+same k.  Each case stores the eigenvalues, the path and the worst backward
+error, or the error of a solve that raised ``SolverError``.  It takes a few
+seconds.
 
 ``--against BENCH_x.json`` solves the same cases and prints, per family
 and path, the largest relative move of any eigenvalue from the ``lambdas``
@@ -56,6 +59,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +72,8 @@ LAMBDAS = ["tools/bench_record.py", "--lambdas"]
 LAMBDA_FAMILIES = ("t1", "t2", "t3", "t4", "t5", "t6")
 LAMBDA_NS = (8, 16, 32)
 LAMBDA_KS = {"6": lambda m: 6, "m-3": lambda m: m - 3, "m-1": lambda m: m - 1}
+SPLIT_N = 8
+SPLIT_EPS = (1e-4, 1e-8, 1e-12)
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error)")
 _WALL = re.compile(r" in ([0-9.]+)s")
 
@@ -157,24 +163,30 @@ def record(commit: str, dirty: bool, workloads: dict, tier1: str, probe: str,
 
 
 def lambda_block() -> dict:
-    """``{case: entry}`` over the ``LAMBDA_FAMILIES`` meshes at ``LAMBDA_NS``
-    and criterion 8's meshes, each for the k of ``LAMBDA_KS``.  A case is
-    named like ``"t5 N=16 k=m-3"``, and an entry holds the family, k, and
-    either ``lambdas``, ``path`` and ``backward_error`` or the ``error`` of
-    a solve that raised ``SolverError``."""
+    """``{case: entry}`` over the ``LAMBDA_FAMILIES`` meshes at ``LAMBDA_NS``,
+    criterion 8's meshes and the ``LAMBDA_FAMILIES`` meshes at ``SPLIT_N``
+    with edges split at each of ``SPLIT_EPS``, each for the k of
+    ``LAMBDA_KS``.  A case is named like ``"t5 N=16 k=m-3"`` or ``"split
+    1e-08 t5 N=8 k=6"``, the family of the second being ``"split 1e-08"``,
+    and an entry holds the family, k, and either ``lambdas``, ``path`` and
+    ``backward_error`` or the ``error`` of a solve that raised
+    ``SolverError``."""
     spec = importlib.util.spec_from_file_location("test_meshes", ROOT / "tests" / "meshes.py")
     meshes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(meshes)
     from steklovem import FAMILIES, StabilizationSpec, assemble_global, solve_steklov
     from steklovem.errors import SolverError
 
-    cases = [(family, f"N={N}", FAMILIES[family], N)
+    cases = [(family, f"N={N}", partial(FAMILIES[family], N))
              for family in LAMBDA_FAMILIES for N in LAMBDA_NS]
-    cases += [("criterion8", f"n={n}", lambda n: meshes.uniform_square_mesh(n, 1e-8), n)
+    cases += [("criterion8", f"n={n}", partial(meshes.uniform_square_mesh, n, 1e-8))
               for n in (8, 16)]
+    cases += [(f"split {eps:.0e}", f"{family} N={SPLIT_N}",
+               partial(meshes.split_edges, FAMILIES[family](SPLIT_N), eps, chain=1, seed=0))
+              for eps in SPLIT_EPS for family in LAMBDA_FAMILIES]
     block = {}
-    for family, size, make, N in cases:
-        system = assemble_global(make(N), StabilizationSpec())
+    for family, size, make in cases:
+        system = assemble_global(make(), StabilizationSpec())
         m = len(system.gamma0_dofs)
         for k_name, k_of_m in LAMBDA_KS.items():
             k = k_of_m(m)
